@@ -7,11 +7,11 @@
 //!    states as a single `N × 8` matrix–matrix forward pass
 //!    (`Ddpg::act_batch`) beats N single-state passes. Asserted
 //!    strictly for `N ≥ 8` (best-of-k timing on both sides).
-//! 2. **Fleet wall-clock** — the serial lockstep driver scales with
-//!    node count roughly linearly in simulated work, and the
-//!    parallel driver (`run_fleet_threaded`) buys node scaling that is
-//!    *sublinear* in wall-clock on a multi-core host while staying
-//!    byte-identical (asserted every run, every node count).
+//! 2. **Fleet wall-clock** — one lockstep worker scales with node count
+//!    roughly linearly in simulated work, and all-core workers
+//!    (`FleetRun::threads` 0) buy node scaling that is *sublinear* in
+//!    wall-clock on a multi-core host while staying byte-identical
+//!    (asserted every run, every node count).
 //! 3. **End-to-end batched ≤ reference** — the batched lockstep fleet
 //!    must not lose to the per-node inference loop it replaced.
 //!    Timed best-of-k with the two drivers alternating, so neither
@@ -30,9 +30,10 @@
 //! `BENCH_fleet.json` at the repo root is the recorded baseline).
 //! `DEEPPOWER_SMOKE=1` shrinks reps and durations for CI.
 
+use deeppower_core::TrainedPolicy;
 use deeppower_fleet::{
-    run_fleet, run_fleet_reference, run_fleet_threaded, untrained_policy, BalancerPolicy,
-    FleetSpec, NodeProfile,
+    run_fleet, run_fleet_with, untrained_policy, BalancerPolicy, FleetResult, FleetRun, FleetSpec,
+    NodeProfile,
 };
 use deeppower_nn::Matrix;
 use deeppower_workload::App;
@@ -145,7 +146,11 @@ fn main() {
             let res = run_fleet(&spec, &policy);
             wall = wall.min(t.elapsed().as_secs_f64());
             let t = Instant::now();
-            let par = run_fleet_threaded(&spec, &policy, 0);
+            let all_cores = FleetRun {
+                threads: 0,
+                ..FleetRun::default()
+            };
+            let par = run_fleet_with(&spec, &[&policy], &all_cores).result;
             wall_par = wall_par.min(t.elapsed().as_secs_f64());
             // The determinism contract is asserted every size — the
             // speedup is worthless if the bytes drift.
@@ -311,4 +316,14 @@ fn main() {
     } else {
         println!("report written to {}", out.display());
     }
+}
+
+/// The per-node inference path: same lockstep drive, one single-state
+/// forward pass per node.
+fn run_fleet_reference(spec: &FleetSpec, policy: &TrainedPolicy) -> FleetResult {
+    let per_node = FleetRun {
+        per_node_act: true,
+        ..FleetRun::default()
+    };
+    run_fleet_with(spec, &[policy], &per_node).result
 }

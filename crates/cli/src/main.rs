@@ -28,7 +28,9 @@ use deeppower_core::{
     evaluate_recorded, explain_decisions, mean_abs_saliency, surface_to_csv, train, train_profiled,
     TrainConfig, TrainedPolicy, STATE_DIM_NAMES,
 };
-use deeppower_fleet::{run_fleet_monitored_full, run_fleet_recorded, BalancerPolicy, FleetSpec};
+use deeppower_fleet::{
+    run_fleet_with, BalancerPolicy, FleetObserve, FleetOutput, FleetRun, FleetSpec,
+};
 use deeppower_harness::{
     calibrated_train_seed, fault_scenarios, fleet_grid, grid, overload_scenarios,
     robustness_matrix_for, run_fleet_grid, run_grid, run_grid_telemetry, select_scenarios,
@@ -166,7 +168,8 @@ bounded-queue and retry knobs.
 (round-robin | jsq | power-aware), all steered by one shared policy via
 batched actor inference; --nodes/--balancer take comma lists and expand
 to a grid. -o writes the fleet reports as JSON; --telemetry DIR writes
-one JSONL artifact per node per cell. --threads N (0 = all cores) splits
+one JSONL artifact per node per cell and warns about any node whose
+event ring overflowed. --threads N (0 = all cores) splits
 across grid cells first, then leftover cores parallelize the node
 sessions *inside* each fleet — results are byte-identical either way.
 --profiles FILE loads a heterogeneous fleet description (a JSON list of
@@ -714,7 +717,13 @@ fn cmd_fleet(flags: &Flags, log: &Logger) -> Result<(), String> {
         for (j, job) in jobs.iter().enumerate() {
             let cfg = MonitorConfig::with_slo(slo.clone());
             let keep = cfg.flight_windows;
-            let (res, mon) = run_fleet_monitored_full(&job.fleet, &job.policy, threads, cfg);
+            let run = FleetRun {
+                threads,
+                observe: FleetObserve::Monitor(cfg),
+                ..FleetRun::default()
+            };
+            let out = run_fleet_with(&job.fleet, &[&job.policy], &run);
+            let (res, mon) = (out.result, out.monitor.expect("monitored fleet run"));
             let mut rep = mon.finish();
             if let Some(dir) = flags.get("flight-dump") {
                 let cell_dir = Path::new(dir).join(format!("cell-{j:02}"));
@@ -733,22 +742,25 @@ fn cmd_fleet(flags: &Flags, log: &Logger) -> Result<(), String> {
     } else {
         match flags.get("telemetry") {
             Some(dir) => {
-                // Per-node JSONL artifacts want live recorders, so telemetry
-                // cells run in-process (each fleet is itself N sessions).
+                // Cells run one after another, each on all `threads`
+                // workers; the per-node streams are identical at any count.
                 std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
                 let mut results = Vec::with_capacity(jobs.len());
                 for (j, job) in jobs.iter().enumerate() {
-                    let recs: Vec<Recorder> = (0..job.fleet.nodes)
-                        .map(|_| Recorder::ring(1 << 16))
-                        .collect();
-                    let res = run_fleet_recorded(&job.fleet, &job.policy, &recs);
-                    for (i, rec) in recs.iter().enumerate() {
+                    let run = FleetRun {
+                        threads,
+                        observe: FleetObserve::Events { ring: 1 << 16 },
+                        ..FleetRun::default()
+                    };
+                    let out = run_fleet_with(&job.fleet, &[&job.policy], &run);
+                    warn_dropped(log, &format!("cell {j}"), &out);
+                    let res = out.result;
+                    for (i, (events, _)) in out.events.iter().enumerate() {
                         let path = Path::new(dir).join(format!(
                             "fleet-{j:02}-{}-{}nodes-node{i:02}.jsonl",
                             res.balancer, res.nodes
                         ));
-                        atomic_write(&path, to_jsonl(&rec.drain_events()))
-                            .map_err(|e| e.to_string())?;
+                        atomic_write(&path, to_jsonl(events)).map_err(|e| e.to_string())?;
                     }
                     log.debug(&format!(
                         "cell {j}: {} nodes, {} artifacts",
@@ -895,6 +907,17 @@ fn policy_or_train(
             cfg.episode_s = episode_s;
             cfg.seed = train_seed;
             Ok(train_profiled(&cfg, &Recorder::disabled(), prof).0)
+        }
+    }
+}
+
+/// One warning line per node whose telemetry ring evicted events.
+fn warn_dropped(log: &Logger, what: &str, out: &FleetOutput) {
+    for (node, (_, dropped)) in out.events.iter().enumerate() {
+        if *dropped > 0 {
+            log.warn(&format!(
+                "{what}: node {node} dropped {dropped} events (ring overflow) — its telemetry is incomplete"
+            ));
         }
     }
 }
@@ -1162,9 +1185,14 @@ fn cmd_rtrace(flags: &Flags, log: &Logger) -> Result<(), String> {
     // Ring recorders keep the full event stream (the monitor's flight
     // ring only retains trailing windows), so `-o` gets every sampled
     // trace; the monitor then replays the same streams offline.
-    let recs: Vec<Recorder> = (0..spec.nodes).map(|_| Recorder::ring(1 << 18)).collect();
-    let res = run_fleet_recorded(&spec, &policy, &recs);
-    let streams: Vec<Vec<Event>> = recs.iter().map(|r| r.drain_events()).collect();
+    let run = FleetRun {
+        observe: FleetObserve::Events { ring: 1 << 18 },
+        ..FleetRun::default()
+    };
+    let out = run_fleet_with(&spec, &[&policy], &run);
+    warn_dropped(log, "rtrace", &out);
+    let res = out.result;
+    let streams: Vec<Vec<Event>> = out.events.into_iter().map(|(events, _)| events).collect();
     // Overload runs are short, so the default SLO uses single-window
     // burn rules (plus a goodput floor) — a collapse inside the run
     // trips an alert and fills the flight recorder instead of hiding

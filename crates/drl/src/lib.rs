@@ -21,8 +21,6 @@
 //!   action grid.
 //! * [`Sac`] — soft actor-critic with a tanh-squashed Gaussian policy,
 //!   twin critics and fixed entropy temperature.
-//! * [`Td3`] — twin-delayed DDPG, the robustness upgrade of the paper's
-//!   agent (clipped double-Q, delayed policy updates, target smoothing).
 //!
 //! All agents are seed-deterministic and expose `save`/`load` snapshots.
 
@@ -33,7 +31,6 @@ pub mod dqn;
 pub mod noise;
 pub mod replay;
 pub mod sac;
-pub mod td3;
 
 pub use actor::{ActorScratch, TwoHeadActor};
 pub use critic::Critic;
@@ -42,4 +39,3 @@ pub use dqn::{Ddqn, Dqn, DqnConfig};
 pub use noise::{sample_standard_normal, GaussianNoise, OrnsteinUhlenbeck};
 pub use replay::{ReplayBuffer, Transition};
 pub use sac::{Sac, SacConfig};
-pub use td3::{Td3, Td3Config};

@@ -60,18 +60,6 @@ impl Coordinator {
         Self { groups }
     }
 
-    /// Every group driven by the same shared policy — the homogeneous
-    /// fleet's controller, and the default for `fleet --profiles` runs
-    /// that train a single policy.
-    pub fn shared(members: Vec<Vec<usize>>, policy: &TrainedPolicy) -> Self {
-        let policies: Vec<&TrainedPolicy> = members.iter().map(|_| policy).collect();
-        Self::new(members, &policies)
-    }
-
-    pub fn n_groups(&self) -> usize {
-        self.groups.len()
-    }
-
     /// One grouped batched pass per profile: gather each group's rows
     /// from `states`, batch them through the group's actor, scatter
     /// the clamped [`ControllerParams`] into `actions` by node index.
@@ -133,7 +121,7 @@ mod tests {
         let policy = untrained_policy(App::Masstree, 17);
         let n = 6;
         let states = stacked_states(n, 3);
-        let mut coord = Coordinator::shared(vec![(0..n).collect()], &policy);
+        let mut coord = Coordinator::new(vec![(0..n).collect()], &[&policy]);
         let mut grouped = vec![ControllerParams::default(); n];
         coord.act(&states, &mut grouped);
 
@@ -177,7 +165,7 @@ mod tests {
     #[test]
     fn act_reuses_buffers_across_epochs_without_drift() {
         let policy = untrained_policy(App::Masstree, 5);
-        let mut coord = Coordinator::shared(vec![vec![0, 1], vec![2]], &policy);
+        let mut coord = Coordinator::new(vec![vec![0, 1], vec![2]], &[&policy, &policy]);
         let mut first = vec![ControllerParams::default(); 3];
         let states_a = stacked_states(3, 1);
         coord.act(&states_a, &mut first);

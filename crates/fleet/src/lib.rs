@@ -31,9 +31,8 @@ pub use profile::{
     node_profile_indices, profile_groups, profiles_from_json, NodeProfile, FLEET_REFERENCE_MHZ,
 };
 pub use sim::{
-    fleet_arrivals, run_fleet, run_fleet_hier, run_fleet_monitored, run_fleet_monitored_full,
-    run_fleet_profiled, run_fleet_recorded, run_fleet_reference, run_fleet_threaded,
-    run_fleet_threaded_profiled, untrained_policy, FleetResult, FleetSpec, NodeSummary,
+    fleet_arrivals, run_fleet, run_fleet_monitored, run_fleet_with, untrained_policy, FleetObserve,
+    FleetOutput, FleetResult, FleetRun, FleetSpec, NodeSummary,
 };
 
 #[cfg(test)]

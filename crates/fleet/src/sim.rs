@@ -1,6 +1,7 @@
 //! The fleet driver: N node simulations advanced in lockstep
-//! `LongTime` epochs, steered by one shared DeepPower policy whose
-//! actions for all nodes come from a single batched forward pass.
+//! `LongTime` epochs, steered by one shared DeepPower policy (or one per
+//! profile group) whose actions for all nodes come from one batched
+//! forward pass per group.
 //!
 //! Each node is an independent [`Server`] session (its own cores,
 //! queue, energy meter and telemetry stream); the only coupling is the
@@ -16,38 +17,38 @@
 //! `batched_and_unbatched_fleets_agree` — while doing `1/N` of the
 //! forward passes (the `fleet_scaling` bench measures the speedup).
 //!
-//! [`run_fleet_threaded`] runs the same lockstep drive with node
-//! sessions partitioned across persistent worker threads and a barrier
-//! at every epoch; it is byte-identical to the serial driver at any
-//! thread count (see its docs for the protocol).
+//! There is one epoch loop, in [`run_fleet_with`]. Node sessions are
+//! partitioned across worker threads; worker 0 runs on the calling
+//! thread and leads the batched pass, so a serial fleet is the same
+//! loop with one worker and no spawn. The result is byte-identical at
+//! any thread count (see [`run_fleet_with`] for the protocol).
 
 use crate::balancer::{split_arrivals, BalancerPolicy, NodeCapacity};
 use crate::coordinator::Coordinator;
 use crate::profile::{node_profile_indices, profile_groups, NodeProfile};
 use deeppower_core::{
-    ControllerParams, StateNorm, StateObserver, ThreadController, TrainConfig, TrainedPolicy,
-    STATE_DIM,
+    ControllerParams, StateObserver, ThreadController, TrainConfig, TrainedPolicy, STATE_DIM,
 };
 use deeppower_drl::Ddpg;
 use deeppower_nn::Matrix;
 use deeppower_simd_server::{
     FaultPlan, FreqCommands, Governor, LatencyStats, OverloadPlan, Request, RequestRecord,
-    RunOptions, Server, ServerConfig, ServerView, Session, MILLISECOND,
+    RunOptions, Server, ServerConfig, ServerView, Session, SimResult, MILLISECOND,
 };
 use deeppower_telemetry::{
-    merge_gauges, FleetMonitor, HealthReport, MonitorConfig, MonitorSink, Profiler, Recorder,
-    TracePlan,
+    merge_gauges, Event, FleetMonitor, HealthReport, MonitorConfig, MonitorSink, Profiler,
+    Recorder, Span, TracePlan,
 };
 use deeppower_workload::{trace_arrivals, App, AppSpec, DiurnalConfig, DiurnalTrace};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, OnceLock};
+use std::sync::{Barrier, Mutex};
 
 /// One fleet experiment: N nodes serving a shared diurnal trace behind
 /// a balancer, under one trained policy (or one per profile group; see
-/// [`run_fleet_hier`]).
+/// [`run_fleet_with`]).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct FleetSpec {
     pub app: App,
@@ -129,70 +130,48 @@ impl FleetSpec {
 
     fn assert_consistent(&self) {
         assert!(self.nodes > 0, "fleet needs at least one node");
-        if !self.profiles.is_empty() {
-            let total: usize = self.profiles.iter().map(|p| p.count).sum();
-            assert_eq!(
-                total, self.nodes,
-                "profile counts must sum to the node count"
-            );
+        let total: usize = self.node_profiles().iter().map(|p| p.count).sum();
+        assert_eq!(
+            total, self.nodes,
+            "profile counts must sum to the node count"
+        );
+    }
+
+    /// The fleet's profiles. The homogeneous fleet *is* one
+    /// paper-default profile covering every node: same engine config,
+    /// capacity and name, so the two are byte-identical in results.
+    fn node_profiles(&self) -> Vec<NodeProfile> {
+        if self.profiles.is_empty() {
+            let cores = AppSpec::get(self.app).n_threads;
+            vec![NodeProfile::paper_default(cores, self.nodes)]
+        } else {
+            self.profiles.clone()
         }
     }
 
     /// What the balancer knows about each node (index order).
     pub fn capacities(&self) -> Vec<NodeCapacity> {
-        if self.profiles.is_empty() {
-            let cores = AppSpec::get(self.app).n_threads;
-            vec![NodeCapacity::uniform(cores); self.nodes]
-        } else {
-            node_profile_indices(&self.profiles)
-                .into_iter()
-                .map(|k| self.profiles[k].capacity())
-                .collect()
-        }
+        let profiles = self.node_profiles();
+        let group_of = node_profile_indices(&profiles);
+        group_of.iter().map(|&k| profiles[k].capacity()).collect()
     }
 
     /// Node indices grouped by profile (one all-nodes group for the
     /// homogeneous fleet) — the batching units of the [`Coordinator`].
     pub fn groups(&self) -> Vec<Vec<usize>> {
-        if self.profiles.is_empty() {
-            vec![(0..self.nodes).collect()]
-        } else {
-            profile_groups(&self.profiles)
-        }
+        profile_groups(&self.node_profiles())
     }
 
     /// One engine config per profile group, aligned with
     /// [`FleetSpec::groups`].
     pub fn group_configs(&self) -> Vec<ServerConfig> {
-        if self.profiles.is_empty() {
-            vec![ServerConfig::paper_default(
-                AppSpec::get(self.app).n_threads,
-            )]
-        } else {
-            self.profiles.iter().map(|p| p.server_config()).collect()
-        }
+        let profiles = self.node_profiles();
+        profiles.iter().map(NodeProfile::server_config).collect()
     }
 
     /// Profile-group index of every node (all zeros when homogeneous).
     fn group_of(&self) -> Vec<usize> {
-        if self.profiles.is_empty() {
-            vec![0; self.nodes]
-        } else {
-            node_profile_indices(&self.profiles)
-        }
-    }
-
-    /// Display name of `node`'s hardware profile. The homogeneous fleet
-    /// *is* the paper-default profile, so it reports the same name a
-    /// one-profile `NodeProfile::paper_default` fleet would — keeping
-    /// the two byte-identical in serialized results.
-    fn profile_name(&self, node: usize) -> String {
-        if self.profiles.is_empty() {
-            "xeon-gold-5218r".into()
-        } else {
-            let k = node_profile_indices(&self.profiles)[node];
-            self.profiles[k].name.clone()
-        }
+        node_profile_indices(&self.node_profiles())
     }
 }
 
@@ -301,8 +280,9 @@ pub fn untrained_policy(app: App, seed: u64) -> TrainedPolicy {
 /// Node-side governor: Algorithm 1 whose parameters live in a shared
 /// cell the fleet driver rewrites at every epoch boundary. The session
 /// holds the governor `&mut`, so the driver reaches past that borrow
-/// through `Rc<Cell<…>>` (fleet runs are single-threaded; the
-/// cross-thread story is one fleet per harness worker).
+/// through `Rc<Cell<…>>`. The cell, the governor and the session all
+/// live on the worker thread that owns the node, so the `Rc` never
+/// crosses threads.
 struct SharedParamsController {
     params: Rc<Cell<ControllerParams>>,
 }
@@ -317,276 +297,215 @@ impl Governor for SharedParamsController {
     }
 }
 
-/// Run a fleet with batched actor inference and no telemetry.
+/// What a fleet run records besides its [`FleetResult`]: one choice, as
+/// the CLI's `--monitor` and `--telemetry` flags are exclusive.
+#[derive(Clone, Debug)]
+pub enum FleetObserve {
+    /// No telemetry: every node's recorder is disabled.
+    None,
+    /// One ring [`Recorder`] of `ring` events per node (dispatches,
+    /// completions, frequency transitions, latency snapshots), so
+    /// per-node JSONL artifacts fall out the same way single-server
+    /// ones do.
+    Events { ring: usize },
+    /// Every node feeds a [`FleetMonitor`] inline through a
+    /// [`MonitorSink`]: window rollups, injected faults, governor steps
+    /// and request traces.
+    Monitor(MonitorConfig),
+}
+
+/// How [`run_fleet_with`] drives a fleet. The default is the serial,
+/// batched, unobserved run of [`run_fleet`].
+#[derive(Clone, Debug)]
+pub struct FleetRun {
+    /// Worker threads: `0` means every available core, and any value is
+    /// clamped into `[1, nodes]`. The output does not depend on it.
+    pub threads: usize,
+    /// Act through one single-state forward pass per node instead of
+    /// the grouped batched pass. This reference path is result-identical;
+    /// it exists so benches can time the two and tests can pin them
+    /// equal.
+    pub per_node_act: bool,
+    /// What the run records besides the result.
+    pub observe: FleetObserve,
+    /// Span profiler. `fleet.balance` (the arrival split) and
+    /// `fleet.merge` (finish and percentile merge) open once;
+    /// `fleet.batch_act` opens once per epoch on worker 0 and covers its
+    /// own observe pass plus the act; each worker opens one
+    /// `fleet.advance` per epoch, and its nodes' `engine.*` spans nest
+    /// inside. Profiling never perturbs the simulation.
+    pub profiler: Profiler,
+}
+
+impl Default for FleetRun {
+    fn default() -> Self {
+        Self {
+            threads: 1,
+            per_node_act: false,
+            observe: FleetObserve::None,
+            profiler: Profiler::disabled(),
+        }
+    }
+}
+
+/// What [`run_fleet_with`] returns.
+#[derive(Clone, Debug)]
+pub struct FleetOutput {
+    pub result: FleetResult,
+    /// The merged monitor of a [`FleetObserve::Monitor`] run. Take its
+    /// [`FleetMonitor::finish`] for the health report, or its flight
+    /// recorder for the traces behind an alert.
+    pub monitor: Option<FleetMonitor>,
+    /// Each node's `(events, dropped)` in node order: the events its ring
+    /// kept and how many the ring evicted. Empty unless the run observed
+    /// [`FleetObserve::Events`].
+    pub events: Vec<(Vec<Event>, u64)>,
+}
+
+/// Run a fleet serially with batched actor inference and no telemetry.
 pub fn run_fleet(spec: &FleetSpec, policy: &TrainedPolicy) -> FleetResult {
-    let recs = vec![Recorder::disabled(); spec.nodes];
-    run_fleet_recorded(spec, policy, &recs)
+    run_fleet_with(spec, &[policy], &FleetRun::default()).result
 }
 
-/// [`run_fleet`] with one telemetry [`Recorder`] per node: node `i`'s
-/// engine events (dispatches, completions, frequency transitions,
-/// latency snapshots) land in `recs[i]`, so per-node JSONL artifacts
-/// fall out the same way single-server ones do.
-pub fn run_fleet_recorded(
+/// Run a fleet on `threads` workers with a [`FleetMonitor`] attached,
+/// and return its [`HealthReport`] with the result. The report is
+/// byte-identical at any thread count (asserted by
+/// `monitored_fleet_report_is_byte_identical_at_any_thread_count`).
+pub fn run_fleet_monitored(
     spec: &FleetSpec,
     policy: &TrainedPolicy,
-    recs: &[Recorder],
-) -> FleetResult {
-    let policies = shared_policies(spec, policy);
-    run_fleet_impl(spec, &policies, recs, true, &Profiler::disabled())
+    threads: usize,
+    cfg: MonitorConfig,
+) -> (FleetResult, HealthReport) {
+    let observe = FleetObserve::Monitor(cfg);
+    let run = FleetRun {
+        threads,
+        observe,
+        ..FleetRun::default()
+    };
+    let out = run_fleet_with(spec, &[policy], &run);
+    (out.result, out.monitor.expect("monitored run").finish())
 }
 
-/// [`run_fleet_recorded`] with a span [`Profiler`]: the lockstep epoch
-/// opens `fleet.balance` (arrival split, once up front),
-/// `fleet.batch_act` (observe + batched inference), `fleet.advance`
-/// (node sessions, whose `engine.*` spans nest inside) and
-/// `fleet.merge` (finish + percentile merge) spans. Profiling never
-/// perturbs the simulation.
-pub fn run_fleet_profiled(
-    spec: &FleetSpec,
-    policy: &TrainedPolicy,
-    recs: &[Recorder],
-    prof: &Profiler,
-) -> FleetResult {
-    let policies = shared_policies(spec, policy);
-    run_fleet_impl(spec, &policies, recs, true, prof)
-}
-
-/// Reference implementation: identical lockstep drive, but each node's
-/// action comes from its own single-state forward pass. Exists so the
-/// `fleet_scaling` bench can time batched against per-node inference on
-/// the *same* workload, and so tests can assert the two are
-/// result-identical. Not the path experiments use.
-pub fn run_fleet_reference(spec: &FleetSpec, policy: &TrainedPolicy) -> FleetResult {
-    let recs = vec![Recorder::disabled(); spec.nodes];
-    let policies = shared_policies(spec, policy);
-    run_fleet_impl(spec, &policies, &recs, false, &Profiler::disabled())
-}
-
-/// The same shared policy for every profile group — the historical
-/// single-policy fleet, expressed in coordinator terms.
-fn shared_policies<'a>(spec: &FleetSpec, policy: &'a TrainedPolicy) -> Vec<&'a TrainedPolicy> {
-    spec.groups().iter().map(|_| policy).collect()
-}
-
-/// Every group policy must agree on the lockstep grids: the fleet runs
-/// one tick/epoch cadence, whatever each group's actor weights are.
-fn check_policies(spec: &FleetSpec, policies: &[&TrainedPolicy]) {
-    spec.assert_consistent();
-    assert_eq!(
-        policies.len(),
-        spec.groups().len(),
-        "one policy per profile group"
-    );
-    let lead = policies[0];
-    for p in policies {
-        assert_eq!(
-            p.deeppower.short_time, lead.deeppower.short_time,
-            "group policies must share ShortTime (the fleet tick grid)"
-        );
-        assert_eq!(
-            p.deeppower.long_time, lead.deeppower.long_time,
-            "group policies must share LongTime (the fleet epoch grid)"
-        );
-    }
-}
-
-/// Hierarchical control: one trained policy per profile group
-/// (HiDVFS-style), `policies[g]` steering exactly the nodes of group
-/// `g` in [`FleetSpec::groups`] order. A homogeneous fleet has one
-/// group, so this degenerates to [`run_fleet_threaded`]. Same
-/// byte-identity-at-any-thread-count contract as the shared-policy
-/// drivers; all policies must agree on `ShortTime`/`LongTime`.
-pub fn run_fleet_hier(spec: &FleetSpec, policies: &[TrainedPolicy], threads: usize) -> FleetResult {
-    let refs: Vec<&TrainedPolicy> = policies.iter().collect();
-    run_fleet_threaded_hier(spec, &refs, threads, &Profiler::disabled())
-}
-
-/// Per-node [`RunOptions`]: every node shares the fleet's tick grid
-/// (and therefore its window grid) and fault axes, but draws from its
-/// own fault seed stream (`seed + node`) so faults don't strike the
-/// whole fleet in lockstep.
-fn node_opts(
-    base: RunOptions,
-    faults: FaultPlan,
-    overload: OverloadPlan,
-    rtrace: TracePlan,
-    node: usize,
-) -> RunOptions {
-    RunOptions {
-        faults: FaultPlan {
-            seed: faults.seed.wrapping_add(node as u64),
-            ..faults
-        },
-        overload: OverloadPlan {
-            seed: overload.seed.wrapping_add(node as u64),
-            ..overload
-        },
-        // Sampling stays keyed on the fleet-wide seed (a client's
-        // retries land on the same node, and head sampling must pick
-        // the same clients fleet-wide); only the origin tag varies.
-        rtrace: TracePlan {
-            node: node as u64,
-            ..rtrace
-        },
-        ..base
-    }
-}
-
-fn run_fleet_impl(
+/// The fleet driver. `policies` holds one policy per profile group in
+/// [`FleetSpec::groups`] order (HiDVFS-style hierarchical control), or a
+/// single policy that steers every group. All of them must agree on
+/// `ShortTime` and `LongTime`, the fleet's tick and epoch grids.
+///
+/// Node `i` lives on worker `i % threads` for its whole lifetime:
+/// sessions are `!Send`, so each is created, advanced and finished on
+/// one thread, and there is no work stealing. Worker 0 runs on the
+/// calling thread and leads. Each epoch has three barriers:
+///
+/// 1. every worker writes its nodes' observed states into disjoint rows
+///    of one shared `N × STATE_DIM` matrix (the first epoch sees the
+///    pre-run empty state, as the single-node governor does on its
+///    first tick) — barrier A;
+/// 2. worker 0 runs the coordinator's grouped batched pass, or the
+///    per-node reference pass, and publishes one `ControllerParams` per
+///    node — barrier B;
+/// 3. every worker hands its nodes their params, advances them to the
+///    epoch's end and adds the nodes that finished to a monotone
+///    counter — barrier C. All workers leave together once it reads N.
+///
+/// Every node therefore gets the same actions at the same simulated
+/// times whatever `threads` is, so the result, the event streams and
+/// the monitor are byte-identical at any thread count. Per-worker monitors
+/// fold into worker 0's through [`FleetMonitor::merge`]; monitor state
+/// is keyed by `(window, node)` and workers own disjoint nodes, so the
+/// fold equals the one-worker monitor.
+pub fn run_fleet_with(
     spec: &FleetSpec,
     policies: &[&TrainedPolicy],
-    recs: &[Recorder],
-    batched: bool,
-    prof: &Profiler,
-) -> FleetResult {
-    check_policies(spec, policies);
-    assert_eq!(recs.len(), spec.nodes, "one recorder per node");
+    run: &FleetRun,
+) -> FleetOutput {
+    let policies = group_policies(spec, policies);
     let n = spec.nodes;
-    let app_spec = AppSpec::get(spec.app);
-    let group_of = spec.group_of();
-    let servers: Vec<Server> = spec.group_configs().into_iter().map(Server::new).collect();
-    let sp = prof.span("fleet.balance");
-    let arrivals = fleet_arrivals(spec);
-    let streams = split_arrivals(&arrivals, &spec.capacities(), spec.balancer);
+    let threads = resolve_threads(run.threads, n);
+    let sp = run.profiler.span("fleet.balance");
+    let streams = split_arrivals(&fleet_arrivals(spec), &spec.capacities(), spec.balancer);
     let assigned: Vec<u64> = streams.iter().map(|s| s.len() as u64).collect();
     drop(sp);
 
-    let lead = policies[0];
-    let mut coordinator = Coordinator::new(spec.groups(), policies);
-    let opts = RunOptions {
-        tick_ns: lead.deeppower.short_time,
-        ..Default::default()
+    let mut coordinator = Coordinator::new(spec.groups(), &policies);
+    let lead = policies[0].deeppower;
+    let lockstep = Lockstep {
+        spec,
+        run,
+        group_of: spec.group_of(),
+        policies,
+        servers: spec.group_configs().into_iter().map(Server::new).collect(),
+        streams,
+        opts: RunOptions {
+            tick_ns: lead.short_time,
+            ..Default::default()
+        },
+        long: lead.long_time.max(1),
+        threads,
+        states: Mutex::new(Matrix::zeros(n, STATE_DIM)),
+        actions: Mutex::new(vec![ControllerParams::default(); n]),
+        barrier: Barrier::new(threads),
+        done: AtomicUsize::new(0),
     };
-    let cells: Vec<Rc<Cell<ControllerParams>>> = (0..n)
-        .map(|_| Rc::new(Cell::new(ControllerParams::default())))
-        .collect();
-    let mut govs: Vec<SharedParamsController> = cells
-        .iter()
-        .map(|c| SharedParamsController {
-            params: Rc::clone(c),
-        })
-        .collect();
-    let mut sessions: Vec<Session<'_>> = govs
-        .iter_mut()
-        .zip(&streams)
-        .zip(recs)
-        .enumerate()
-        .map(|(i, ((gov, stream), rec))| {
-            servers[group_of[i]]
-                .session(
-                    stream,
-                    gov as &mut dyn Governor,
-                    node_opts(opts, spec.faults, spec.overload, spec.rtrace, i),
-                    rec,
-                )
-                .with_profiler(prof)
-        })
-        .collect();
-    let mut observers: Vec<StateObserver> = (0..n)
-        .map(|i| StateObserver::new(policies[group_of[i]].deeppower.state_norm))
-        .collect();
-    let mut states = Matrix::zeros(n, STATE_DIM);
-    let mut actions = vec![ControllerParams::default(); n];
+    let (leader, others) = std::thread::scope(|scope| {
+        let others: Vec<_> = (1..threads)
+            .map(|w| {
+                let lockstep = &lockstep;
+                scope.spawn(move || lockstep.worker(w, None))
+            })
+            .collect();
+        let leader = lockstep.worker(0, Some(&mut coordinator));
+        let others: Vec<WorkerOut> = others
+            .into_iter()
+            .map(|h| h.join().expect("fleet worker panicked"))
+            .collect();
+        (leader, others)
+    });
 
-    let long = lead.deeppower.long_time.max(1);
-    let mut epochs = 0u64;
-    loop {
-        // Observe every node (the first epoch sees the pre-run empty
-        // state, mirroring the single-node governor acting on its first
-        // tick) and act — one grouped batched pass per profile, or N
-        // single passes on the reference path. The coordinator reuses
-        // its per-group out/scratch buffers across epochs so the
-        // steady-state loop never allocates.
-        let sp = prof.span("fleet.batch_act");
-        for (i, (observer, session)) in observers.iter_mut().zip(&sessions).enumerate() {
-            let s = session.with_view(|v| observer.observe(v));
-            states.set_row(i, &s);
-        }
-        if batched {
-            coordinator.act(&states, &mut actions);
-        } else {
-            coordinator.act_per_node(&states, &mut actions);
-        }
-        for (i, cell) in cells.iter().enumerate() {
-            cell.set(actions[i]);
-        }
-        drop(sp);
-        epochs += 1;
-        let t_stop = epochs.saturating_mul(long);
-        let sp = prof.span("fleet.advance");
-        let mut all_done = true;
-        for session in sessions.iter_mut() {
-            if !session.advance_until(t_stop) {
-                all_done = false;
-            }
-        }
-        drop(sp);
-        if all_done {
-            break;
+    let WorkerOut {
+        epochs,
+        mut nodes,
+        mut monitor,
+        merge_span: _merge_span,
+    } = leader;
+    for worker in others {
+        nodes.extend(worker.nodes);
+        if let (Some(m), Some(other)) = (monitor.as_mut(), worker.monitor) {
+            m.merge(other);
         }
     }
-
-    let _sp = prof.span("fleet.merge");
-    let results: Vec<_> = sessions.into_iter().map(Session::finish).collect();
-    assemble(spec, &app_spec, epochs, &assigned, results)
-}
-
-/// Multi-threaded [`run_fleet`]: the same lockstep drive with the node
-/// sessions partitioned across `threads` persistent workers and a
-/// barrier at every `LongTime` epoch.
-///
-/// `threads == 0` means "use every available core"; any value is
-/// clamped to `[1, nodes]` and `1` falls back to the serial driver. The
-/// result is **byte-identical to [`run_fleet`] at any thread count** —
-/// the same discipline as the harness `run_grid`:
-///
-/// * Node `i` lives on worker `i % threads` for its whole lifetime
-///   (sessions are `!Send`, so each is created, advanced and finished
-///   on one thread; there is no work stealing).
-/// * Each epoch, workers write their nodes' observed states into
-///   disjoint rows of one shared `N × STATE_DIM` matrix, then the
-///   leader runs the *single* batched forward pass — bit-identical to
-///   the serial loop's — and publishes one `ControllerParams` per node.
-/// * Completion is a monotone counter: a worker adds each of its nodes
-///   exactly once, the epoch it finishes, and every thread leaves the
-///   loop at the same barrier when the count reaches N. The epoch count
-///   and every per-node result therefore match the serial driver float
-///   for float.
-pub fn run_fleet_threaded(spec: &FleetSpec, policy: &TrainedPolicy, threads: usize) -> FleetResult {
-    run_fleet_threaded_profiled(spec, policy, threads, &Profiler::disabled())
-}
-
-/// [`run_fleet_threaded`] with a span [`Profiler`]. The profiler keeps
-/// per-thread span stacks, so worker-side `engine.*` spans never
-/// interleave across nodes; the leader's `fleet.batch_act` covers the
-/// batched inference exactly as in the serial driver. Profiling never
-/// perturbs the simulation.
-pub fn run_fleet_threaded_profiled(
-    spec: &FleetSpec,
-    policy: &TrainedPolicy,
-    threads: usize,
-    prof: &Profiler,
-) -> FleetResult {
-    let policies = shared_policies(spec, policy);
-    run_fleet_threaded_hier(spec, &policies, threads, prof)
-}
-
-/// Thread-count dispatch shared by [`run_fleet_threaded_profiled`] and
-/// [`run_fleet_hier`]: `1` falls back to the serial driver.
-fn run_fleet_threaded_hier(
-    spec: &FleetSpec,
-    policies: &[&TrainedPolicy],
-    threads: usize,
-    prof: &Profiler,
-) -> FleetResult {
-    assert!(spec.nodes > 0, "fleet needs at least one node");
-    let threads = resolve_threads(threads, spec.nodes);
-    if threads == 1 {
-        let recs = vec![Recorder::disabled(); spec.nodes];
-        return run_fleet_impl(spec, policies, &recs, true, prof);
+    nodes.sort_unstable_by_key(|&(i, ..)| i);
+    let (results, events) = nodes.into_iter().map(|(_, sim, ev)| (sim, ev)).unzip();
+    FleetOutput {
+        result: assemble(spec, epochs, &assigned, results),
+        monitor,
+        events,
     }
-    run_fleet_parallel(spec, policies, threads, prof)
+}
+
+/// One policy per profile group: a single policy is shared by every
+/// group. Every group policy must agree on the lockstep grids, since the
+/// fleet runs one tick/epoch cadence whatever each group's weights are.
+fn group_policies<'a>(spec: &FleetSpec, policies: &[&'a TrainedPolicy]) -> Vec<&'a TrainedPolicy> {
+    spec.assert_consistent();
+    let groups = spec.groups().len();
+    let policies = match policies {
+        [shared] => vec![*shared; groups],
+        _ => policies.to_vec(),
+    };
+    assert_eq!(policies.len(), groups, "one policy per profile group");
+    let lead = policies[0].deeppower;
+    for p in &policies {
+        assert_eq!(
+            p.deeppower.short_time, lead.short_time,
+            "group policies must share ShortTime (the fleet tick grid)"
+        );
+        assert_eq!(
+            p.deeppower.long_time, lead.long_time,
+            "group policies must share LongTime (the fleet epoch grid)"
+        );
+    }
+    policies
 }
 
 /// `0` → all available cores; otherwise clamp into `[1, nodes]`.
@@ -599,287 +518,187 @@ fn resolve_threads(threads: usize, nodes: usize) -> usize {
     t.min(nodes).max(1)
 }
 
-/// Run a fleet (serial or threaded, per `threads`) with a
-/// [`FleetMonitor`] attached: every node's telemetry stream — window
-/// rollups, injected faults, governor steps — feeds the monitor inline
-/// through per-node [`MonitorSink`] recorders, and the final
-/// [`HealthReport`] rides along with the fleet result.
-///
-/// The report is **byte-identical at any thread count**: monitor state
-/// is keyed `(window, node)` and order-independent across nodes, so
-/// the per-worker monitors the parallel driver merges reconstruct
-/// exactly the state the serial driver builds (asserted by
-/// `monitored_fleet_report_is_byte_identical_at_any_thread_count`).
-pub fn run_fleet_monitored(
-    spec: &FleetSpec,
-    policy: &TrainedPolicy,
+/// What the workers of one fleet run share.
+struct Lockstep<'a> {
+    spec: &'a FleetSpec,
+    run: &'a FleetRun,
+    group_of: Vec<usize>,
+    policies: Vec<&'a TrainedPolicy>,
+    servers: Vec<Server>,
+    streams: Vec<Vec<Request>>,
+    opts: RunOptions,
+    long: u64,
     threads: usize,
-    cfg: MonitorConfig,
-) -> (FleetResult, HealthReport) {
-    let (result, monitor) = run_fleet_monitored_full(spec, policy, threads, cfg);
-    let report = monitor.finish();
-    (result, report)
+    states: Mutex<Matrix>,
+    actions: Mutex<Vec<ControllerParams>>,
+    barrier: Barrier,
+    /// Nodes finished so far. Each node is counted once, by its owner,
+    /// in the epoch it finishes, so the count is monotone and never
+    /// reset, and every worker reads the same value after barrier C.
+    done: AtomicUsize,
 }
 
-/// [`run_fleet_monitored`], but hands back the merged [`FleetMonitor`]
-/// itself instead of its finished [`HealthReport`]. Callers that need
-/// the monitor's flight recorder — e.g. to dump the traces behind an
-/// alert — take this entry point and call
-/// [`FleetMonitor::finish`] themselves.
-pub fn run_fleet_monitored_full(
-    spec: &FleetSpec,
-    policy: &TrainedPolicy,
-    threads: usize,
-    cfg: MonitorConfig,
-) -> (FleetResult, FleetMonitor) {
-    assert!(spec.nodes > 0, "fleet needs at least one node");
-    let threads = resolve_threads(threads, spec.nodes);
-    if threads == 1 {
-        let monitor = Rc::new(RefCell::new(FleetMonitor::new(cfg)));
-        let recs: Vec<Recorder> = (0..spec.nodes)
-            .map(|i| Recorder::with_sink(Box::new(MonitorSink::new(Rc::clone(&monitor), i as u64))))
-            .collect();
-        let policies = shared_policies(spec, policy);
-        let result = run_fleet_impl(spec, &policies, &recs, true, &Profiler::disabled());
-        // The sessions (and with them every sink's Rc clone) died with
-        // run_fleet_impl; dropping the recorders leaves this function
-        // holding the only reference.
-        drop(recs);
-        let monitor = Rc::try_unwrap(monitor)
-            .unwrap_or_else(|m| {
-                unreachable!(
-                    "serial fleet monitor still shared: {} refs",
-                    Rc::strong_count(&m)
-                )
-            })
-            .into_inner();
-        return (result, monitor);
-    }
-    let policies = shared_policies(spec, policy);
-    let (result, monitor) =
-        run_fleet_parallel_inner(spec, &policies, threads, &Profiler::disabled(), Some(cfg));
-    (
-        result,
-        monitor.expect("monitored parallel fleet returns a monitor"),
-    )
+/// One worker's share of a fleet run.
+struct WorkerOut {
+    epochs: u64,
+    /// `(node, result, (events, dropped))` for each node it owned.
+    nodes: Vec<(usize, SimResult, (Vec<Event>, u64))>,
+    monitor: Option<FleetMonitor>,
+    /// Worker 0's `fleet.merge` span, held open through the join and
+    /// the assembly.
+    merge_span: Option<Span>,
 }
 
-fn run_fleet_parallel(
-    spec: &FleetSpec,
-    policies: &[&TrainedPolicy],
-    threads: usize,
-    prof: &Profiler,
-) -> FleetResult {
-    run_fleet_parallel_inner(spec, policies, threads, prof, None).0
-}
-
-fn run_fleet_parallel_inner(
-    spec: &FleetSpec,
-    policies: &[&TrainedPolicy],
-    threads: usize,
-    prof: &Profiler,
-    monitor_cfg: Option<MonitorConfig>,
-) -> (FleetResult, Option<FleetMonitor>) {
-    check_policies(spec, policies);
-    let n = spec.nodes;
-    debug_assert!(threads >= 2 && threads <= n);
-    let app_spec = AppSpec::get(spec.app);
-    let group_of = spec.group_of();
-    let servers: Vec<Server> = spec.group_configs().into_iter().map(Server::new).collect();
-    let sp = prof.span("fleet.balance");
-    let arrivals = fleet_arrivals(spec);
-    let streams = split_arrivals(&arrivals, &spec.capacities(), spec.balancer);
-    let assigned: Vec<u64> = streams.iter().map(|s| s.len() as u64).collect();
-    drop(sp);
-
-    let lead = policies[0];
-    let mut coordinator = Coordinator::new(spec.groups(), policies);
-    let opts = RunOptions {
-        tick_ns: lead.deeppower.short_time,
-        ..Default::default()
-    };
-    let long = lead.deeppower.long_time.max(1);
-    let state_norms: Vec<StateNorm> = (0..n)
-        .map(|i| policies[group_of[i]].deeppower.state_norm)
-        .collect();
-
-    // Epoch protocol, three barriers per epoch:
-    //   workers observe → states rows   ── A ──
-    //   leader: one batched pass → actions     ── B ──
-    //   workers: set params, advance_until(t_stop), bump `done`  ── C ──
-    //   everyone: done == n ? break : next epoch
-    // `done` is monotone-cumulative (each node counted exactly once by
-    // its owner, the epoch it finishes), so there is no reset step and
-    // no reset race; every thread reads the same value after barrier C.
-    let states = Mutex::new(Matrix::zeros(n, STATE_DIM));
-    let actions = Mutex::new(vec![ControllerParams::default(); n]);
-    let barrier = Barrier::new(threads + 1);
-    let done = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<deeppower_simd_server::SimResult>> =
-        (0..n).map(|_| OnceLock::new()).collect();
-    let mon_slots: Vec<OnceLock<FleetMonitor>> = (0..threads).map(|_| OnceLock::new()).collect();
-    let faults = spec.faults;
-    let overload = spec.overload;
-    let rtrace = spec.rtrace;
-
-    let mut epochs = 0u64;
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let (servers, streams, group_of) = (&servers, &streams, &group_of);
-            let (states, actions, state_norms) = (&states, &actions, &state_norms);
-            let (barrier, done, slots, prof) = (&barrier, &done, &slots, prof);
-            let (monitor_cfg, mon_slots) = (monitor_cfg.as_ref(), &mon_slots);
-            scope.spawn(move || {
-                // Everything a session touches is created on this
-                // thread: sessions hold `Rc` cells and `&mut` governor
-                // borrows and must never migrate.
-                let owned: Vec<usize> = (w..n).step_by(threads).collect();
-                // Worker-local monitor: nodes feed it inline through
-                // their sinks; workers own disjoint node sets, so the
-                // merged monitors equal the serial driver's.
-                let worker_mon =
-                    monitor_cfg.map(|cfg| Rc::new(RefCell::new(FleetMonitor::new(cfg.clone()))));
-                let recs: Vec<Recorder> = match &worker_mon {
-                    Some(m) => owned
-                        .iter()
-                        .map(|&i| {
-                            Recorder::with_sink(Box::new(MonitorSink::new(Rc::clone(m), i as u64)))
-                        })
-                        .collect(),
-                    None => vec![Recorder::disabled(); owned.len()],
-                };
-                let cells: Vec<Rc<Cell<ControllerParams>>> = owned
-                    .iter()
-                    .map(|_| Rc::new(Cell::new(ControllerParams::default())))
-                    .collect();
-                let mut govs: Vec<SharedParamsController> = cells
-                    .iter()
-                    .map(|c| SharedParamsController {
-                        params: Rc::clone(c),
-                    })
-                    .collect();
-                let mut sessions: Vec<Session<'_>> = govs
-                    .iter_mut()
-                    .zip(&owned)
-                    .zip(&recs)
-                    .map(|((gov, &i), rec)| {
-                        servers[group_of[i]]
-                            .session(
-                                &streams[i],
-                                gov as &mut dyn Governor,
-                                node_opts(opts, faults, overload, rtrace, i),
-                                rec,
-                            )
-                            .with_profiler(prof)
-                    })
-                    .collect();
-                let mut observers: Vec<StateObserver> = owned
-                    .iter()
-                    .map(|&i| StateObserver::new(state_norms[i]))
-                    .collect();
-                let mut finished = vec![false; owned.len()];
-                let mut local_epochs = 0u64;
-                loop {
-                    {
-                        let mut st = states.lock().expect("fleet states lock");
-                        for ((k, session), observer) in
-                            sessions.iter().enumerate().zip(observers.iter_mut())
-                        {
-                            let s = session.with_view(|v| observer.observe(v));
-                            st.set_row(owned[k], &s);
-                        }
-                    }
-                    barrier.wait(); // A: every node's state row written
-                    barrier.wait(); // B: leader published this epoch's actions
-                    {
-                        let acts = actions.lock().expect("fleet actions lock");
-                        for (k, cell) in cells.iter().enumerate() {
-                            cell.set(acts[owned[k]]);
-                        }
-                    }
-                    local_epochs += 1;
-                    let t_stop = local_epochs.saturating_mul(long);
-                    let sp = prof.span("fleet.advance");
-                    let mut newly = 0;
-                    for (k, session) in sessions.iter_mut().enumerate() {
-                        if session.advance_until(t_stop) && !finished[k] {
-                            finished[k] = true;
-                            newly += 1;
-                        }
-                    }
-                    drop(sp);
-                    if newly > 0 {
-                        done.fetch_add(newly, Ordering::SeqCst);
-                    }
-                    barrier.wait(); // C: all completions visible
-                    if done.load(Ordering::SeqCst) == n {
-                        break;
-                    }
-                }
-                for (k, session) in sessions.into_iter().enumerate() {
-                    if slots[owned[k]].set(session.finish()).is_err() {
-                        unreachable!("node {} produced two results", owned[k]);
-                    }
-                }
-                if let Some(m) = worker_mon {
-                    // The sessions (and their recorders) are gone, so
-                    // this worker holds the only strong reference left.
-                    drop(recs);
-                    let mon = Rc::try_unwrap(m)
-                        .unwrap_or_else(|m| {
-                            unreachable!(
-                                "worker {w} monitor still shared: {} refs",
-                                Rc::strong_count(&m)
-                            )
-                        })
-                        .into_inner();
-                    if mon_slots[w].set(mon).is_err() {
-                        unreachable!("worker {w} published two monitors");
-                    }
-                }
-            });
-        }
-
-        // Leader: one grouped batched forward pass per profile group
-        // per epoch; the coordinator reuses its per-group out/scratch
-        // buffers so nothing here allocates in steady state.
-        loop {
-            barrier.wait(); // A
-            {
-                let sp = prof.span("fleet.batch_act");
-                let st = states.lock().expect("fleet states lock");
-                let mut acts = actions.lock().expect("fleet actions lock");
-                coordinator.act(&st, &mut acts);
-                drop(sp);
+impl Lockstep<'_> {
+    /// Drive worker `w`'s nodes through the epoch loop. Worker 0 passes
+    /// the coordinator and acts for the whole fleet between barriers A
+    /// and B.
+    fn worker(&self, w: usize, mut leader: Option<&mut Coordinator>) -> WorkerOut {
+        let n = self.spec.nodes;
+        let prof = &self.run.profiler;
+        let owned: Vec<usize> = (w..n).step_by(self.threads).collect();
+        // Worker-local monitor: its nodes feed it inline through their
+        // sinks.
+        let monitor = match &self.run.observe {
+            FleetObserve::Monitor(cfg) => {
+                Some(Rc::new(RefCell::new(FleetMonitor::new(cfg.clone()))))
             }
-            barrier.wait(); // B
+            _ => None,
+        };
+        let recs: Vec<Recorder> = owned
+            .iter()
+            .map(|&i| match (&self.run.observe, &monitor) {
+                (_, Some(m)) => {
+                    Recorder::with_sink(Box::new(MonitorSink::new(Rc::clone(m), i as u64)))
+                }
+                (FleetObserve::Events { ring }, _) => Recorder::ring(*ring),
+                _ => Recorder::disabled(),
+            })
+            .collect();
+        let cells: Vec<Rc<Cell<ControllerParams>>> = owned.iter().map(|_| Rc::default()).collect();
+        let mut govs: Vec<SharedParamsController> = cells
+            .iter()
+            .map(|c| SharedParamsController {
+                params: Rc::clone(c),
+            })
+            .collect();
+        let mut sessions: Vec<Session<'_>> = govs
+            .iter_mut()
+            .zip(&owned)
+            .zip(&recs)
+            .map(|((gov, &i), rec)| {
+                self.servers[self.group_of[i]]
+                    .session(
+                        &self.streams[i],
+                        gov as &mut dyn Governor,
+                        node_opts(self.opts, self.spec, i),
+                        rec,
+                    )
+                    .with_profiler(prof)
+            })
+            .collect();
+        let mut observers: Vec<StateObserver> = owned
+            .iter()
+            .map(|&i| StateObserver::new(self.policies[self.group_of[i]].deeppower.state_norm))
+            .collect();
+        let mut finished = vec![false; owned.len()];
+        let mut epochs = 0u64;
+        loop {
+            let act_span = leader.is_some().then(|| prof.span("fleet.batch_act"));
+            {
+                let mut states = self.states.lock().expect("fleet states lock");
+                for ((&i, session), observer) in owned.iter().zip(&sessions).zip(&mut observers) {
+                    states.set_row(i, &session.with_view(|v| observer.observe(v)));
+                }
+            }
+            self.barrier.wait(); // A: every node's state row written
+            if let Some(coordinator) = leader.as_deref_mut() {
+                // The coordinator reuses its per-group out/scratch
+                // buffers, so the steady-state loop never allocates.
+                let states = self.states.lock().expect("fleet states lock");
+                let mut actions = self.actions.lock().expect("fleet actions lock");
+                if self.run.per_node_act {
+                    coordinator.act_per_node(&states, &mut actions);
+                } else {
+                    coordinator.act(&states, &mut actions);
+                }
+            }
+            drop(act_span);
+            self.barrier.wait(); // B: this epoch's actions published
+            {
+                let actions = self.actions.lock().expect("fleet actions lock");
+                for (&i, cell) in owned.iter().zip(&cells) {
+                    cell.set(actions[i]);
+                }
+            }
             epochs += 1;
-            barrier.wait(); // C
-            if done.load(Ordering::SeqCst) == n {
+            let t_stop = epochs.saturating_mul(self.long);
+            let sp = prof.span("fleet.advance");
+            let mut newly = 0;
+            for (session, fin) in sessions.iter_mut().zip(&mut finished) {
+                if session.advance_until(t_stop) && !*fin {
+                    *fin = true;
+                    newly += 1;
+                }
+            }
+            drop(sp);
+            self.done.fetch_add(newly, Ordering::SeqCst);
+            self.barrier.wait(); // C: every completion counted
+            if self.done.load(Ordering::SeqCst) == n {
                 break;
             }
         }
-    });
 
-    let _sp = prof.span("fleet.merge");
-    let results: Vec<_> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every node produces a result"))
-        .collect();
-    let monitor = monitor_cfg.map(|cfg| {
-        let mut fleet_mon = FleetMonitor::new(cfg);
-        for slot in mon_slots {
-            fleet_mon.merge(
-                slot.into_inner()
-                    .expect("every worker publishes its monitor"),
-            );
+        let merge_span = leader.is_some().then(|| prof.span("fleet.merge"));
+        let nodes = owned
+            .into_iter()
+            .zip(sessions)
+            .zip(&recs)
+            .map(|((i, session), rec)| {
+                let sim = session.finish();
+                (i, sim, (rec.drain_events(), rec.dropped_events()))
+            })
+            .collect();
+        // The sessions are gone; dropping their recorders leaves this
+        // worker holding the monitor's only reference.
+        drop(recs);
+        let monitor = monitor.map(|m| {
+            Rc::into_inner(m)
+                .expect("monitor sinks outlived their sessions")
+                .into_inner()
+        });
+        WorkerOut {
+            epochs,
+            nodes,
+            monitor,
+            merge_span,
         }
-        fleet_mon
-    });
-    (
-        assemble(spec, &app_spec, epochs, &assigned, results),
-        monitor,
-    )
+    }
+}
+
+/// Per-node [`RunOptions`]: every node shares the fleet's tick grid
+/// (and therefore its window grid) and fault axes, but draws from its
+/// own fault seed stream (`seed + node`) so faults don't strike the
+/// whole fleet in lockstep.
+fn node_opts(base: RunOptions, spec: &FleetSpec, node: usize) -> RunOptions {
+    RunOptions {
+        faults: FaultPlan {
+            seed: spec.faults.seed.wrapping_add(node as u64),
+            ..spec.faults
+        },
+        overload: OverloadPlan {
+            seed: spec.overload.seed.wrapping_add(node as u64),
+            ..spec.overload
+        },
+        // Sampling stays keyed on the fleet-wide seed (a client's
+        // retries land on the same node, and head sampling must pick
+        // the same clients fleet-wide); only the origin tag varies.
+        rtrace: TracePlan {
+            node: node as u64,
+            ..spec.rtrace
+        },
+        ..base
+    }
 }
 
 /// Fold per-node [`SimResult`]s into the fleet report. Fleet
@@ -888,10 +707,9 @@ fn run_fleet_parallel_inner(
 /// node runs hot).
 fn assemble(
     spec: &FleetSpec,
-    app_spec: &AppSpec,
     epochs: u64,
     assigned: &[u64],
-    results: Vec<deeppower_simd_server::SimResult>,
+    results: Vec<SimResult>,
 ) -> FleetResult {
     let ms = |ns: u64| ns as f64 / MILLISECOND as f64;
     let mut merged: Vec<RequestRecord> = Vec::new();
@@ -903,6 +721,7 @@ fn assemble(
     // take the max across nodes, where a last-write fold would report
     // whichever node happened to merge last.
     let mut fleet_gauges: std::collections::BTreeMap<&'static str, f64> = Default::default();
+    let (profiles, group_of) = (spec.node_profiles(), spec.group_of());
     for (node, sim) in results.into_iter().enumerate() {
         merge_gauges(
             &mut fleet_gauges,
@@ -928,7 +747,7 @@ fn assemble(
             timeout_rate: s.timeout_rate(),
             freq_transitions: sim.freq_transitions,
             peak_queue_depth: sim.peak_queue_depth,
-            profile: spec.profile_name(node),
+            profile: profiles[group_of[node]].name.clone(),
         });
         total_energy_j += sim.energy_j;
         total_power_w += sim.avg_power_w;
@@ -936,7 +755,7 @@ fn assemble(
     }
     let fleet = LatencyStats::from_records(&merged);
     FleetResult {
-        app: app_spec.name.to_string(),
+        app: AppSpec::get(spec.app).name.to_string(),
         nodes: spec.nodes,
         balancer: spec.balancer.label().to_string(),
         seed: spec.seed,
@@ -965,6 +784,33 @@ mod tests {
     fn small_spec(nodes: usize, balancer: BalancerPolicy) -> FleetSpec {
         // App::Masstree is the 8-thread app — cheapest node.
         FleetSpec::uniform(App::Masstree, nodes, balancer, 11, 0.4, 3)
+    }
+
+    fn run_with(spec: &FleetSpec, policy: &TrainedPolicy, run: FleetRun) -> FleetOutput {
+        run_fleet_with(spec, &[policy], &run)
+    }
+
+    fn threaded(spec: &FleetSpec, policy: &TrainedPolicy, threads: usize) -> FleetResult {
+        let run = FleetRun {
+            threads,
+            ..FleetRun::default()
+        };
+        run_with(spec, policy, run).result
+    }
+
+    fn monitored_full(
+        spec: &FleetSpec,
+        policy: &TrainedPolicy,
+        threads: usize,
+        cfg: MonitorConfig,
+    ) -> (FleetResult, FleetMonitor) {
+        let run = FleetRun {
+            threads,
+            observe: FleetObserve::Monitor(cfg),
+            ..FleetRun::default()
+        };
+        let out = run_with(spec, policy, run);
+        (out.result, out.monitor.unwrap())
     }
 
     #[test]
@@ -1007,7 +853,11 @@ mod tests {
         let spec = small_spec(4, BalancerPolicy::RoundRobin);
         let policy = untrained_policy(spec.app, 3);
         let batched = run_fleet(&spec, &policy).to_json();
-        let reference = run_fleet_reference(&spec, &policy).to_json();
+        let per_node = FleetRun {
+            per_node_act: true,
+            ..FleetRun::default()
+        };
+        let reference = run_with(&spec, &policy, per_node).result.to_json();
         assert_eq!(batched, reference);
     }
 
@@ -1017,8 +867,11 @@ mod tests {
         let policy = untrained_policy(spec.app, 7);
         let plain = run_fleet(&spec, &policy).to_json();
         let prof = Profiler::enabled();
-        let recs = vec![Recorder::disabled(); spec.nodes];
-        let profiled = run_fleet_profiled(&spec, &policy, &recs, &prof).to_json();
+        let run = FleetRun {
+            profiler: prof.clone(),
+            ..FleetRun::default()
+        };
+        let profiled = run_with(&spec, &policy, run).result.to_json();
         assert_eq!(plain, profiled, "profiling perturbed the fleet result");
 
         let rows = prof.phase_table();
@@ -1043,7 +896,7 @@ mod tests {
         let policy = untrained_policy(spec.app, 13);
         let serial = run_fleet(&spec, &policy).to_json();
         for threads in [1usize, 2, 8] {
-            let parallel = run_fleet_threaded(&spec, &policy, threads).to_json();
+            let parallel = threaded(&spec, &policy, threads).to_json();
             assert_eq!(serial, parallel, "--threads {threads} diverged from serial");
         }
     }
@@ -1158,7 +1011,7 @@ mod tests {
         );
         let serial = serial.to_json();
         for threads in [1usize, 2, 8] {
-            let parallel = run_fleet_threaded(&spec, &policy, threads).to_json();
+            let parallel = threaded(&spec, &policy, threads).to_json();
             assert_eq!(serial, parallel, "--threads {threads} diverged from serial");
         }
     }
@@ -1182,17 +1035,24 @@ mod tests {
                 ..NodeProfile::paper_default(8, 2)
             },
         ]);
-        let policies = vec![
+        let policies = [
             untrained_policy(spec.app, 17),
             untrained_policy(spec.app, 23),
         ];
-        let serial = run_fleet_hier(&spec, &policies, 1);
+        let hier = |threads| {
+            let run = FleetRun {
+                threads,
+                ..FleetRun::default()
+            };
+            run_fleet_with(&spec, &[&policies[0], &policies[1]], &run).result
+        };
+        let serial = hier(1);
         assert_eq!(serial.per_node.len(), 4);
         let serial_json = serial.to_json();
         for threads in [2usize, 4] {
             assert_eq!(
                 serial_json,
-                run_fleet_hier(&spec, &policies, threads).to_json(),
+                hier(threads).to_json(),
                 "hier --threads {threads} diverged from serial"
             );
         }
@@ -1225,9 +1085,14 @@ mod tests {
         // under the parallel driver must not change a single byte.
         let spec = small_spec(4, BalancerPolicy::RoundRobin);
         let policy = untrained_policy(spec.app, 5);
-        let plain = run_fleet_threaded(&spec, &policy, 2).to_json();
+        let plain = threaded(&spec, &policy, 2).to_json();
         let prof = Profiler::enabled();
-        let profiled = run_fleet_threaded_profiled(&spec, &policy, 2, &prof).to_json();
+        let run = FleetRun {
+            threads: 2,
+            profiler: prof.clone(),
+            ..FleetRun::default()
+        };
+        let profiled = run_with(&spec, &policy, run).result.to_json();
         assert_eq!(plain, profiled, "profiling perturbed the parallel fleet");
         let rows = prof.phase_table();
         let count = |n: &str| rows.iter().find(|r| r.name == n).map_or(0, |r| r.count);
@@ -1276,7 +1141,7 @@ mod tests {
         );
         let serial = serial.to_json();
         for threads in [1usize, 2, 8] {
-            let parallel = run_fleet_threaded(&spec, &policy, threads).to_json();
+            let parallel = threaded(&spec, &policy, threads).to_json();
             assert_eq!(serial, parallel, "--threads {threads} diverged from serial");
         }
     }
@@ -1421,7 +1286,7 @@ mod tests {
         let (off_res, _) = run_fleet_monitored(&spec, &policy, 1, cfg.clone());
 
         spec.rtrace = TracePlan::sampled(0.05, 2, 7);
-        let (on_res, mon) = run_fleet_monitored_full(&spec, &policy, 1, cfg.clone());
+        let (on_res, mon) = monitored_full(&spec, &policy, 1, cfg.clone());
         assert_eq!(
             off_res.to_json(),
             on_res.to_json(),
@@ -1482,7 +1347,7 @@ mod tests {
         // flight-recorded traces themselves.
         let serial_rep = rep.to_json();
         for threads in [2usize, 8] {
-            let (res_t, mon_t) = run_fleet_monitored_full(&spec, &policy, threads, cfg.clone());
+            let (res_t, mon_t) = monitored_full(&spec, &policy, threads, cfg.clone());
             assert_eq!(
                 on_res.to_json(),
                 res_t.to_json(),
@@ -1505,9 +1370,13 @@ mod tests {
     fn per_node_recorders_capture_disjoint_streams() {
         let spec = small_spec(2, BalancerPolicy::RoundRobin);
         let policy = untrained_policy(spec.app, 9);
-        let recs = vec![Recorder::ring(1 << 14), Recorder::ring(1 << 14)];
-        let res = run_fleet_recorded(&spec, &policy, &recs);
-        let events: Vec<_> = recs.iter().map(|r| r.drain_events()).collect();
+        let run = FleetRun {
+            observe: FleetObserve::Events { ring: 1 << 14 },
+            ..FleetRun::default()
+        };
+        let out = run_with(&spec, &policy, run);
+        let res = out.result;
+        let events: Vec<_> = out.events.into_iter().map(|(e, _)| e).collect();
         assert!(
             events.iter().all(|e| !e.is_empty()),
             "both nodes must emit telemetry"

@@ -29,7 +29,7 @@ use deeppower_core::{
     train, ControllerParams, DeepPowerGovernor, Mode, SafetyConfig, SafetyGovernor, StepLog,
     ThreadController, TrainConfig, TrainedPolicy,
 };
-use deeppower_fleet::{run_fleet_threaded, BalancerPolicy, FleetResult, FleetSpec};
+use deeppower_fleet::{run_fleet_with, BalancerPolicy, FleetResult, FleetRun, FleetSpec};
 use deeppower_simd_server::{
     FaultPlan, FixedFrequency, FreqPlan, Governor, OverloadPlan, Request, RunOptions, Server,
     ServerConfig, SimResult, MILLISECOND, SECOND,
@@ -508,54 +508,61 @@ fn run_grid_inner(
     telemetry: bool,
     prof: &Profiler,
 ) -> (Vec<JobResult>, Option<Vec<Vec<Event>>>) {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    let threads = threads.min(jobs.len()).max(1);
+    let threads = all_cores_if_zero(threads).min(jobs.len());
+    let (results, events) = parallel_map(jobs, threads, |idx, job| {
+        // Recorders are thread-local by construction (`!Send`): each
+        // job builds its own on the worker running it and the events
+        // leave through the per-index slot.
+        let rec = if telemetry {
+            Recorder::ring(GRID_EVENT_CAPACITY)
+        } else {
+            Recorder::disabled()
+        };
+        let result = run_job_profiled(job, idx as u64, &rec, prof);
+        (result, rec.drain_events())
+    })
+    .into_iter()
+    .unzip();
+    (results, telemetry.then_some(events))
+}
 
+/// `0` → the machine's available parallelism; never less than 1.
+fn all_cores_if_zero(threads: usize) -> usize {
+    match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        t => t,
+    }
+}
+
+/// `f(i, &items[i])` for every item, on `threads` workers that claim the
+/// next index from a shared counter. Each result lands in its item's
+/// slot, so the output is ordered by index whichever worker ran what.
+fn parallel_map<T: Sync, R: Send + Sync>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
     let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<(JobResult, Vec<Event>)>> =
-        jobs.iter().map(|_| OnceLock::new()).collect();
-
+    let slots: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
+        for _ in 0..threads.max(1) {
             scope.spawn(|| loop {
                 let idx = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(idx) else { break };
-                // Recorders are thread-local by construction (`!Send`):
-                // each job builds its own on the worker running it and
-                // the events leave through the per-index slot.
-                let rec = if telemetry {
-                    Recorder::ring(GRID_EVENT_CAPACITY)
-                } else {
-                    Recorder::disabled()
-                };
-                let result = run_job_profiled(job, idx as u64, &rec, prof);
-                let events = rec.drain_events();
+                let Some(item) = items.get(idx) else { break };
                 assert!(
-                    slots[idx].set((result, events)).is_ok(),
+                    slots[idx].set(f(idx, item)).is_ok(),
                     "job slot written twice"
                 );
             });
         }
     });
-
-    let mut results = Vec::with_capacity(jobs.len());
-    let mut events = telemetry.then(|| Vec::with_capacity(jobs.len()));
-    for slot in slots {
-        let (result, ev) = slot
-            .into_inner()
-            .expect("worker panicked before finishing job");
-        results.push(result);
-        if let Some(events) = &mut events {
-            events.push(ev);
-        }
-    }
-    (results, events)
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("worker panicked before finishing job")
+        })
+        .collect()
 }
 
 /// Mean metrics of one (app, governor) group across its seeds.
@@ -1088,49 +1095,23 @@ pub fn fleet_grid(
 /// byte-identical at any thread count.
 ///
 /// The budget splits across two levels: when there are fewer jobs than
-/// threads, the leftover cores go *inside* each fleet via
-/// [`deeppower_fleet::run_fleet_threaded`] (whose results are themselves
-/// byte-identical to the serial driver at any intra-fleet thread
-/// count). A 16-core host running a 2-cell grid therefore drives each
-/// fleet with 8 worker threads instead of idling 14 cores.
+/// threads, the leftover cores become each fleet's own worker threads
+/// ([`FleetRun::threads`] of [`run_fleet_with`], whose result is
+/// byte-identical at any thread count). A 16-core host running a
+/// 2-cell grid therefore drives each fleet with 8 worker threads
+/// instead of idling 14 cores.
 pub fn run_fleet_grid(jobs: &[FleetJobSpec], threads: usize) -> Vec<FleetResult> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    let threads = threads.max(1);
+    let threads = all_cores_if_zero(threads).max(1);
     let pool = threads.min(jobs.len()).max(1);
     // Cores left over after one worker per job parallelize the fleets
-    // themselves (run_fleet_threaded clamps to the node count).
-    let intra = (threads / pool).max(1);
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<FleetResult>> = jobs.iter().map(|_| OnceLock::new()).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..pool {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(idx) else { break };
-                let result = run_fleet_threaded(&job.fleet, &job.policy, intra);
-                assert!(
-                    slots[idx].set(result).is_ok(),
-                    "fleet job slot written twice"
-                );
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("worker panicked before finishing fleet job")
-        })
-        .collect()
+    // themselves (the fleet driver clamps to the node count).
+    let run = FleetRun {
+        threads: (threads / pool).max(1),
+        ..FleetRun::default()
+    };
+    parallel_map(jobs, pool, |_, job| {
+        run_fleet_with(&job.fleet, &[&job.policy], &run).result
+    })
 }
 
 #[cfg(test)]
