@@ -229,7 +229,7 @@ impl Governor for GeminiGovernor {
 mod tests {
     use super::*;
     use crate::profile::collect_profile;
-    use deeppower_simd_server::{RunOptions, Server, ServerConfig, SECOND};
+    use deeppower_simd_server::{Features, RunOptions, Server, ServerConfig, SECOND};
     use deeppower_workload::{constant_rate_arrivals, App, AppSpec};
 
     fn trained(spec: &AppSpec) -> GeminiGovernor {
@@ -325,7 +325,7 @@ mod tests {
             work_ref_ns: 5_000_000,
             freq_sensitivity: 1.0,
             sla: 8_000_000,
-            features: vec![0.5],
+            features: Features::from_slice(&[0.5]),
         };
         let res = server.run(
             &[req],

@@ -30,7 +30,7 @@ pub struct ProfileSample {
 /// while delegating frequency control.
 struct RecordingGovernor<G> {
     inner: G,
-    starts: Vec<Option<(Nanos, Vec<f32>)>>,
+    starts: Vec<Option<Nanos>>,
     samples: Vec<ProfileSample>,
 }
 
@@ -46,14 +46,14 @@ impl<G: Governor> Governor for RecordingGovernor<G> {
         req: &Request,
         cmds: &mut FreqCommands,
     ) {
-        self.starts[core_id] = Some((view.now, req.features.clone()));
+        self.starts[core_id] = Some(view.now);
         self.inner.on_request_start(view, core_id, req, cmds);
     }
 
     fn on_request_complete(&mut self, now: Nanos, core_id: usize, req: &Request, latency: Nanos) {
-        if let Some((started, features)) = self.starts[core_id].take() {
+        if let Some(started) = self.starts[core_id].take() {
             self.samples.push(ProfileSample {
-                features,
+                features: req.features.to_vec(),
                 service_ns: (now - started) as f64,
             });
         }

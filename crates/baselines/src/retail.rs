@@ -133,10 +133,10 @@ impl Governor for RetailGovernor {
 mod tests {
     use super::*;
     use crate::profile::collect_profile;
-    use deeppower_simd_server::SECOND;
     use deeppower_simd_server::{
         ContentionModel, PowerModel, RunOptions, Server, ServerConfig, MILLISECOND,
     };
+    use deeppower_simd_server::{Features, SECOND};
     use deeppower_workload::{constant_rate_arrivals, App, AppSpec};
 
     fn trained(spec: &AppSpec) -> RetailGovernor {
@@ -164,9 +164,9 @@ mod tests {
             work_ref_ns: 0,
             freq_sensitivity: 1.0,
             sla: budget_ms * MILLISECOND,
-            features: vec![feat],
+            features: Features::from_slice(&[feat]),
         };
-        let cores: Vec<deeppower_simd_server::CoreView<'_>> = Vec::new();
+        let cores: Vec<deeppower_simd_server::CoreView> = Vec::new();
         let queue = std::collections::VecDeque::new();
         let view = ServerView {
             now: 0,
@@ -233,9 +233,9 @@ mod tests {
             work_ref_ns: 0,
             freq_sensitivity: 1.0,
             sla: 8 * MILLISECOND,
-            features: vec![0.2],
+            features: Features::from_slice(&[0.2]),
         };
-        let cores: Vec<deeppower_simd_server::CoreView<'_>> = Vec::new();
+        let cores: Vec<deeppower_simd_server::CoreView> = Vec::new();
         let empty = std::collections::VecDeque::new();
         let mut crowded = std::collections::VecDeque::new();
         for i in 0..400 {
@@ -248,7 +248,7 @@ mod tests {
                 work_ref_ns: 0,
                 freq_sensitivity: 1.0,
                 sla: 8 * MILLISECOND,
-                features: vec![1.0],
+                features: Features::from_slice(&[1.0]),
             });
         }
         let view_of = |q| ServerView {
@@ -283,9 +283,9 @@ mod tests {
             work_ref_ns: 0,
             freq_sensitivity: 1.0,
             sla: 8 * MILLISECOND,
-            features: vec![3.0],
+            features: Features::from_slice(&[3.0]),
         };
-        let cores: Vec<deeppower_simd_server::CoreView<'_>> = Vec::new();
+        let cores: Vec<deeppower_simd_server::CoreView> = Vec::new();
         let queue = std::collections::VecDeque::new();
         // The request has been queued for almost its whole SLA.
         let view = ServerView {

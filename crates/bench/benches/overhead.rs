@@ -14,7 +14,7 @@
 
 use deeppower_core::{ControllerParams, ThreadController, STATE_DIM};
 use deeppower_drl::{Ddpg, DdpgConfig, Transition};
-use deeppower_simd_server::{CoreView, FreqCommands, FreqPlan, RunningView, ServerView};
+use deeppower_simd_server::{CoreView, Features, FreqCommands, FreqPlan, RunningView, ServerView};
 use std::collections::VecDeque;
 use std::hint::black_box;
 use std::time::Instant;
@@ -75,10 +75,10 @@ fn main() {
     let running = RunningView {
         arrival: 0,
         started: 0,
-        features: &[],
+        features: Features::default(),
         sla: 8_000_000,
     };
-    let cores: Vec<CoreView<'_>> = (0..20)
+    let cores: Vec<CoreView> = (0..20)
         .map(|_| CoreView {
             freq_mhz: 1500,
             running: Some(running),

@@ -185,7 +185,7 @@ mod tests {
             work_ref_ns: work,
             freq_sensitivity: 1.0,
             sla,
-            features: vec![],
+            features: Default::default(),
         }
     }
 

@@ -162,6 +162,10 @@ impl BacklogModel {
 /// by the conservation tests). Heterogeneous capacities weight the
 /// stateful policies; a uniform slice reproduces the historical split
 /// bit-for-bit.
+///
+/// Routing runs first and records one target per request; the streams
+/// are then allocated at their exact final sizes and filled by copy, so
+/// the split makes O(nodes) allocations whatever the request count.
 pub fn split_arrivals(
     arrivals: &[Request],
     caps: &[NodeCapacity],
@@ -173,12 +177,13 @@ pub fn split_arrivals(
         .iter()
         .map(|c| c.drain_per_ns())
         .fold(f64::MIN, f64::max);
-    let mut streams: Vec<Vec<Request>> = (0..nodes).map(|_| Vec::new()).collect();
     let mut models: Vec<BacklogModel> = caps
         .iter()
         .map(|&c| BacklogModel::new(c, max_drain))
         .collect();
 
+    let mut counts = vec![0usize; nodes];
+    let mut targets: Vec<u32> = Vec::with_capacity(arrivals.len());
     for (i, req) in arrivals.iter().enumerate() {
         let target = match policy {
             BalancerPolicy::RoundRobin => i % nodes,
@@ -212,7 +217,12 @@ pub fn split_arrivals(
             }
         };
         models[target].work_ref_ns += req.work_ref_ns as f64;
-        streams[target].push(req.clone());
+        counts[target] += 1;
+        targets.push(target as u32);
+    }
+    let mut streams: Vec<Vec<Request>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+    for (req, &target) in arrivals.iter().zip(&targets) {
+        streams[target as usize].push(*req);
     }
     streams
 }
@@ -225,19 +235,27 @@ pub fn split_arrivals(
 /// routing signal. Rotation keeps the choice a pure function of
 /// `(trace, capacities, policy)`, so determinism is untouched.
 fn argmin_effective(models: &mut [BacklogModel], now: u64, req_index: usize) -> usize {
-    let mut ties: Vec<usize> = Vec::with_capacity(4);
+    // Two passes instead of a tie list, so routing never allocates: the
+    // first finds the minimum and its tie count, the second picks the
+    // `req_index % ties`-th tied node (draining again at the same `now`
+    // changes nothing).
     let mut best_out = f64::INFINITY;
-    for (k, m) in models.iter_mut().enumerate() {
+    let mut ties = 0;
+    for m in models.iter_mut() {
         let out = m.effective_at(now);
         if out < best_out {
             best_out = out;
-            ties.clear();
-            ties.push(k);
+            ties = 1;
         } else if out == best_out {
-            ties.push(k);
+            ties += 1;
         }
     }
-    ties[req_index % ties.len()]
+    models
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(k, m)| (m.effective_at(now) == best_out).then_some(k))
+        .nth(req_index % ties)
+        .expect("the minimum is attained")
 }
 
 #[cfg(test)]
@@ -254,7 +272,7 @@ mod tests {
             work_ref_ns: work,
             freq_sensitivity: 1.0,
             sla: 10_000_000,
-            features: vec![],
+            features: Default::default(),
         }
     }
 

@@ -32,8 +32,8 @@ use deeppower_core::{
 use deeppower_drl::Ddpg;
 use deeppower_nn::Matrix;
 use deeppower_simd_server::{
-    FaultPlan, FreqCommands, Governor, LatencyStats, OverloadPlan, Request, RequestRecord,
-    RunOptions, Server, ServerConfig, ServerView, Session, SimResult, MILLISECOND,
+    FaultPlan, FreqCommands, Governor, LatencyStats, Nanos, OverloadPlan, Request, RunOptions,
+    Server, ServerConfig, ServerView, Session, SimResult, MILLISECOND,
 };
 use deeppower_telemetry::{
     merge_gauges, Event, FleetMonitor, HealthReport, MonitorConfig, MonitorSink, Profiler,
@@ -702,9 +702,9 @@ fn node_opts(base: RunOptions, spec: &FleetSpec, node: usize) -> RunOptions {
 }
 
 /// Fold per-node [`SimResult`]s into the fleet report. Fleet
-/// percentiles come from the merged record set, not from averaging
-/// per-node percentiles (which would understate the tail whenever one
-/// node runs hot).
+/// percentiles come from the merged latencies of every node's records,
+/// not from averaging per-node percentiles (which would understate the
+/// tail whenever one node runs hot).
 fn assemble(
     spec: &FleetSpec,
     epochs: u64,
@@ -712,7 +712,9 @@ fn assemble(
     results: Vec<SimResult>,
 ) -> FleetResult {
     let ms = |ns: u64| ns as f64 / MILLISECOND as f64;
-    let mut merged: Vec<RequestRecord> = Vec::new();
+    let total: usize = results.iter().map(|sim| sim.records.len()).sum();
+    let mut latencies: Vec<Nanos> = Vec::with_capacity(total);
+    let mut timeouts = 0;
     let mut per_node = Vec::with_capacity(results.len());
     let mut total_energy_j = 0.0;
     let mut total_power_w = 0.0;
@@ -751,9 +753,10 @@ fn assemble(
         });
         total_energy_j += sim.energy_j;
         total_power_w += sim.avg_power_w;
-        merged.extend(sim.records);
+        timeouts += s.timeouts;
+        latencies.extend(sim.records.iter().map(|r| r.latency));
     }
-    let fleet = LatencyStats::from_records(&merged);
+    let fleet = LatencyStats::from_latencies(&mut latencies, timeouts);
     FleetResult {
         app: AppSpec::get(spec.app).name.to_string(),
         nodes: spec.nodes,

@@ -15,35 +15,37 @@
 
 use crate::clock::Nanos;
 use crate::dvfs::FreqPlan;
-use crate::request::Request;
+use crate::request::{Features, Request};
 use std::collections::VecDeque;
 
 /// What a governor may see about one in-flight request.
 #[derive(Clone, Copy, Debug)]
-pub struct RunningView<'a> {
+pub struct RunningView {
     /// When the request arrived at the server queue.
     pub arrival: Nanos,
     /// When this core started processing it.
     pub started: Nanos,
-    /// Observable request features.
-    pub features: &'a [f32],
+    /// Observable request features, copied inline from the request (a
+    /// [`Features`] derefs to `&[f32]`), so a view owns no borrow and
+    /// the engine can refill one reusable view buffer per callback.
+    pub features: Features,
     /// The request SLA.
     pub sla: Nanos,
 }
 
 /// What a governor may see about one core.
 #[derive(Clone, Copy, Debug)]
-pub struct CoreView<'a> {
+pub struct CoreView {
     /// Commanded frequency in MHz.
     pub freq_mhz: u32,
     /// The request being processed, if any.
-    pub running: Option<RunningView<'a>>,
+    pub running: Option<RunningView>,
     /// Which C-state the core currently sleeps in (`None` = C0/awake).
     /// Always `None` while a request is running.
     pub sleeping: Option<usize>,
 }
 
-impl CoreView<'_> {
+impl CoreView {
     pub fn busy(&self) -> bool {
         self.running.is_some()
     }
@@ -55,7 +57,7 @@ pub struct ServerView<'a> {
     pub now: Nanos,
     /// Queued (not yet started) requests in FIFO order.
     pub queue: &'a VecDeque<Request>,
-    pub cores: &'a [CoreView<'a>],
+    pub cores: &'a [CoreView],
     /// Cumulative counters since the run began.
     pub total_arrived: u64,
     pub total_completed: u64,
@@ -348,7 +350,7 @@ mod tests {
         let running = RunningView {
             arrival: 0,
             started: 0,
-            features: &[],
+            features: Features::default(),
             sla: 0,
         };
         let cores = [

@@ -54,5 +54,5 @@ pub use overload::{
     OverloadPlan, OverloadState, QueuePolicy, StaticThreshold, SYNTH_ID_BASE,
 };
 pub use power::{EnergyMeter, PowerModel};
-pub use request::Request;
+pub use request::{Features, Request, MAX_FEATURES};
 pub use server::{RunOptions, Server, ServerConfig, Session, SimResult};

@@ -36,23 +36,44 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Compute stats from records (sorts a copy of the latencies).
+    /// Compute stats from records: copies the latencies into one buffer
+    /// and hands it to [`from_latencies`](Self::from_latencies).
     pub fn from_records(records: &[RequestRecord]) -> Self {
-        if records.is_empty() {
+        let mut lat: Vec<Nanos> = records.iter().map(|r| r.latency).collect();
+        let timeouts = records.iter().filter(|r| r.timed_out).count() as u64;
+        Self::from_latencies(&mut lat, timeouts)
+    }
+
+    /// Compute stats from raw latencies plus a timeout count. The
+    /// nearest-rank p50/p95/p99 equal [`percentile_sorted`] over the
+    /// sorted latencies, but come from three nested
+    /// `select_nth_unstable` partitions (expected O(n)) instead of a
+    /// full sort; `lat` is left partially reordered.
+    pub fn from_latencies(lat: &mut [Nanos], timeouts: u64) -> Self {
+        if lat.is_empty() {
             return Self::default();
         }
-        let mut lat: Vec<Nanos> = records.iter().map(|r| r.latency).collect();
-        lat.sort_unstable();
-        let count = lat.len() as u64;
+        let n = lat.len();
         let sum: u128 = lat.iter().map(|&x| x as u128).sum();
+        let max_ns = *lat.iter().max().expect("non-empty");
+        // Select the largest rank first; every smaller rank then lies in
+        // the partition to its left, which shrinks for the next select.
+        let (i50, i95, i99) = (
+            nearest_rank(n, 0.50) - 1,
+            nearest_rank(n, 0.95) - 1,
+            nearest_rank(n, 0.99) - 1,
+        );
+        let p99_ns = *lat.select_nth_unstable(i99).1;
+        let p95_ns = *lat[..=i99].select_nth_unstable(i95).1;
+        let p50_ns = *lat[..=i95].select_nth_unstable(i50).1;
         Self {
-            count,
-            mean_ns: sum as f64 / count as f64,
-            p50_ns: percentile_sorted(&lat, 0.50),
-            p95_ns: percentile_sorted(&lat, 0.95),
-            p99_ns: percentile_sorted(&lat, 0.99),
-            max_ns: *lat.last().unwrap(),
-            timeouts: records.iter().filter(|r| r.timed_out).count() as u64,
+            count: n as u64,
+            mean_ns: sum as f64 / n as f64,
+            p50_ns,
+            p95_ns,
+            p99_ns,
+            max_ns,
+            timeouts,
         }
     }
 
@@ -81,8 +102,12 @@ impl LatencyStats {
 pub fn percentile_sorted(sorted: &[Nanos], q: f64) -> Nanos {
     assert!(!sorted.is_empty(), "percentile of empty slice");
     assert!((0.0..=1.0).contains(&q), "quantile out of range");
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
+    sorted[nearest_rank(sorted.len(), q) - 1]
+}
+
+/// One-based nearest rank of quantile `q` among `n` values.
+fn nearest_rank(n: usize, q: f64) -> usize {
+    ((q * n as f64).ceil() as usize).clamp(1, n)
 }
 
 /// What to trace during a run. Tracing is off by default: a 360 s run at

@@ -32,13 +32,13 @@
 //! perturbs nothing.
 
 use crate::clock::Nanos;
-use crate::request::Request;
-use deeppower_telemetry::{event, Event, Recorder, RequestTracer};
+use crate::request::{Features, Request};
+use deeppower_telemetry::{event, Event, IdSet, Recorder, RequestTracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Server ids of synthetic attempts (retries, flash-crowd clones) start
 /// here so they can never collide with workload-generator ids.
@@ -351,7 +351,7 @@ impl AdmissionController for DrlAdmission {
 }
 
 /// Everything a client needs to resubmit an attempt.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct RetryTemplate {
     client: u64,
     attempt: u32,
@@ -359,7 +359,7 @@ struct RetryTemplate {
     work_ref_ns: Nanos,
     freq_sensitivity: f32,
     sla: Nanos,
-    features: Vec<f32>,
+    features: Features,
 }
 
 impl RetryTemplate {
@@ -371,7 +371,7 @@ impl RetryTemplate {
             work_ref_ns: req.work_ref_ns,
             freq_sensitivity: req.freq_sensitivity,
             sla: req.sla,
-            features: req.features.clone(),
+            features: req.features,
         }
     }
 }
@@ -436,9 +436,9 @@ pub struct OverloadState {
     deadlines: VecDeque<Deadline>,
     retries: BinaryHeap<Reverse<RetryEntry>>,
     /// Admitted attempts the client still waits for.
-    open: HashSet<u64>,
+    open: IdSet,
     /// Attempts whose client abandoned; a completion here is wasted.
-    abandoned: HashSet<u64>,
+    abandoned: IdSet,
     next_synth_id: u64,
     retry_seq: u64,
     pub counters: OverloadCounters,
@@ -475,8 +475,8 @@ impl OverloadState {
             admission,
             deadlines: VecDeque::new(),
             retries: BinaryHeap::new(),
-            open: HashSet::new(),
-            abandoned: HashSet::new(),
+            open: IdSet::default(),
+            abandoned: IdSet::default(),
             next_synth_id: SYNTH_ID_BASE,
             retry_seq: 0,
             counters: OverloadCounters::default(),
@@ -716,8 +716,7 @@ impl OverloadState {
             id,
             template: RetryTemplate {
                 attempt: template.attempt + 1,
-                features: template.features.clone(),
-                ..template.clone()
+                ..*template
             },
         }));
     }
@@ -738,7 +737,7 @@ mod tests {
             work_ref_ns: MILLISECOND,
             freq_sensitivity: 1.0,
             sla: 10 * MILLISECOND,
-            features: vec![],
+            features: Features::default(),
         }
     }
 

@@ -1,7 +1,77 @@
 //! Requests.
 
 use crate::clock::Nanos;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
+use std::fmt;
+use std::ops::Deref;
+
+/// Most observable features one request can carry. Every application
+/// model emits at most one today; the cap keeps [`Features`] inline.
+pub const MAX_FEATURES: usize = 2;
+
+/// A request's observable features, stored inline: a fixed
+/// `[f32; MAX_FEATURES]` array plus a length, so a [`Request`] is `Copy`
+/// and moving one through the balancer, the queue and a core never
+/// touches the heap. Derefs to the `&[f32]` of its first `len` values.
+/// The unused tail is always zero, so the derived equality compares
+/// exactly the used values.
+#[derive(Clone, Copy, Default, PartialEq)]
+pub struct Features {
+    vals: [f32; MAX_FEATURES],
+    len: u8,
+}
+
+impl Features {
+    /// Copy `xs` inline. Panics if it holds more than [`MAX_FEATURES`]
+    /// values.
+    pub fn from_slice(xs: &[f32]) -> Self {
+        assert!(
+            xs.len() <= MAX_FEATURES,
+            "{} request features exceed MAX_FEATURES = {MAX_FEATURES}",
+            xs.len()
+        );
+        let mut vals = [0.0; MAX_FEATURES];
+        vals[..xs.len()].copy_from_slice(xs);
+        Self {
+            vals,
+            len: xs.len() as u8,
+        }
+    }
+}
+
+impl Deref for Features {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        &self.vals[..self.len as usize]
+    }
+}
+
+impl fmt::Debug for Features {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Serialized as a plain array, the same shape as a `Vec<f32>`.
+impl Serialize for Features {
+    fn serialize_value(&self) -> Value {
+        (**self).serialize_value()
+    }
+}
+
+impl Deserialize for Features {
+    fn deserialize_value(value: &Value) -> Result<Self, Error> {
+        let xs = Vec::<f32>::deserialize_value(value)?;
+        if xs.len() > MAX_FEATURES {
+            return Err(Error::custom(format!(
+                "{} request features exceed MAX_FEATURES = {MAX_FEATURES}",
+                xs.len()
+            )));
+        }
+        Ok(Self::from_slice(&xs))
+    }
+}
 
 /// One client request as seen by the server.
 ///
@@ -10,7 +80,7 @@ use serde::{Deserialize, Serialize};
 /// Actual processing time depends on the core frequency (through
 /// `freq_sensitivity`) and on contention from sibling cores — both applied
 /// by the engine, never baked into the request.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Request {
     /// Monotonically increasing id (assigned by the workload generator).
     /// Unique per *attempt*: a retry gets a fresh server id.
@@ -36,7 +106,7 @@ pub struct Request {
     /// Observable features (e.g. input size, request type) — the inputs the
     /// service-time predictors of ReTail/Gemini are allowed to see. The
     /// true `work_ref_ns` is *not* observable.
-    pub features: Vec<f32>,
+    pub features: Features,
 }
 
 impl Request {
@@ -117,6 +187,16 @@ mod tests {
         let t = Request::scaled_time(remaining, 0.6, 1300, 2100, 1.1);
         let retired = Request::retired_work(t, 0.6, 1300, 2100, 1.1);
         assert!((retired - remaining).abs() < 1e-6);
+    }
+
+    #[test]
+    fn features_serialize_as_a_plain_array() {
+        let f = Features::from_slice(&[0.5]);
+        let v = f.serialize_value();
+        assert_eq!(v, vec![0.5f32].serialize_value());
+        assert_eq!(Features::deserialize_value(&v).unwrap(), f);
+        let long = vec![1.0f32; MAX_FEATURES + 1].serialize_value();
+        assert!(Features::deserialize_value(&long).is_err());
     }
 
     #[test]

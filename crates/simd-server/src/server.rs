@@ -400,6 +400,12 @@ impl Server {
             "arrivals must be sorted by time"
         );
         let n = self.cfg.n_cores;
+        let mut metrics = MetricsCollector::new();
+        // Open loop, every arrival completes exactly once: one
+        // exact-size record buffer instead of doubling growth.
+        if !opts.overload.is_active() {
+            metrics.records.reserve_exact(arrivals.len());
+        }
         Session {
             cores: (0..n)
                 .map(|i| CoreState {
@@ -411,8 +417,9 @@ impl Server {
                     sleep: None,
                 })
                 .collect(),
+            views: Vec::with_capacity(n),
             queue: VecDeque::new(),
-            metrics: MetricsCollector::new(),
+            metrics,
             energy: EnergyMeter::new(),
             traces: Traces::default(),
             cmds: FreqCommands::new(n, &self.cfg.freq_plan),
@@ -461,6 +468,10 @@ pub struct Session<'a> {
     rec: &'a Recorder,
     prof: Profiler,
     cores: Vec<CoreState>,
+    /// Reusable per-core view buffer, refilled from `cores` before each
+    /// governor callback (dispatch, tick, run end), so handing the
+    /// governor a [`ServerView`] never allocates.
+    views: Vec<CoreView>,
     /// The server queue. Unbounded by default — which silently encodes
     /// the paper's *open-loop* assumption: offered load never reacts to
     /// server state, every arrival is eventually served, and the only
@@ -591,7 +602,9 @@ impl Session<'_> {
     /// governor sees (unperturbed sensors). The driver-side window into
     /// a node between epochs.
     pub fn with_view<T>(&self, f: impl FnOnce(&ServerView<'_>) -> T) -> T {
-        let views = build_core_views(&self.cores, self.now);
+        // Once per driver epoch, not per event: a fresh buffer keeps
+        // this `&self`.
+        let views: Vec<CoreView> = self.cores.iter().map(core_view).collect();
         let view = make_view(
             self.now,
             &self.queue,
@@ -686,23 +699,24 @@ impl Session<'_> {
         // (due-time, schedule-order) order.
         let sp = self.prof.span("engine.arrivals");
         while self.arr_idx < self.arrivals.len() && self.arrivals[self.arr_idx].arrival <= now {
-            let req = self.arrivals[self.arr_idx].clone();
+            let req = self.arrivals[self.arr_idx];
             self.arr_idx += 1;
             let clones = self.overload.burst_clones(req.arrival);
-            let template = if clones > 0 { Some(req.clone()) } else { None };
             self.offer(now, req);
-            if let Some(t) = template {
-                for _ in 0..clones {
-                    // A burst clone is a *new* client issuing the same
-                    // request shape, not a retry of the original.
-                    let id = self.overload.alloc_synth_id();
-                    let mut clone = t.clone();
-                    clone.id = id;
-                    clone.client_id = id;
-                    clone.attempt = 0;
-                    clone.first_arrival = t.arrival;
-                    self.offer(now, clone);
-                }
+            for _ in 0..clones {
+                // A burst clone is a *new* client issuing the same
+                // request shape, not a retry of the original.
+                let id = self.overload.alloc_synth_id();
+                self.offer(
+                    now,
+                    Request {
+                        id,
+                        client_id: id,
+                        attempt: 0,
+                        first_arrival: req.arrival,
+                        ..req
+                    },
+                );
             }
         }
         while let Some(retry) = self.overload.pop_due_retry(now) {
@@ -732,11 +746,11 @@ impl Session<'_> {
                 self.queue.pop_front().unwrap()
             };
             {
-                let views = build_core_views(&self.cores, now);
+                fill_core_views(&mut self.views, &self.cores);
                 let view = make_view(
                     now,
                     &self.queue,
-                    &views,
+                    &self.views,
                     &self.metrics,
                     &self.energy,
                     &self.overload,
@@ -814,8 +828,8 @@ impl Session<'_> {
                     },
                     self.rec,
                 );
-                let views = build_core_views(&self.cores, now);
-                let view = make_view_with(now, &self.queue, &views, reading);
+                fill_core_views(&mut self.views, &self.cores);
+                let view = make_view_with(now, &self.queue, &self.views, reading);
                 self.governor.on_tick(&view, &mut self.cmds);
             }
             apply_commands(
@@ -888,11 +902,11 @@ impl Session<'_> {
             // their last window and may train here), so it gets its own
             // span — DDPG stage spans must never be roots.
             let _sp = self.prof.span("engine.finish");
-            let views = build_core_views(&self.cores, now);
+            fill_core_views(&mut self.views, &self.cores);
             let view = make_view(
                 now,
                 &self.queue,
-                &views,
+                &self.views,
                 &self.metrics,
                 &self.energy,
                 &self.overload,
@@ -1028,20 +1042,24 @@ impl Session<'_> {
     }
 }
 
-fn build_core_views(cores: &[CoreState], _now: Nanos) -> Vec<CoreView<'_>> {
-    cores
-        .iter()
-        .map(|c| CoreView {
-            freq_mhz: c.freq_mhz,
-            running: c.running.as_ref().map(|r| RunningView {
-                arrival: r.req.arrival,
-                started: r.started,
-                features: &r.req.features,
-                sla: r.req.sla,
-            }),
-            sleeping: c.sleep,
-        })
-        .collect()
+fn core_view(c: &CoreState) -> CoreView {
+    CoreView {
+        freq_mhz: c.freq_mhz,
+        running: c.running.as_ref().map(|r| RunningView {
+            arrival: r.req.arrival,
+            started: r.started,
+            features: r.req.features,
+            sla: r.req.sla,
+        }),
+        sleeping: c.sleep,
+    }
+}
+
+/// Refill the session's view buffer in place (its capacity is the core
+/// count from the start, so this never allocates).
+fn fill_core_views(views: &mut Vec<CoreView>, cores: &[CoreState]) {
+    views.clear();
+    views.extend(cores.iter().map(core_view));
 }
 
 /// Socket power with C-states: a sleeping core draws its state's residual
@@ -1062,7 +1080,7 @@ fn socket_power(cfg: &ServerConfig, cores: &[CoreState]) -> f64 {
 fn make_view<'a>(
     now: Nanos,
     queue: &'a VecDeque<Request>,
-    cores: &'a [CoreView<'a>],
+    cores: &'a [CoreView],
     metrics: &MetricsCollector,
     energy: &EnergyMeter,
     overload: &OverloadState,
@@ -1087,7 +1105,7 @@ fn make_view<'a>(
 fn make_view_with<'a>(
     now: Nanos,
     queue: &'a VecDeque<Request>,
-    cores: &'a [CoreView<'a>],
+    cores: &'a [CoreView],
     reading: SensorReading,
 ) -> ServerView<'a> {
     ServerView {
@@ -1255,6 +1273,7 @@ mod tests {
     use super::*;
     use crate::clock::{MILLISECOND, SECOND};
     use crate::governor::FixedFrequency;
+    use crate::request::Features;
 
     fn req(id: u64, arrival: Nanos, work: Nanos) -> Request {
         Request {
@@ -1266,7 +1285,7 @@ mod tests {
             work_ref_ns: work,
             freq_sensitivity: 1.0,
             sla: 10 * MILLISECOND,
-            features: vec![],
+            features: Features::default(),
         }
     }
 

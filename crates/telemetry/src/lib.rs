@@ -75,7 +75,7 @@ pub use slo::{
     METRIC_P99, METRIC_POWER, METRIC_TIMEOUT,
 };
 pub use trace::{
-    traces_to_chrome, AttemptTrace, FlightRecorder, RequestTrace, RequestTracer, TracePlan,
-    TraceSpan, SAMPLED_EXEMPLAR, SAMPLED_HEAD, SPAN_ABANDON, SPAN_BACKOFF, SPAN_QUEUE,
-    SPAN_SERVICE, SPAN_SHED,
+    traces_to_chrome, AttemptTrace, FlightRecorder, IdHasher, IdMap, IdSet, RequestTrace,
+    RequestTracer, TracePlan, TraceSpan, SAMPLED_EXEMPLAR, SAMPLED_HEAD, SPAN_ABANDON,
+    SPAN_BACKOFF, SPAN_QUEUE, SPAN_SERVICE, SPAN_SHED,
 };

@@ -41,7 +41,7 @@
 //! Chrome trace via [`traces_to_chrome`]) and attaches the dump path to
 //! the incident timeline.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
@@ -234,9 +234,11 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// Map hasher for server/client ids: one splitmix64 round. The hooks
 /// run once per request on the engine's hot path, where the default
-/// SipHash costs more than the rest of the bookkeeping.
+/// SipHash costs more than the rest of the bookkeeping. Unlike std's
+/// `RandomState` it is unseeded, so a table's probe sequence, and with
+/// it when the table grows and allocates, repeats exactly run to run.
 #[derive(Default)]
-struct IdHasher(u64);
+pub struct IdHasher(u64);
 
 impl Hasher for IdHasher {
     fn finish(&self) -> u64 {
@@ -254,7 +256,10 @@ impl Hasher for IdHasher {
     }
 }
 
-type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+/// `u64`-keyed map hashed with [`IdHasher`].
+pub type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+/// `u64` set hashed with [`IdHasher`].
+pub type IdSet = HashSet<u64, BuildHasherDefault<IdHasher>>;
 
 /// In-flight bookkeeping for one attempt. `Copy` on purpose: the happy
 /// path (offer → dispatch → complete, no shed/abandon/retry) must not

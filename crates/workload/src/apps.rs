@@ -24,7 +24,7 @@
 //! (σ² = σ_obs² + σ_hidden²) is what Table 3 / Fig. 1 calibrate.
 
 use crate::distributions::LogNormal;
-use deeppower_simd_server::{Nanos, Request, MILLISECOND, SECOND};
+use deeppower_simd_server::{Features, Nanos, Request, MILLISECOND, SECOND};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -199,7 +199,7 @@ impl AppSpec {
             work_ref_ns: work.max(1.0) as Nanos,
             freq_sensitivity: self.freq_sensitivity,
             sla: self.sla,
-            features: vec![size_feature],
+            features: Features::from_slice(&[size_feature]),
         }
     }
 }

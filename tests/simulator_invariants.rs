@@ -167,7 +167,7 @@ fn controller_under_overload_eventually_turbos_every_busy_core() {
         work_ref_ns: 40 * MILLISECOND,
         freq_sensitivity: 1.0,
         sla: 10 * MILLISECOND,
-        features: vec![],
+        features: Default::default(),
     };
     let mut tc = ThreadController::new(ControllerParams::new(0.0, 1.5));
     let res = srv.run(
