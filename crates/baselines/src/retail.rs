@@ -67,16 +67,6 @@ impl RetailGovernor {
         }
     }
 
-    /// Construct with an explicit model (tests).
-    pub fn with_model(model: LinReg, mean_pred_ns: f64, plan: FreqPlan, cfg: RetailConfig) -> Self {
-        Self {
-            model,
-            plan,
-            cfg,
-            mean_pred_ns,
-        }
-    }
-
     /// Predicted service time of a request at the reference frequency.
     pub fn predict_ns(&self, features: &[f32]) -> f64 {
         self.model.predict(features).max(0.0)

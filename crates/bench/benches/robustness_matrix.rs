@@ -25,8 +25,8 @@
 //! reduced duration even when `DEEPPOWER_FULL` is set.
 
 use deeppower_bench::Scale;
-use deeppower_harness::{robustness_matrix, GovernorSpec, RobustnessRow};
-use deeppower_workload::App;
+use deeppower_harness::{robustness_matrix, robustness_scenarios, GovernorSpec, RobustnessRow};
+use deeppower_workload::{App, AppSpec};
 
 const N_SCENARIOS: usize = 8; // none | dvfs | sensor | stall | all + 3 overload
 const N_FAULT: usize = 5; // the fault prefix the safety bounds cover
@@ -61,7 +61,8 @@ fn main() {
         GovernorSpec::ThreadController(0.3, 1.0),
         GovernorSpec::ThreadController(0.0, 0.4),
     ];
-    let report = robustness_matrix(App::Masstree, &governors, true, 5, 0.7, secs, 0);
+    let scenarios = robustness_scenarios(5, AppSpec::get(App::Masstree).sla);
+    let report = robustness_matrix(&scenarios, App::Masstree, &governors, true, 5, 0.7, secs, 0);
     println!("# Robustness matrix — Masstree @ 70 % load, {secs} s per cell\n");
     println!("{}", report.render_table());
     assert_eq!(report.rows.len(), governors.len() * 2 * N_SCENARIOS);

@@ -1,5 +1,8 @@
 //! Table 2 — single-state inference time of DQN, DDQN, DDPG and SAC.
 //!
+//! Double DQN changes only DQN's training target, so its inference
+//! network is DQN's: the DDQN column times a second DQN instance.
+//!
 //! §3.2 measures these (125 / 140 / 231 / 472 µs in the authors' Python/
 //! PyTorch stack) to argue that per-request DRL control is infeasible and
 //! motivate hierarchical control. This reproduction runs the same
@@ -10,7 +13,7 @@
 //! microsecond-scale request could tolerate on a per-request basis in the
 //! authors' setting) are what matter.
 
-use deeppower_drl::{Ddpg, DdpgConfig, Ddqn, Dqn, DqnConfig, Sac, SacConfig};
+use deeppower_drl::{Ddpg, DdpgConfig, Dqn, DqnConfig, Sac, SacConfig};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -35,7 +38,7 @@ fn main() {
         n_actions: 16,
         ..Default::default()
     });
-    let ddqn = Ddqn::new(DqnConfig {
+    let ddqn = Dqn::new(DqnConfig {
         state_dim: 8,
         n_actions: 16,
         ..Default::default()
@@ -48,7 +51,6 @@ fn main() {
     let mut sac = Sac::new(SacConfig {
         state_dim: 8,
         action_dim: 2,
-        warmup: 0,
         ..Default::default()
     });
 

@@ -128,21 +128,19 @@ fn main() {
     // The span profiler holds the same contract as the recorder: when
     // disabled it is one `Option` branch per span site (open + drop).
     let (t_prof_off, r_prof_off) = min_wall_s(repeats, || {
-        server.run_profiled(
+        server.run_recorded(
             &arrivals,
             &mut gov(),
             opts,
-            &Recorder::disabled(),
-            &Profiler::disabled(),
+            &Recorder::disabled().with_profiler(&Profiler::disabled()),
         )
     });
     let (t_prof_on, r_prof_on) = min_wall_s(repeats, || {
-        server.run_profiled(
+        server.run_recorded(
             &arrivals,
             &mut gov(),
             opts,
-            &Recorder::disabled(),
-            &Profiler::enabled(),
+            &Recorder::disabled().with_profiler(&Profiler::enabled()),
         )
     });
 

@@ -24,17 +24,15 @@
 
 use deeppower_core::train::default_peak_load;
 use deeppower_core::{
-    action_surface, decisions_to_csv, decisions_to_jsonl, evaluate, evaluate_profiled,
-    evaluate_recorded, explain_decisions, mean_abs_saliency, surface_to_csv, train, train_profiled,
-    TrainConfig, TrainedPolicy, STATE_DIM_NAMES,
+    action_surface, decisions_to_csv, decisions_to_jsonl, evaluate, evaluate_recorded,
+    explain_decisions, mean_abs_saliency, surface_to_csv, train, train_recorded, TrainConfig,
+    TrainedPolicy, STATE_DIM_NAMES,
 };
-use deeppower_fleet::{
-    run_fleet_with, BalancerPolicy, FleetObserve, FleetOutput, FleetRun, FleetSpec,
-};
+use deeppower_fleet::{run_fleet_with, BalancerPolicy, FleetObserve, FleetRun, FleetSpec};
 use deeppower_harness::{
     calibrated_train_seed, fault_scenarios, fleet_grid, grid, overload_scenarios,
-    robustness_matrix_for, run_fleet_grid, run_grid, run_grid_telemetry, select_scenarios,
-    summarize, GovernorSpec, JobResult, WorkloadKind,
+    robustness_matrix, run_fleet_grid, run_grid, run_grid_telemetry, select_scenarios, summarize,
+    GovernorSpec, JobResult, WorkloadKind,
 };
 use deeppower_simd_server::{OverloadPlan, QueuePolicy, TraceConfig, MILLISECOND};
 use deeppower_telemetry::{
@@ -288,14 +286,16 @@ fn parse_list<T>(
 /// `job-NNN-<app>-<governor>-seed<K>.jsonl`. Job index, app, governor
 /// and seed come from the (deterministically ordered) results, so the
 /// file set — names and bytes — is a pure function of the job specs.
+/// Warns once for each job whose ring evicted events.
 fn write_telemetry_artifacts(
     dir: &str,
     results: &[JobResult],
-    events: &[Vec<Event>],
+    events: &[(Vec<Event>, u64)],
     log: &Logger,
 ) -> Result<(), String> {
+    warn_dropped(log, "telemetry", "job", events);
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
-    for (i, (r, ev)) in results.iter().zip(events).enumerate() {
+    for (i, (r, (ev, _))) in results.iter().zip(events).enumerate() {
         let path = Path::new(dir).join(format!(
             "job-{i:03}-{}-{}-seed{}.jsonl",
             r.app, r.governor, r.seed
@@ -577,7 +577,7 @@ fn cmd_robustness(flags: &Flags, log: &Logger) -> Result<(), String> {
         scenarios.len()
     ));
     let t0 = std::time::Instant::now();
-    let report = robustness_matrix_for(
+    let report = robustness_matrix(
         &scenarios, app, &governors, true, seed, peak_load, duration_s, threads,
     );
     log.info(&format!("finished in {:.1} s", t0.elapsed().as_secs_f64()));
@@ -672,7 +672,7 @@ fn cmd_fleet(flags: &Flags, log: &Logger) -> Result<(), String> {
     // load / in-process training; the real plan needs the app's SLA.
     overload_plan_by_name(overload_name, seed, MILLISECOND)?;
 
-    let policy = policy_or_train(flags, log, "fleet", &Profiler::disabled())?;
+    let policy = policy_or_train(flags, log, "fleet", &Recorder::disabled())?;
     let app = policy.app;
     let peak_load = get(flags, "peak-load", default_peak_load(app))?;
     let overload = overload_plan_by_name(overload_name, seed, AppSpec::get(app).sla)?;
@@ -753,7 +753,7 @@ fn cmd_fleet(flags: &Flags, log: &Logger) -> Result<(), String> {
                         ..FleetRun::default()
                     };
                     let out = run_fleet_with(&job.fleet, &[&job.policy], &run);
-                    warn_dropped(log, &format!("cell {j}"), &out);
+                    warn_dropped(log, &format!("cell {j}"), "node", &out.events);
                     let res = out.result;
                     for (i, (events, _)) in out.events.iter().enumerate() {
                         let path = Path::new(dir).join(format!(
@@ -880,13 +880,14 @@ fn cmd_monitor(flags: &Flags, log: &Logger) -> Result<(), String> {
 
 /// `--policy FILE` or in-process training from `--app` (the recipe the
 /// `compare`/`trace` commands share; `--episodes`/`--episode-s` resize
-/// it). Training runs under `prof`, so `profile` captures the training
-/// phases too; pass a disabled profiler everywhere else.
+/// it). Training runs under `rec`, so `profile` captures the training
+/// phases through the recorder's profiler; pass a disabled recorder
+/// everywhere else.
 fn policy_or_train(
     flags: &Flags,
     log: &Logger,
     cmd: &str,
-    prof: &Profiler,
+    rec: &Recorder,
 ) -> Result<TrainedPolicy, String> {
     match flags.get("policy") {
         Some(p) => TrainedPolicy::load(Path::new(p)).map_err(|e| e.to_string()),
@@ -906,17 +907,18 @@ fn policy_or_train(
             cfg.episodes = episodes;
             cfg.episode_s = episode_s;
             cfg.seed = train_seed;
-            Ok(train_profiled(&cfg, &Recorder::disabled(), prof).0)
+            Ok(train_recorded(&cfg, rec).0)
         }
     }
 }
 
-/// One warning line per node whose telemetry ring evicted events.
-fn warn_dropped(log: &Logger, what: &str, out: &FleetOutput) {
-    for (node, (_, dropped)) in out.events.iter().enumerate() {
+/// One warning line per stream (a fleet node or a grid job, named by
+/// `unit`) whose telemetry ring evicted events.
+fn warn_dropped(log: &Logger, what: &str, unit: &str, streams: &[(Vec<Event>, u64)]) {
+    for (i, (_, dropped)) in streams.iter().enumerate() {
         if *dropped > 0 {
             log.warn(&format!(
-                "{what}: node {node} dropped {dropped} events (ring overflow) — its telemetry is incomplete"
+                "{what}: {unit} {i} dropped {dropped} events (ring overflow) — its telemetry is incomplete"
             ));
         }
     }
@@ -931,7 +933,7 @@ fn cmd_trace(flags: &Flags, log: &Logger) -> Result<(), String> {
         "`trace` records the governor decision trace; for request-lifecycle traces \
          (retry chains, queue-vs-service breakdown) use `deeppower rtrace`",
     );
-    let policy = policy_or_train(flags, log, "trace", &Profiler::disabled())?;
+    let policy = policy_or_train(flags, log, "trace", &Recorder::disabled())?;
     let duration_s = get(flags, "duration-s", 10u64)?;
     let peak = get(flags, "peak-load", default_peak_load(policy.app))?;
     let seed = get(flags, "seed", 999u64)?;
@@ -1161,7 +1163,7 @@ fn cmd_rtrace(flags: &Flags, log: &Logger) -> Result<(), String> {
                 .into(),
         );
     }
-    let policy = policy_or_train(flags, log, "rtrace", &Profiler::disabled())?;
+    let policy = policy_or_train(flags, log, "rtrace", &Recorder::disabled())?;
     let app = policy.app;
     let app_spec = AppSpec::get(app);
     let peak_load = get(flags, "peak-load", default_peak_load(app))?;
@@ -1190,7 +1192,7 @@ fn cmd_rtrace(flags: &Flags, log: &Logger) -> Result<(), String> {
         ..FleetRun::default()
     };
     let out = run_fleet_with(&spec, &[&policy], &run);
-    warn_dropped(log, "rtrace", &out);
+    warn_dropped(log, "rtrace", "node", &out.events);
     let res = out.result;
     let streams: Vec<Vec<Event>> = out.events.into_iter().map(|(events, _)| events).collect();
     // Overload runs are short, so the default SLO uses single-window
@@ -1270,9 +1272,10 @@ fn cmd_rtrace(flags: &Flags, log: &Logger) -> Result<(), String> {
 fn cmd_profile(flags: &Flags, log: &Logger) -> Result<(), String> {
     let out: PathBuf = get(flags, "out", PathBuf::from("profile-trace.json"))?;
     let prof = Profiler::enabled();
+    let rec = Recorder::disabled().with_profiler(&prof);
     let t0 = std::time::Instant::now();
 
-    let policy = policy_or_train(flags, log, "profile", &prof)?;
+    let policy = policy_or_train(flags, log, "profile", &rec)?;
     let duration_s = get(flags, "duration-s", 10u64)?;
     let peak = get(flags, "peak-load", default_peak_load(policy.app))?;
     let seed = get(flags, "seed", 999u64)?;
@@ -1280,14 +1283,13 @@ fn cmd_profile(flags: &Flags, log: &Logger) -> Result<(), String> {
         "profiling {:?} evaluation: {duration_s} s at peak load {peak:.2}",
         policy.app
     ));
-    let outcome = evaluate_profiled(
+    let outcome = evaluate_recorded(
         &policy,
         peak,
         duration_s,
         seed,
         TraceConfig::default(),
-        &Recorder::disabled(),
-        &prof,
+        &rec,
     );
 
     // Artifact serialization is profiled work too; the export span
@@ -1329,7 +1331,7 @@ fn cmd_profile(flags: &Flags, log: &Logger) -> Result<(), String> {
 /// every state dimension, and annotate an evaluation trajectory's
 /// decisions with critic Q-values and finite-difference saliency.
 fn cmd_explain(flags: &Flags, log: &Logger) -> Result<(), String> {
-    let policy = policy_or_train(flags, log, "explain", &Profiler::disabled())?;
+    let policy = policy_or_train(flags, log, "explain", &Recorder::disabled())?;
     let duration_s = get(flags, "duration-s", 10u64)?;
     let peak = get(flags, "peak-load", default_peak_load(policy.app))?;
     let seed = get(flags, "seed", 999u64)?;

@@ -135,8 +135,11 @@ impl<'a> DeepPowerGovernor<'a> {
     /// [`event::DrlStep`] mirroring the [`StepLog`] entry, and (in
     /// training mode) an [`event::TrainUpdate`] with the DDPG internals
     /// of the step's last gradient update — one event per step, not per
-    /// update, so event volume is bounded by the step count.
+    /// update, so event volume is bounded by the step count. The
+    /// recorder's profiler goes to the agent, whose update stages then
+    /// open `ddpg.*` spans.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
+        self.agent.set_profiler(recorder.profiler());
         self.recorder = recorder;
         self
     }

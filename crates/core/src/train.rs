@@ -13,7 +13,7 @@ use crate::governor::{DeepPowerGovernor, Mode, StepLog};
 use crate::state::STATE_DIM;
 use deeppower_drl::{Ddpg, DdpgConfig};
 use deeppower_simd_server::{RunOptions, Server, ServerConfig, SimResult, TraceConfig};
-use deeppower_telemetry::{event, Event, Profiler, Recorder};
+use deeppower_telemetry::{event, Event, Recorder};
 use deeppower_workload::{trace_arrivals, App, AppSpec, DiurnalConfig, DiurnalTrace};
 use serde::{Deserialize, Serialize};
 
@@ -167,38 +167,28 @@ pub fn train(cfg: &TrainConfig) -> (TrainedPolicy, TrainReport) {
 
 /// [`train`] with a telemetry [`Recorder`]: per-step
 /// [`event::DrlStep`]/[`event::TrainUpdate`] events from the governor
-/// plus one [`event::EpisodeEnd`] per episode.
+/// plus one [`event::EpisodeEnd`] per episode. A profiler attached to
+/// `rec` times workload generation (`engine.ingest`), the engine's
+/// `engine.*` phases and the agent's `ddpg.*` update stages (nested
+/// inside `engine.tick`). Neither perturbs training.
 pub fn train_recorded(cfg: &TrainConfig, rec: &Recorder) -> (TrainedPolicy, TrainReport) {
-    train_profiled(cfg, rec, &Profiler::disabled())
-}
-
-/// [`train_recorded`] with a span [`Profiler`]: workload generation
-/// opens `engine.ingest` spans, the engine its `engine.*` phase spans,
-/// and the agent its `ddpg.*` update-stage spans (nested inside
-/// `engine.tick`). Profiling never perturbs training.
-pub fn train_profiled(
-    cfg: &TrainConfig,
-    rec: &Recorder,
-    prof: &Profiler,
-) -> (TrainedPolicy, TrainReport) {
     let spec = AppSpec::get(cfg.app);
     let server = server_for(&spec);
     let mut agent = Ddpg::new(DdpgConfig {
         seed: cfg.seed,
         ..cfg.deeppower.ddpg
     });
-    agent.set_profiler(prof);
     let mut report = TrainReport::default();
 
     for ep in 0..cfg.episodes {
         let ep_seed = cfg.seed.wrapping_add(1 + ep as u64);
-        let sp = prof.span("engine.ingest");
+        let sp = rec.profiler().span("engine.ingest");
         let trace = trace_for(&spec, cfg.peak_load, cfg.episode_s, ep_seed);
         let arrivals = trace_arrivals(&spec, &trace, ep_seed.wrapping_mul(31).wrapping_add(7));
         drop(sp);
         let mut gov = DeepPowerGovernor::new(&mut agent, cfg.deeppower, Mode::Train)
             .with_recorder(rec.clone());
-        let res = server.run_profiled(
+        let res = server.run_recorded(
             &arrivals,
             &mut gov,
             RunOptions {
@@ -207,7 +197,6 @@ pub fn train_profiled(
                 ..Default::default()
             },
             rec,
-            prof,
         );
         let steps = gov.log.len().max(1) as f64;
         let mean_reward = gov.log.iter().map(|l| l.reward).sum::<f64>() / steps;
@@ -267,7 +256,9 @@ pub fn evaluate(
 /// [`evaluate`] with a telemetry [`Recorder`] receiving the full
 /// decision trace: per-step [`event::DrlStep`]s from the governor plus
 /// the engine's frequency-transition/residency/latency-snapshot events
-/// (and request marks when `trace_cfg.request_marks` is set).
+/// (and request marks when `trace_cfg.request_marks` is set). A
+/// profiler attached to `rec` times workload generation
+/// (`engine.ingest`) and the engine (`engine.*` phases).
 pub fn evaluate_recorded(
     policy: &TrainedPolicy,
     peak_load: f64,
@@ -276,39 +267,16 @@ pub fn evaluate_recorded(
     trace_cfg: TraceConfig,
     rec: &Recorder,
 ) -> EvalOutcome {
-    evaluate_profiled(
-        policy,
-        peak_load,
-        duration_s,
-        seed,
-        trace_cfg,
-        rec,
-        &Profiler::disabled(),
-    )
-}
-
-/// [`evaluate_recorded`] with a span [`Profiler`] attached to workload
-/// generation (`engine.ingest`) and the engine (`engine.*` phases).
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_profiled(
-    policy: &TrainedPolicy,
-    peak_load: f64,
-    duration_s: u64,
-    seed: u64,
-    trace_cfg: TraceConfig,
-    rec: &Recorder,
-    prof: &Profiler,
-) -> EvalOutcome {
     let spec = AppSpec::get(policy.app);
     let server = server_for(&spec);
-    let sp = prof.span("engine.ingest");
+    let sp = rec.profiler().span("engine.ingest");
     let trace = trace_for(&spec, peak_load, duration_s, seed);
     let arrivals = trace_arrivals(&spec, &trace, seed.wrapping_mul(131).wrapping_add(17));
     drop(sp);
     let mut agent = policy.build_agent();
     let mut gov =
         DeepPowerGovernor::new(&mut agent, policy.deeppower, Mode::Eval).with_recorder(rec.clone());
-    let sim = server.run_profiled(
+    let sim = server.run_recorded(
         &arrivals,
         &mut gov,
         RunOptions {
@@ -317,7 +285,6 @@ pub fn evaluate_profiled(
             ..Default::default()
         },
         rec,
-        prof,
     );
     EvalOutcome {
         sim,
@@ -328,6 +295,7 @@ pub fn evaluate_profiled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deeppower_telemetry::Profiler;
 
     fn tiny_train_cfg() -> TrainConfig {
         let mut cfg = TrainConfig::for_app(App::Xapian);
@@ -417,7 +385,8 @@ mod tests {
         let cfg = tiny_train_cfg();
         let (plain_policy, plain_report) = train(&cfg);
         let prof = Profiler::enabled();
-        let (prof_policy, prof_report) = train_profiled(&cfg, &Recorder::disabled(), &prof);
+        let (prof_policy, prof_report) =
+            train_recorded(&cfg, &Recorder::disabled().with_profiler(&prof));
         // Profiling must not change training.
         assert_eq!(plain_policy.actor_weights, prof_policy.actor_weights);
         assert_eq!(plain_policy.critic_weights, prof_policy.critic_weights);

@@ -3,8 +3,7 @@
 //! The paper adds Gaussian noise `N(mu=0.3, sigma=1)` to the actor output
 //! during training (§4.6): the positive mean biases early exploration toward
 //! higher frequencies, avoiding queue congestion while the policy is still
-//! random. Ornstein–Uhlenbeck noise (the original DDPG choice) is provided
-//! as an alternative for temporally correlated exploration.
+//! random.
 
 use rand::Rng;
 
@@ -51,45 +50,6 @@ impl GaussianNoise {
     }
 }
 
-/// Ornstein–Uhlenbeck process: `x += theta * (mu - x) * dt + sigma * sqrt(dt) * N(0,1)`.
-///
-/// Mean-reverting, temporally correlated — smooths exploration across
-/// consecutive control intervals.
-#[derive(Clone, Debug)]
-pub struct OrnsteinUhlenbeck {
-    pub theta: f32,
-    pub mu: f32,
-    pub sigma: f32,
-    pub dt: f32,
-    state: Vec<f32>,
-}
-
-impl OrnsteinUhlenbeck {
-    pub fn new(dim: usize, theta: f32, mu: f32, sigma: f32, dt: f32) -> Self {
-        Self {
-            theta,
-            mu,
-            sigma,
-            dt,
-            state: vec![mu; dim],
-        }
-    }
-
-    /// Reset the internal state to the mean (call at episode boundaries).
-    pub fn reset(&mut self) {
-        self.state.fill(self.mu);
-    }
-
-    /// Advance the process one step and return the current noise vector.
-    pub fn sample<R: Rng>(&mut self, rng: &mut R) -> &[f32] {
-        for x in &mut self.state {
-            let dw = sample_standard_normal(rng) * self.dt.sqrt();
-            *x += self.theta * (self.mu - *x) * self.dt + self.sigma * dw;
-        }
-        &self.state
-    }
-}
-
 /// Clamp every action component to `[lo, hi]` — applied after noise so the
 /// thread-controller parameters stay within their admissible range.
 pub fn clamp_action(action: &mut [f32], lo: f32, hi: f32) {
@@ -121,34 +81,6 @@ mod tests {
         let n = 50_000;
         let mean = (0..n).map(|_| noise.sample(&mut rng)).sum::<f32>() / n as f32;
         assert!((mean - 0.3).abs() < 0.03, "mean {mean}");
-    }
-
-    #[test]
-    fn ou_is_mean_reverting() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut ou = OrnsteinUhlenbeck::new(1, 0.15, 0.0, 0.2, 1.0);
-        // Push the state far away, then verify it decays toward mu.
-        ou.state[0] = 10.0;
-        let mut prev = 10.0f32;
-        let mut decays = 0;
-        for _ in 0..50 {
-            let x = ou.sample(&mut rng)[0];
-            if x < prev {
-                decays += 1;
-            }
-            prev = x;
-        }
-        assert!(decays > 30, "OU did not trend back to the mean");
-        assert!(prev.abs() < 5.0);
-    }
-
-    #[test]
-    fn ou_reset_returns_to_mean() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut ou = OrnsteinUhlenbeck::new(3, 0.15, 0.5, 0.2, 1.0);
-        let _ = ou.sample(&mut rng);
-        ou.reset();
-        assert_eq!(ou.state, vec![0.5; 3]);
     }
 
     #[test]

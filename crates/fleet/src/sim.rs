@@ -334,6 +334,11 @@ pub struct FleetRun {
     /// own observe pass plus the act; each worker opens one
     /// `fleet.advance` per epoch, and its nodes' `engine.*` spans nest
     /// inside. Profiling never perturbs the simulation.
+    ///
+    /// [`run_fleet_with`] attaches this profiler to every node's [`Recorder`].
+    /// It lives here rather than in a recorder because recorders are
+    /// `!Send` and built on each worker, while one profiler is shared by
+    /// all workers.
     pub profiler: Profiler,
 }
 
@@ -565,14 +570,19 @@ impl Lockstep<'_> {
             }
             _ => None,
         };
+        // Each node's recorder carries the run's shared profiler, so
+        // its `engine.*` spans nest inside this worker's epoch spans.
         let recs: Vec<Recorder> = owned
             .iter()
-            .map(|&i| match (&self.run.observe, &monitor) {
-                (_, Some(m)) => {
-                    Recorder::with_sink(Box::new(MonitorSink::new(Rc::clone(m), i as u64)))
+            .map(|&i| {
+                match (&self.run.observe, &monitor) {
+                    (_, Some(m)) => {
+                        Recorder::with_sink(Box::new(MonitorSink::new(Rc::clone(m), i as u64)))
+                    }
+                    (FleetObserve::Events { ring }, _) => Recorder::ring(*ring),
+                    _ => Recorder::disabled(),
                 }
-                (FleetObserve::Events { ring }, _) => Recorder::ring(*ring),
-                _ => Recorder::disabled(),
+                .with_profiler(&self.run.profiler)
             })
             .collect();
         let cells: Vec<Rc<Cell<ControllerParams>>> = owned.iter().map(|_| Rc::default()).collect();
@@ -587,14 +597,12 @@ impl Lockstep<'_> {
             .zip(&owned)
             .zip(&recs)
             .map(|((gov, &i), rec)| {
-                self.servers[self.group_of[i]]
-                    .session(
-                        &self.streams[i],
-                        gov as &mut dyn Governor,
-                        node_opts(self.opts, self.spec, i),
-                        rec,
-                    )
-                    .with_profiler(prof)
+                self.servers[self.group_of[i]].session(
+                    &self.streams[i],
+                    gov as &mut dyn Governor,
+                    node_opts(self.opts, self.spec, i),
+                    rec,
+                )
             })
             .collect();
         let mut observers: Vec<StateObserver> = owned

@@ -35,7 +35,7 @@ use deeppower_simd_server::{
     ServerConfig, SimResult, MILLISECOND, SECOND,
 };
 use deeppower_telemetry::{
-    event, Event, FleetMonitor, MonitorConfig, Profiler, Recorder, SloSpec, TracePlan,
+    event, Event, FleetMonitor, MonitorConfig, Recorder, SloSpec, TracePlan,
 };
 use deeppower_workload::{constant_rate_arrivals, trace_arrivals, App, AppSpec};
 use serde::{Deserialize, Serialize};
@@ -313,33 +313,20 @@ fn arrivals_for(spec: &JobSpec, app_spec: &AppSpec) -> Vec<Request> {
 /// Run one grid cell to completion. Pure: everything is derived from the
 /// spec, so calling this from any thread at any time gives the same
 /// result.
-pub fn run_job(spec: &JobSpec) -> JobResult {
-    run_job_recorded(spec, 0, &Recorder::disabled())
-}
-
-/// [`run_job`] with a telemetry [`Recorder`]. The event stream is
-/// bracketed by [`event::JobStart`]/[`event::JobEnd`] carrying `job`
-/// (the job's grid index); in between come the engine's and governor's
-/// events — for [`GovernorSpec::DeepPowerTrain`] cells that includes the
-/// full training history (per-step `DrlStep`/`TrainUpdate`, per-episode
-/// `EpisodeEnd`) before the evaluation rollout.
 ///
-/// Every event is a pure function of `(spec, job)` — no wall-clock data
-/// — which is what lets [`run_grid_telemetry`] promise byte-identical
-/// artifacts at any thread count.
-pub fn run_job_recorded(spec: &JobSpec, job: u64, rec: &Recorder) -> JobResult {
-    run_job_profiled(spec, job, rec, &Profiler::disabled())
-}
-
-/// [`run_job_recorded`] with a span [`Profiler`]. The whole cell runs
-/// under a `harness.job` root span; inside it the engine, training and
-/// DDPG spans nest as usual. The profiler is `Send + Sync`, so one
-/// handle can aggregate across all grid workers — and because spans are
-/// wall-clock-only artifacts, enabling it cannot perturb the
-/// [`JobResult`] or the event stream (see
-/// `profiled_grid_is_byte_identical_at_any_thread_count`).
-pub fn run_job_profiled(spec: &JobSpec, job: u64, rec: &Recorder, prof: &Profiler) -> JobResult {
-    let _job_span = prof.span("harness.job");
+/// An enabled `rec` receives an event stream bracketed by
+/// [`event::JobStart`]/[`event::JobEnd`] carrying `job` (the job's grid
+/// index); in between come the engine's and governor's events — for
+/// [`GovernorSpec::DeepPowerTrain`] cells that includes the full
+/// training history (per-step `DrlStep`/`TrainUpdate`, per-episode
+/// `EpisodeEnd`) before the evaluation rollout. Every event is a pure
+/// function of `(spec, job)` — no wall-clock data — which is what lets
+/// [`run_grid_telemetry`] promise byte-identical artifacts at any thread
+/// count. A profiler attached to `rec` collects the engine, training
+/// and DDPG spans; it is `Send + Sync`, so one profiler can aggregate
+/// the recorders of every grid worker, and spans are wall-clock-only,
+/// so they cannot perturb the [`JobResult`] or the event stream.
+pub fn run_job(spec: &JobSpec, job: u64, rec: &Recorder) -> JobResult {
     let app_spec = AppSpec::get(spec.app);
     let server = Server::new(ServerConfig::paper_default(app_spec.n_threads));
     let arrivals = arrivals_for(spec, &app_spec);
@@ -363,23 +350,23 @@ pub fn run_job_profiled(spec: &JobSpec, job: u64, rec: &Recorder, prof: &Profile
     let (result, sim_ns) = match &spec.governor {
         GovernorSpec::MaxFreq => {
             let mut gov = max_freq_governor();
-            let sim = run_sim(&server, &arrivals, &mut gov, opts, rec, spec.safety, prof);
+            let sim = run_sim(&server, &arrivals, &mut gov, opts, rec, spec.safety);
             (JobResult::from_sim(spec, &sim, &[]), sim.duration_ns)
         }
         GovernorSpec::FixedMhz(mhz) => {
             let mut gov = FixedFrequency { mhz: *mhz };
-            let sim = run_sim(&server, &arrivals, &mut gov, opts, rec, spec.safety, prof);
+            let sim = run_sim(&server, &arrivals, &mut gov, opts, rec, spec.safety);
             (JobResult::from_sim(spec, &sim, &[]), sim.duration_ns)
         }
         GovernorSpec::ThreadController(base_freq, scaling_coef) => {
             let mut gov = ThreadController::new(ControllerParams::new(*base_freq, *scaling_coef));
-            let sim = run_sim(&server, &arrivals, &mut gov, opts, rec, spec.safety, prof);
+            let sim = run_sim(&server, &arrivals, &mut gov, opts, rec, spec.safety);
             (JobResult::from_sim(spec, &sim, &[]), sim.duration_ns)
         }
         GovernorSpec::Retail => {
             let profile = collect_profile(&app_spec, PROFILE_LOAD, PROFILE_EPISODES, PROFILE_SEED);
             let mut gov = RetailGovernor::train(&profile, plan(), RetailConfig::default());
-            let sim = run_sim(&server, &arrivals, &mut gov, opts, rec, spec.safety, prof);
+            let sim = run_sim(&server, &arrivals, &mut gov, opts, rec, spec.safety);
             (JobResult::from_sim(spec, &sim, &[]), sim.duration_ns)
         }
         GovernorSpec::Gemini => {
@@ -391,16 +378,16 @@ pub fn run_job_profiled(spec: &JobSpec, job: u64, rec: &Recorder, prof: &Profile
                 GeminiConfig::default(),
                 5,
             );
-            let sim = run_sim(&server, &arrivals, &mut gov, opts, rec, spec.safety, prof);
+            let sim = run_sim(&server, &arrivals, &mut gov, opts, rec, spec.safety);
             (JobResult::from_sim(spec, &sim, &[]), sim.duration_ns)
         }
-        GovernorSpec::DeepPower(policy) => run_policy(spec, &server, &arrivals, policy, rec, prof),
+        GovernorSpec::DeepPower(policy) => run_policy(spec, &server, &arrivals, policy, rec),
         GovernorSpec::DeepPowerTrain(train_cfg) => {
             let mut cfg = *train_cfg;
             cfg.app = spec.app;
             cfg.seed = spec.seed;
-            let (policy, _) = train::train_profiled(&cfg, rec, prof);
-            run_policy(spec, &server, &arrivals, &policy, rec, prof)
+            let (policy, _) = train::train_recorded(&cfg, rec);
+            run_policy(spec, &server, &arrivals, &policy, rec)
         }
     };
 
@@ -427,16 +414,15 @@ fn run_sim(
     opts: RunOptions,
     rec: &Recorder,
     safety: bool,
-    prof: &Profiler,
 ) -> SimResult {
     if safety {
         let n_cores = server.config().n_cores;
         let mut safe =
             SafetyGovernor::new(gov, n_cores, SafetyConfig::default()).with_recorder(rec.clone());
-        server.run_profiled(arrivals, &mut safe, opts, rec, prof)
+        server.run_recorded(arrivals, &mut safe, opts, rec)
     } else {
         let mut gov = gov;
-        server.run_profiled(arrivals, &mut gov, opts, rec, prof)
+        server.run_recorded(arrivals, &mut gov, opts, rec)
     }
 }
 
@@ -446,10 +432,8 @@ fn run_policy(
     arrivals: &[Request],
     policy: &TrainedPolicy,
     rec: &Recorder,
-    prof: &Profiler,
 ) -> (JobResult, u64) {
     let mut agent = policy.build_agent();
-    agent.set_profiler(prof);
     let mut gov =
         DeepPowerGovernor::new(&mut agent, policy.deeppower, Mode::Eval).with_recorder(rec.clone());
     let opts = RunOptions {
@@ -459,7 +443,7 @@ fn run_policy(
         rtrace: spec.rtrace,
         ..Default::default()
     };
-    let sim = run_sim(server, arrivals, &mut gov, opts, rec, spec.safety, prof);
+    let sim = run_sim(server, arrivals, &mut gov, opts, rec, spec.safety);
     let duration = sim.duration_ns;
     (JobResult::from_sim(spec, &sim, &gov.log), duration)
 }
@@ -473,22 +457,11 @@ fn run_policy(
 /// identical for every thread count. `threads = 0` uses the machine's
 /// available parallelism.
 pub fn run_grid(jobs: &[JobSpec], threads: usize) -> Vec<JobResult> {
-    run_grid_inner(jobs, threads, false, &Profiler::disabled()).0
-}
-
-/// [`run_grid`] with a shared span [`Profiler`]. Every worker records
-/// into the same handle (the profiler is `Send + Sync` and keeps
-/// per-thread open-span stacks), so the phase table and Chrome trace
-/// cover the whole grid: one `harness.job` root span per job, with the
-/// engine/training/DDPG spans of that job nested inside on whichever
-/// worker thread ran it. Results stay byte-identical to [`run_grid`] —
-/// spans are a wall-clock-only artifact channel.
-pub fn run_grid_profiled(jobs: &[JobSpec], threads: usize, prof: &Profiler) -> Vec<JobResult> {
-    run_grid_inner(jobs, threads, false, prof).0
+    run_grid_inner(jobs, threads, false).0
 }
 
 /// [`run_grid`] plus one telemetry event stream per job, index-aligned
-/// with the results.
+/// with the results, each with the number of events its ring evicted.
 ///
 /// Each worker gives the job it claimed a fresh ring recorder
 /// ([`GRID_EVENT_CAPACITY`]) on its own thread and drains the events
@@ -496,20 +469,24 @@ pub fn run_grid_profiled(jobs: &[JobSpec], threads: usize, prof: &Profiler) -> V
 /// the event streams depend only on the job specs and their indices:
 /// serializing stream `i` (e.g. via `deeppower_telemetry::to_jsonl`)
 /// yields byte-identical output at `--threads 1` and `--threads 8`.
-pub fn run_grid_telemetry(jobs: &[JobSpec], threads: usize) -> (Vec<JobResult>, Vec<Vec<Event>>) {
-    let (results, events) = run_grid_inner(jobs, threads, true, &Profiler::disabled());
-    (results, events.expect("telemetry slots requested"))
+#[allow(clippy::type_complexity)]
+pub fn run_grid_telemetry(
+    jobs: &[JobSpec],
+    threads: usize,
+) -> (Vec<JobResult>, Vec<(Vec<Event>, u64)>) {
+    run_grid_inner(jobs, threads, true)
 }
 
+/// Run every job on a ring recorder when `telemetry` is set, else on a
+/// disabled one (whose streams come back empty).
 #[allow(clippy::type_complexity)]
 fn run_grid_inner(
     jobs: &[JobSpec],
     threads: usize,
     telemetry: bool,
-    prof: &Profiler,
-) -> (Vec<JobResult>, Option<Vec<Vec<Event>>>) {
+) -> (Vec<JobResult>, Vec<(Vec<Event>, u64)>) {
     let threads = all_cores_if_zero(threads).min(jobs.len());
-    let (results, events) = parallel_map(jobs, threads, |idx, job| {
+    parallel_map(jobs, threads, |idx, job| {
         // Recorders are thread-local by construction (`!Send`): each
         // job builds its own on the worker running it and the events
         // leave through the per-index slot.
@@ -518,12 +495,11 @@ fn run_grid_inner(
         } else {
             Recorder::disabled()
         };
-        let result = run_job_profiled(job, idx as u64, &rec, prof);
-        (result, rec.drain_events())
+        let result = run_job(job, idx as u64, &rec);
+        (result, (rec.drain_events(), rec.dropped_events()))
     })
     .into_iter()
-    .unzip();
-    (results, telemetry.then_some(events))
+    .unzip()
 }
 
 /// `0` → the machine's available parallelism; never less than 1.
@@ -887,35 +863,13 @@ pub fn select_scenarios(
 }
 
 /// Build the robustness job list: every governor (plain and, when
-/// `include_safety`, safety-wrapped) under every fault *and* overload
-/// scenario ([`robustness_scenarios`]). Row-major: scenarios vary
-/// fastest, then the safety axis, then governors — matching
-/// [`robustness_matrix`]'s row order.
-pub fn robustness_jobs(
-    app: App,
-    governors: &[GovernorSpec],
-    include_safety: bool,
-    seed: u64,
-    peak_load: f64,
-    duration_s: u64,
-) -> Vec<JobSpec> {
-    let scenarios = robustness_scenarios(seed, AppSpec::get(app).sla);
-    robustness_jobs_for(
-        &scenarios,
-        app,
-        governors,
-        include_safety,
-        seed,
-        peak_load,
-        duration_s,
-    )
-}
-
-/// [`robustness_jobs`] over an explicit scenario list (see
-/// [`select_scenarios`]). The first scenario must be the overload- and
-/// fault-free `none` baseline.
+/// `include_safety`, safety-wrapped) under every scenario — all of
+/// [`robustness_scenarios`] or a [`select_scenarios`] subset. The first
+/// scenario must be the overload- and fault-free `none` baseline.
+/// Row-major: scenarios vary fastest, then the safety axis, then
+/// governors — matching [`robustness_matrix`]'s row order.
 #[allow(clippy::too_many_arguments)]
-pub fn robustness_jobs_for(
+pub fn robustness_jobs(
     scenarios: &[(&'static str, FaultPlan, OverloadPlan)],
     app: App,
     governors: &[GovernorSpec],
@@ -946,8 +900,11 @@ pub fn robustness_jobs_for(
     jobs
 }
 
-/// Run the governors × fault-scenarios matrix and compute each cell's
+/// Run the governors × scenarios matrix and compute each cell's
 /// degradation relative to the same governor's fault-free run.
+/// `scenarios` is [`robustness_scenarios`] or a [`select_scenarios`]
+/// subset (e.g. the CLI's `--scenario` filter); the first scenario must
+/// be the `none` baseline the deltas are taken against.
 ///
 /// Each job runs under a telemetry recorder ([`run_grid_telemetry`]) and
 /// its event stream feeds a single-node [`FleetMonitor`] evaluating the
@@ -956,33 +913,8 @@ pub fn robustness_jobs_for(
 /// ring-capped at [`GRID_EVENT_CAPACITY`]; a dvfs fault storm on a long
 /// run can clip the *earliest* events, which may drop leading windows
 /// from the monitor's view (never the run's own results).
-pub fn robustness_matrix(
-    app: App,
-    governors: &[GovernorSpec],
-    include_safety: bool,
-    seed: u64,
-    peak_load: f64,
-    duration_s: u64,
-    threads: usize,
-) -> RobustnessReport {
-    let scenarios = robustness_scenarios(seed, AppSpec::get(app).sla);
-    robustness_matrix_for(
-        &scenarios,
-        app,
-        governors,
-        include_safety,
-        seed,
-        peak_load,
-        duration_s,
-        threads,
-    )
-}
-
-/// [`robustness_matrix`] over an explicit scenario list (see
-/// [`select_scenarios`]), e.g. the CLI's `--scenario` filter. The first
-/// scenario must be the `none` baseline the deltas are taken against.
 #[allow(clippy::too_many_arguments)]
-pub fn robustness_matrix_for(
+pub fn robustness_matrix(
     scenarios: &[(&'static str, FaultPlan, OverloadPlan)],
     app: App,
     governors: &[GovernorSpec],
@@ -992,7 +924,7 @@ pub fn robustness_matrix_for(
     duration_s: u64,
     threads: usize,
 ) -> RobustnessReport {
-    let jobs = robustness_jobs_for(
+    let jobs = robustness_jobs(
         scenarios,
         app,
         governors,
@@ -1009,7 +941,7 @@ pub fn robustness_matrix_for(
     slo.goodput_ratio = 0.5;
     let health: Vec<(u64, f64)> = events
         .iter()
-        .map(|stream| {
+        .map(|(stream, _)| {
             let mut mon = FleetMonitor::new(MonitorConfig::with_slo(slo.clone()));
             mon.ingest(0, stream);
             let rep = mon.finish();
@@ -1117,6 +1049,7 @@ pub fn run_fleet_grid(jobs: &[FleetJobSpec], threads: usize) -> Vec<FleetResult>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deeppower_telemetry::Profiler;
 
     fn small_grid() -> Vec<JobSpec> {
         // 2 apps × 3 governors × 2 seeds = 12 jobs (≥ 10 per the
@@ -1197,10 +1130,11 @@ mod tests {
         let (res4, ev4) = run_grid_telemetry(&jobs, 4);
         assert_eq!(summarize(res1).to_json(), summarize(res4).to_json());
         assert_eq!(ev1.len(), jobs.len());
-        for (i, (a, b)) in ev1.iter().zip(&ev4).enumerate() {
+        for (i, ((a, dropped_a), (b, dropped_b))) in ev1.iter().zip(&ev4).enumerate() {
             let ja = deeppower_telemetry::to_jsonl(a);
             let jb = deeppower_telemetry::to_jsonl(b);
             assert_eq!(ja, jb, "job {i} artifact differs across thread counts");
+            assert_eq!(dropped_a, dropped_b, "job {i} dropped count differs");
             // Every artifact is bracketed by its lifecycle events.
             assert!(matches!(a.first(), Some(Event::JobStart(s)) if s.job == i as u64));
             assert!(matches!(a.last(), Some(Event::JobEnd(e)) if e.job == i as u64));
@@ -1210,28 +1144,34 @@ mod tests {
     /// Satellite: enabling the span profiler must not change a single
     /// byte of the grid report, at any thread count — spans are a
     /// wall-clock-only artifact channel, fully outside the determinism
-    /// contract's inputs. Also pins the span accounting: exactly one
-    /// `harness.job` root span per job, engine spans nested inside.
+    /// contract's inputs. One profiler aggregates the per-job recorders
+    /// of every worker. Also pins the span accounting: exactly one
+    /// `engine.run` root span per job, the other engine spans nested
+    /// inside.
     #[test]
     fn profiled_grid_is_byte_identical_at_any_thread_count() {
         let jobs = small_grid();
         let plain = summarize(run_grid(&jobs, 1)).to_json();
         for threads in [1, 4] {
             let prof = Profiler::enabled();
-            let report = summarize(run_grid_profiled(&jobs, threads, &prof)).to_json();
+            let results = parallel_map(&jobs, threads, |idx, job| {
+                run_job(job, idx as u64, &Recorder::disabled().with_profiler(&prof))
+            });
+            let report = summarize(results).to_json();
             assert_eq!(
                 plain, report,
                 "profiling changed grid results at threads={threads}"
             );
             let table = prof.phase_table();
             let count = |name: &str| table.iter().find(|r| r.name == name).map_or(0, |r| r.count);
-            assert_eq!(count("harness.job"), jobs.len() as u64);
+            assert_eq!(count("engine.run"), jobs.len() as u64);
             assert!(count("engine.completions") > 0);
-            // Jobs are the only roots, so the whole engine time nests
-            // under them: non-root phases contribute zero root time.
+            // Each job's event loop is the only root, so the whole
+            // engine time nests under it: non-root phases contribute
+            // zero root time.
             for row in &table {
-                if row.name != "harness.job" {
-                    assert_eq!(row.root_ns, 0, "{} escaped harness.job", row.name);
+                if row.name != "engine.run" {
+                    assert_eq!(row.root_ns, 0, "{} escaped engine.run", row.name);
                 }
             }
         }
@@ -1293,6 +1233,7 @@ mod tests {
         // The acceptance bar: same (seed, config, FaultPlan) ⇒
         // byte-identical reports and telemetry at any thread count.
         let jobs = robustness_jobs(
+            &robustness_scenarios(3, AppSpec::get(App::Masstree).sla),
             App::Masstree,
             &[
                 GovernorSpec::MaxFreq,
@@ -1306,7 +1247,7 @@ mod tests {
         let (res1, ev1) = run_grid_telemetry(&jobs, 1);
         let (res4, ev4) = run_grid_telemetry(&jobs, 4);
         assert_eq!(summarize(res1.clone()).to_json(), summarize(res4).to_json());
-        for (i, (a, b)) in ev1.iter().zip(&ev4).enumerate() {
+        for (i, ((a, _), (b, _))) in ev1.iter().zip(&ev4).enumerate() {
             assert_eq!(
                 deeppower_telemetry::to_jsonl(a),
                 deeppower_telemetry::to_jsonl(b),
@@ -1363,6 +1304,7 @@ mod tests {
             "tracing perturbed the job result"
         );
         let traces = on_ev[0]
+            .0
             .iter()
             .filter(|e| matches!(e, Event::RequestTrace(_)))
             .count();
@@ -1374,8 +1316,8 @@ mod tests {
             "traced grid diverged across thread counts"
         );
         assert_eq!(
-            deeppower_telemetry::to_jsonl(&on_ev[0]),
-            deeppower_telemetry::to_jsonl(&ev4[0]),
+            deeppower_telemetry::to_jsonl(&on_ev[0].0),
+            deeppower_telemetry::to_jsonl(&ev4[0].0),
             "traced telemetry differs across thread counts"
         );
     }
@@ -1395,7 +1337,7 @@ mod tests {
             safety: true,
         };
         assert_eq!(job.governor_label(), "thread-controller+safe");
-        let res = run_job(&job);
+        let res = run_job(&job, 0, &Recorder::disabled());
         assert_eq!(res.governor, "thread-controller+safe");
         job.safety = false;
         assert_eq!(job.governor_label(), "thread-controller");
@@ -1403,7 +1345,17 @@ mod tests {
 
     #[test]
     fn robustness_matrix_has_zero_deltas_on_fault_free_rows() {
-        let report = robustness_matrix(App::Masstree, &[GovernorSpec::MaxFreq], true, 5, 0.4, 2, 0);
+        let scenarios = robustness_scenarios(5, AppSpec::get(App::Masstree).sla);
+        let report = robustness_matrix(
+            &scenarios,
+            App::Masstree,
+            &[GovernorSpec::MaxFreq],
+            true,
+            5,
+            0.4,
+            2,
+            0,
+        );
         // 1 governor × {plain, safe} × 8 scenarios (5 fault + 3 overload).
         assert_eq!(report.rows.len(), 16);
         for row in report.rows.iter().filter(|r| r.scenario == "none") {
@@ -1460,7 +1412,7 @@ mod tests {
     fn filtered_matrix_matches_full_matrix_rows() {
         let scenarios =
             select_scenarios(5, AppSpec::get(App::Masstree).sla, &["collapse".into()]).unwrap();
-        let filtered = robustness_matrix_for(
+        let filtered = robustness_matrix(
             &scenarios,
             App::Masstree,
             &[GovernorSpec::MaxFreq],
@@ -1471,7 +1423,16 @@ mod tests {
             0,
         );
         assert_eq!(filtered.rows.len(), 2);
-        let full = robustness_matrix(App::Masstree, &[GovernorSpec::MaxFreq], false, 5, 0.4, 2, 0);
+        let full = robustness_matrix(
+            &robustness_scenarios(5, AppSpec::get(App::Masstree).sla),
+            App::Masstree,
+            &[GovernorSpec::MaxFreq],
+            false,
+            5,
+            0.4,
+            2,
+            0,
+        );
         for row in &filtered.rows {
             let twin = full
                 .rows
@@ -1509,9 +1470,9 @@ mod tests {
             rtrace: TracePlan::none(),
             safety: false,
         };
-        let plain = run_job(&job);
+        let plain = run_job(&job, 0, &Recorder::disabled());
         job.safety = true;
-        let safe = run_job(&job);
+        let safe = run_job(&job, 0, &Recorder::disabled());
         assert_eq!(safe.governor, "deeppower-train+safe");
         let strip = |r: &JobResult| {
             let mut v = serde_json::to_value(r).expect("serialize JobResult");

@@ -36,7 +36,7 @@ pub mod sequential;
 
 pub use init::{he_init, xavier_init};
 pub use layers::{Activation, ActivationKind, Linear};
-pub use loss::{huber_loss, mse_loss};
+pub use loss::mse_loss;
 pub use matrix::Matrix;
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
 pub use params::{ParamVisitor, ParamVisitorMut, Params};

@@ -31,38 +31,6 @@ pub fn mse_loss(pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
     (loss / n, grad)
 }
 
-/// Huber (smooth-L1) loss with threshold `delta`, mean-reduced.
-///
-/// Quadratic inside `|d| <= delta`, linear outside — a standard choice for
-/// stabilizing Q-learning targets (used by the DQN/DDQN agents).
-pub fn huber_loss(pred: &Matrix, target: &Matrix, delta: f32) -> (f32, Matrix) {
-    assert_eq!(
-        (pred.rows(), pred.cols()),
-        (target.rows(), target.cols()),
-        "huber_loss shape mismatch"
-    );
-    assert!(delta > 0.0, "huber delta must be positive");
-    let n = (pred.rows() * pred.cols()) as f32;
-    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
-    let mut loss = 0.0f32;
-    for ((g, &p), &t) in grad
-        .as_mut_slice()
-        .iter_mut()
-        .zip(pred.as_slice())
-        .zip(target.as_slice())
-    {
-        let d = p - t;
-        if d.abs() <= delta {
-            loss += 0.5 * d * d;
-            *g = d / n;
-        } else {
-            loss += delta * (d.abs() - 0.5 * delta);
-            *g = delta * d.signum() / n;
-        }
-    }
-    (loss / n, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,45 +53,22 @@ mod tests {
     }
 
     #[test]
-    fn huber_matches_mse_in_quadratic_region() {
-        let p = Matrix::from_row(&[0.5]);
-        let t = Matrix::from_row(&[0.0]);
-        let (h, hg) = huber_loss(&p, &t, 1.0);
-        assert!((h - 0.125).abs() < 1e-6); // 0.5 * 0.25
-        assert!((hg.as_slice()[0] - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn huber_linear_region_bounded_gradient() {
-        let p = Matrix::from_row(&[100.0, -100.0]);
-        let t = Matrix::from_row(&[0.0, 0.0]);
-        let (_, g) = huber_loss(&p, &t, 1.0);
-        assert!((g.as_slice()[0] - 0.5).abs() < 1e-6); // delta/n = 1/2
-        assert!((g.as_slice()[1] + 0.5).abs() < 1e-6);
-    }
-
-    #[test]
     fn gradients_are_finite_difference_consistent() {
         let p = Matrix::from_row(&[0.3, -1.7, 2.2]);
         let t = Matrix::from_row(&[0.0, 0.5, 2.0]);
-        for loss in [
-            (|a: &Matrix, b: &Matrix| mse_loss(a, b)) as fn(&Matrix, &Matrix) -> (f32, Matrix),
-            |a, b| huber_loss(a, b, 1.0),
-        ] {
-            let (_, g) = loss(&p, &t);
-            for i in 0..3 {
-                let eps = 1e-3;
-                let mut up = p.clone();
-                up.as_mut_slice()[i] += eps;
-                let mut dn = p.clone();
-                dn.as_mut_slice()[i] -= eps;
-                let numeric = (loss(&up, &t).0 - loss(&dn, &t).0) / (2.0 * eps);
-                assert!(
-                    (numeric - g.as_slice()[i]).abs() < 1e-2,
-                    "idx {i}: {numeric} vs {}",
-                    g.as_slice()[i]
-                );
-            }
+        let (_, g) = mse_loss(&p, &t);
+        for i in 0..3 {
+            let eps = 1e-3;
+            let mut up = p.clone();
+            up.as_mut_slice()[i] += eps;
+            let mut dn = p.clone();
+            dn.as_mut_slice()[i] -= eps;
+            let numeric = (mse_loss(&up, &t).0 - mse_loss(&dn, &t).0) / (2.0 * eps);
+            assert!(
+                (numeric - g.as_slice()[i]).abs() < 1e-2,
+                "idx {i}: {numeric} vs {}",
+                g.as_slice()[i]
+            );
         }
     }
 }

@@ -347,9 +347,15 @@ impl Server {
     /// [`event::RequestDispatch`]/[`event::RequestComplete`] marks (when
     /// `request_marks` is set).
     ///
+    /// A span [`Profiler`] attached to `rec`
+    /// ([`Recorder::with_profiler`]) times the engine phases
+    /// (completions / arrivals+dispatch / governor tick / trace samples /
+    /// advance) as `engine.*` spans.
+    ///
     /// Telemetry never adds event times to the simulation (all emission
-    /// happens at boundaries the engine visits anyway), so results are
-    /// bit-identical whether the recorder is enabled or not.
+    /// happens at boundaries the engine visits anyway), and profiling
+    /// only reads the wall clock, so results are bit-identical whether
+    /// the recorder and its profiler are enabled or not.
     pub fn run_recorded(
         &self,
         arrivals: &[Request],
@@ -358,24 +364,6 @@ impl Server {
         rec: &Recorder,
     ) -> SimResult {
         self.session(arrivals, governor, opts, rec).finish()
-    }
-
-    /// [`run_recorded`](Self::run_recorded) with a span [`Profiler`]
-    /// attached: engine phases (completions / arrivals+dispatch /
-    /// governor tick / trace samples / advance) open wall-clock spans.
-    /// Profiling reads the clock but writes nothing into the
-    /// simulation, so results stay bit-identical to an unprofiled run.
-    pub fn run_profiled(
-        &self,
-        arrivals: &[Request],
-        governor: &mut dyn Governor,
-        opts: RunOptions,
-        rec: &Recorder,
-        prof: &Profiler,
-    ) -> SimResult {
-        self.session(arrivals, governor, opts, rec)
-            .with_profiler(prof)
-            .finish()
     }
 
     /// Start a resumable simulation [`Session`] over `arrivals`.
@@ -452,7 +440,7 @@ impl Server {
             governor,
             opts,
             rec,
-            prof: Profiler::disabled(),
+            prof: rec.profiler().clone(),
         }
     }
 }
@@ -466,6 +454,8 @@ pub struct Session<'a> {
     governor: &'a mut dyn Governor,
     opts: RunOptions,
     rec: &'a Recorder,
+    /// `rec`'s profiler, held by value so that each `engine.*` span
+    /// site is one branch when it is disabled.
     prof: Profiler,
     cores: Vec<CoreState>,
     /// Reusable per-core view buffer, refilled from `cores` before each
@@ -503,14 +493,6 @@ pub struct Session<'a> {
 }
 
 impl Session<'_> {
-    /// Attach a span [`Profiler`] (a cheap handle clone; disabled by
-    /// default). Engine phases then open `engine.*` spans; with the
-    /// default disabled profiler every span call is one branch.
-    pub fn with_profiler(mut self, prof: &Profiler) -> Self {
-        self.prof = prof.clone();
-        self
-    }
-
     /// Simulated time of the last processed event.
     pub fn now(&self) -> Nanos {
         self.now
@@ -1697,12 +1679,11 @@ mod tests {
         let mut gov = FixedFrequency { mhz: 2100 };
         let plain = server.run(&arrivals, &mut gov, opts);
         let prof = deeppower_telemetry::Profiler::enabled();
-        let profiled = server.run_profiled(
+        let profiled = server.run_recorded(
             &arrivals,
             &mut gov,
             opts,
-            &deeppower_telemetry::Recorder::disabled(),
-            &prof,
+            &Recorder::disabled().with_profiler(&prof),
         );
 
         // Profiling reads the wall clock but must not perturb the

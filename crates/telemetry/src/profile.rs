@@ -1,9 +1,10 @@
 //! Hierarchical wall-clock span profiler.
 //!
 //! A [`Profiler`] is the *where-does-the-time-go* counterpart of the
-//! [`Recorder`](crate::Recorder): instrumented code holds one cheap
-//! handle and opens RAII [`Span`]s around hot phases (engine event
-//! phases, DDPG update stages, fleet lockstep epochs, harness jobs).
+//! [`Recorder`](crate::Recorder), and travels inside it
+//! ([`Recorder::with_profiler`](crate::Recorder::with_profiler)):
+//! instrumented code opens RAII [`Span`]s around hot phases (engine
+//! event phases, DDPG update stages, fleet lockstep epochs).
 //! It follows the recorder's cost contract — a disabled profiler is a
 //! `None` inside, so every `span()` call is a single branch and the
 //! returned guard's `Drop` is another — but unlike the recorder it is

@@ -1,10 +1,18 @@
 //! The recorder handle and its sinks.
 //!
-//! A [`Recorder`] is the single object instrumented code holds. It is
-//! either *disabled* (`Recorder::disabled()`) — a `None` inside, so
-//! every emission is one branch and no allocation ever happens — or
-//! backed by shared state holding a [`TelemetrySink`] for the event
-//! stream plus counters, gauges and log-bucketed histograms.
+//! A [`Recorder`] is the single object instrumented code holds. Its
+//! event stream is either *disabled* (`Recorder::disabled()`) — a
+//! `None` inside, so every emission is one branch and no allocation
+//! ever happens — or backed by shared state holding a
+//! [`TelemetrySink`] for the event stream plus counters, gauges and
+//! log-bucketed histograms.
+//!
+//! The recorder also carries the span [`Profiler`] (disabled by
+//! default; attach one with [`Recorder::with_profiler`]), so one handle
+//! reaches every instrumented layer: the engine opens `engine.*` spans
+//! and the DeepPower governor hands the profiler to its agent for
+//! `ddpg.*` spans. The two are independent — a recorder with the event
+//! stream off and the profiler on records spans only.
 //!
 //! Recorders are deliberately `!Send`: the harness gives every job its
 //! own recorder on the worker thread that runs it and drains the events
@@ -17,6 +25,7 @@ use std::rc::Rc;
 
 use crate::event::Event;
 use crate::histogram::Histogram;
+use crate::profile::Profiler;
 
 /// Destination for the typed event stream.
 pub trait TelemetrySink {
@@ -110,12 +119,14 @@ struct Inner {
 #[derive(Clone, Default)]
 pub struct Recorder {
     inner: Option<Rc<RefCell<Inner>>>,
+    prof: Profiler,
 }
 
 impl Recorder {
-    /// A recorder that records nothing: every operation is one branch.
+    /// A recorder that records nothing, spans included: every operation
+    /// is one branch.
     pub fn disabled() -> Self {
-        Self { inner: None }
+        Self::default()
     }
 
     /// An enabled recorder over a [`RingSink`] of `capacity` events.
@@ -132,12 +143,27 @@ impl Recorder {
                 gauges: BTreeMap::new(),
                 histograms: BTreeMap::new(),
             }))),
+            prof: Profiler::disabled(),
         }
     }
 
+    /// This recorder with `prof` attached (a cheap handle clone).
+    pub fn with_profiler(mut self, prof: &Profiler) -> Self {
+        self.prof = prof.clone();
+        self
+    }
+
+    /// Whether the event stream is on (the profiler is independent).
     #[inline]
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
+    }
+
+    /// The attached span profiler (disabled unless
+    /// [`with_profiler`](Self::with_profiler) set one).
+    #[inline]
+    pub fn profiler(&self) -> &Profiler {
+        &self.prof
     }
 
     /// Push an event into the sink. `event` is a closure so that
@@ -240,6 +266,7 @@ impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recorder")
             .field("enabled", &self.enabled())
+            .field("profiler", &self.prof.is_enabled())
             .finish()
     }
 }
@@ -269,6 +296,18 @@ mod tests {
         assert!(r.counters().is_empty());
         assert_eq!(r.counter("x"), 0);
         assert!(r.histogram("h").is_none());
+        assert!(!r.profiler().is_enabled());
+    }
+
+    #[test]
+    fn profiler_rides_independently_of_the_event_stream() {
+        let prof = Profiler::enabled();
+        let r = Recorder::disabled().with_profiler(&prof);
+        assert!(!r.enabled(), "attaching a profiler leaves events off");
+        drop(r.clone().profiler().span("x"));
+        assert_eq!(prof.phase_table()[0].count, 1, "clones share the profiler");
+        assert!(Recorder::ring(4).enabled());
+        assert!(!Recorder::ring(4).profiler().is_enabled());
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! integration tests have a single dependency:
 //!
 //! * [`nn`] — dense tensors, layers, manual backprop, optimizers;
-//! * [`drl`] — DDPG / DQN / DDQN / SAC agents built on `nn`;
+//! * [`drl`] — the DDPG agent on `nn`, plus the forward-only DQN and SAC
+//!   networks whose inference Table 2 times;
 //! * [`sim`] — the event-driven multi-core DVFS server simulator
 //!   (the paper's Xeon testbed stand-in);
 //! * [`workload`] — Tailbench-like application models, diurnal traces,
