@@ -33,7 +33,7 @@
 
 use crate::clock::Nanos;
 use crate::request::{Features, Request};
-use deeppower_telemetry::{event, Event, IdSet, Recorder, RequestTracer};
+use deeppower_telemetry::{event, Event, IdSet, Recorder, RequestTracer, ShedReason};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -218,8 +218,8 @@ impl Default for OverloadPlan {
 pub enum Admit {
     /// Enqueue the arriving request.
     Accept,
-    /// Shed the arriving request; `0` names the stable reason tag.
-    Reject(&'static str),
+    /// Shed the arriving request for the given reason.
+    Reject(ShedReason),
     /// Shed the oldest queued request, then enqueue the arriving one
     /// (`QueuePolicy::DropOldest` overflow).
     EvictOldest,
@@ -577,13 +577,13 @@ impl OverloadState {
         }
         let oldest_wait = queue.front().map_or(0, |r| now.saturating_sub(r.arrival));
         if !self.admission.admit(now, queue.len(), oldest_wait) {
-            return Admit::Reject("admission");
+            return Admit::Reject(ShedReason::Admission);
         }
         let cap = self.plan.queue_capacity as usize;
         if cap > 0 && queue.len() >= cap {
             return match self.plan.queue_policy {
                 QueuePolicy::DropOldest => Admit::EvictOldest,
-                _ => Admit::Reject("queue-full"),
+                _ => Admit::Reject(ShedReason::QueueFull),
             };
         }
         Admit::Accept
@@ -604,19 +604,21 @@ impl OverloadState {
     }
 
     /// Record a shed (fast-fail): the client learns immediately and may
-    /// retry. `reason` is the stable tag (`queue-full`, `admission`,
-    /// `evicted`).
+    /// retry. An evicted attempt whose client already abandoned it was
+    /// retried (or given up on) at the abandonment, so its eviction
+    /// counts as a shed but schedules no second retry.
     pub fn on_shed(
         &mut self,
         now: Nanos,
         req: &Request,
-        reason: &'static str,
+        reason: ShedReason,
         rec: &Recorder,
         tracer: &mut RequestTracer,
     ) {
         // An evicted request was admitted earlier: close its open slot
         // so its (stale) deadline pops silently.
         self.open.remove(&req.id);
+        let abandoned = self.abandoned.remove(&req.id);
         self.counters.shed += 1;
         rec.add("overload.shed", 1);
         rec.emit(|| {
@@ -625,12 +627,13 @@ impl OverloadState {
                 id: req.id,
                 client: req.client_id,
                 attempt: req.attempt,
-                reason: reason.to_string(),
+                reason,
             })
         });
         tracer.on_shed(now, req.id, reason);
-        let template = RetryTemplate::of(req);
-        self.maybe_retry(now, &template, rec, tracer);
+        if !abandoned {
+            self.maybe_retry(now, &RetryTemplate::of(req), rec, tracer);
+        }
     }
 
     /// Classify a completion: `true` if the work was wasted (client
@@ -788,7 +791,7 @@ mod tests {
         let mut queue = VecDeque::new();
         queue.push_back(req(0, 0));
         queue.push_back(req(1, 0));
-        assert_eq!(st.admit(0, &queue), Admit::Reject("queue-full"));
+        assert_eq!(st.admit(0, &queue), Admit::Reject(ShedReason::QueueFull));
 
         let mut st = OverloadState::new(
             OverloadPlan {

@@ -29,7 +29,9 @@ use crate::metrics::{LatencyStats, MetricsCollector, RequestRecord, TraceConfig,
 use crate::overload::{Admit, OverloadPlan, OverloadState};
 use crate::power::{EnergyMeter, PowerModel};
 use crate::request::Request;
-use deeppower_telemetry::{event, Event, Histogram, Profiler, Recorder, RequestTracer, TracePlan};
+use deeppower_telemetry::{
+    event, Event, Histogram, Profiler, Recorder, RequestTracer, ShedReason, TracePlan,
+};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Work remaining below this many reference-nanoseconds counts as done
@@ -925,8 +927,13 @@ impl Session<'_> {
             }
             Admit::EvictOldest => {
                 if let Some(old) = self.queue.pop_front() {
-                    self.overload
-                        .on_shed(now, &old, "evicted", self.rec, &mut self.rtrace);
+                    self.overload.on_shed(
+                        now,
+                        &old,
+                        ShedReason::Evicted,
+                        self.rec,
+                        &mut self.rtrace,
+                    );
                     self.window.on_shed();
                 }
             }

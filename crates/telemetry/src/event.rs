@@ -14,7 +14,7 @@
 //! function of the job spec (the harness's byte-identical-across-
 //! threads guarantee extends to telemetry artifacts).
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// One DRL step of the hierarchical governor: the action taken for the
 /// next `LongTime` window plus the reward decomposition of the window
@@ -155,11 +155,57 @@ pub struct JobEnd {
     pub drl_steps: u64,
 }
 
+/// Why an attempt was shed. Serialized as its stable tag
+/// ([`Self::as_str`]), so JSONL artifacts carry `"queue-full"`,
+/// `"admission"` or `"evicted"`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ShedReason {
+    /// The bounded queue was full and the policy sheds the arrival.
+    QueueFull,
+    /// The admission controller rejected the arrival.
+    Admission,
+    /// `DropOldest` evicted the attempt from the queue to make room.
+    Evicted,
+}
+
+impl ShedReason {
+    /// Every reason.
+    pub const ALL: [ShedReason; 3] = [Self::QueueFull, Self::Admission, Self::Evicted];
+
+    /// The stable tag.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Self::QueueFull => "queue-full",
+            Self::Admission => "admission",
+            Self::Evicted => "evicted",
+        }
+    }
+}
+
+impl Serialize for ShedReason {
+    fn serialize_value(&self) -> Value {
+        Value::String(self.as_str().to_string())
+    }
+}
+
+impl Deserialize for ShedReason {
+    fn deserialize_value(value: &Value) -> Result<Self, Error> {
+        let tag = String::deserialize_value(value)?;
+        Self::ALL
+            .into_iter()
+            .find(|r| r.as_str() == tag)
+            .ok_or_else(|| {
+                Error::custom(format!(
+                    "unknown shed reason `{tag}` (queue-full|admission|evicted)"
+                ))
+            })
+    }
+}
+
 /// A request was rejected at admission time — bounded-queue overflow,
 /// an admission-controller decision, or eviction by `DropOldest` —
-/// and its client received an immediate failure. `reason` is a stable
-/// tag: `queue-full`, `admission`, `evicted`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// and its client received an immediate failure.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Shed {
     pub t: u64,
     /// Server-side id of the rejected attempt.
@@ -168,7 +214,7 @@ pub struct Shed {
     pub client: u64,
     /// Attempt ordinal (0 = first submission).
     pub attempt: u32,
-    pub reason: String,
+    pub reason: ShedReason,
 }
 
 /// A client's per-attempt deadline expired before the server answered:
@@ -507,7 +553,7 @@ mod tests {
                 id: (1 << 48) + 3,
                 client: 41,
                 attempt: 1,
-                reason: "queue-full".into(),
+                reason: ShedReason::QueueFull,
             }),
             Event::Abandoned(Abandoned {
                 t: 2_500_000,

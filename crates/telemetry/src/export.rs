@@ -280,7 +280,7 @@ mod tests {
                 id: 9,
                 client: 9,
                 attempt: 0,
-                reason: "queue-full".into(),
+                reason: ShedReason::QueueFull,
             }),
             Event::Abandoned(Abandoned {
                 t: 80,
@@ -442,6 +442,37 @@ mod tests {
     fn from_jsonl_reports_bad_line() {
         let err = from_jsonl("{\"nope\"").unwrap_err();
         assert!(err.starts_with("line 1:"), "{err}");
+    }
+
+    #[test]
+    fn shed_reasons_serialize_as_their_stable_tags() {
+        use crate::event::{Shed, ShedReason};
+        let shed = |reason| {
+            Event::Shed(Shed {
+                t: 1,
+                id: 2,
+                client: 2,
+                attempt: 0,
+                reason,
+            })
+        };
+        for reason in ShedReason::ALL {
+            let line = to_jsonl(&[shed(reason)]);
+            assert_eq!(
+                line,
+                format!(
+                    "{{\"Shed\":{{\"t\":1,\"id\":2,\"client\":2,\"attempt\":0,\"reason\":\"{}\"}}}}\n",
+                    reason.as_str()
+                )
+            );
+            assert_eq!(from_jsonl(&line).unwrap(), vec![shed(reason)]);
+        }
+        let text =
+            "{\"Shed\":{\"t\":1,\"id\":2,\"client\":2,\"attempt\":0,\"reason\":\"overflow\"}}\n";
+        let err = from_jsonl(text).unwrap_err();
+        assert!(err.starts_with("line 1:"), "{err}");
+        assert!(err.contains("unknown shed reason `overflow`"), "{err}");
+        assert!(!err.contains('\n'), "one-line error: {err}");
     }
 
     #[test]

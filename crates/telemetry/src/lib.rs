@@ -53,7 +53,7 @@ pub mod trace;
 pub use event::{
     Alert, AlertResolved, CoreResidency, DrlStep, EpisodeEnd, Event, FaultInjected, FreqTransition,
     IncidentEntry, JobEnd, JobStart, LatencySnapshot, RequestComplete, RequestDispatch,
-    SafetyAction, SloViolation, TrainUpdate, WindowRollup,
+    SafetyAction, ShedReason, SloViolation, TrainUpdate, WindowRollup,
 };
 pub use export::{
     episode_events, freq_series, from_jsonl, steps_to_csv, to_jsonl, STEP_CSV_HEADER,

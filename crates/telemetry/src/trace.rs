@@ -1,7 +1,7 @@
 //! Deterministic request-lifecycle tracing.
 //!
 //! Each sampled client request becomes one [`RequestTrace`]: every
-//! attempt of the retry chain (PR 8's stable `client_id`/`attempt`
+//! attempt of the retry chain (the engine's stable `client_id`/`attempt`
 //! machinery) hangs under the client id, with spans for queue
 //! residency, service (carrying the core id, commanded frequency and
 //! the admission threshold in effect at dispatch), sheds, abandonments
@@ -15,15 +15,20 @@
 //! directions:
 //!
 //! * **Head sampling** — a splitmix64 hash of `(client_id, seed)`
-//!   against `sample · 2⁶⁴`, decided at first submission; a sampled
-//!   chain is emitted the moment it finalizes.
+//!   against `sample · 2⁶⁴`; a sampled chain is emitted the moment it
+//!   finalizes.
 //! * **Tail exemplars** — the slowest `exemplars` chain finalizations
-//!   of every tumbling window are *always* emitted, retroactively: the
-//!   tracer keeps every open chain as a pending record and ranks the
-//!   window's finalizations at the roll boundary, so the worst requests
-//!   are traced even at a 0% head-sampling rate. The chosen client ids
-//!   ride on the window's [`crate::WindowRollup`] (`exemplars` field),
-//!   linking fleet-merged percentiles to concrete traces.
+//!   of every tumbling window are *always* emitted, retroactively, so
+//!   the worst requests are traced even at a 0% head-sampling rate. The
+//!   chosen client ids ride on the window's [`crate::WindowRollup`]
+//!   (`exemplars` field), linking fleet-merged percentiles to concrete
+//!   traces.
+//!
+//! Exemplars need every chain kept until its window rolls, so pending
+//! state has one cheap form: a `Copy` record per attempt, keyed by
+//! server id and linked to the chain's previous attempt, and a `Copy`
+//! record per chain, keyed by client id. Spans and strings exist only
+//! in emitted traces, built from those records by one function.
 //!
 //! Trace events are emitted only at boundaries the engine visits anyway
 //! (finalization inside an existing phase, exemplars at the window
@@ -47,7 +52,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use serde::{Deserialize, Serialize};
 use serde_json::{Number, Value};
 
-use crate::event::Event;
+use crate::event::{Event, ShedReason};
 use crate::recorder::Recorder;
 
 /// Span name: time an admitted attempt waited in the server queue.
@@ -146,7 +151,7 @@ pub struct TraceSpan {
 }
 
 impl TraceSpan {
-    fn plain(name: &str, start: u64, end: u64, detail: String) -> Self {
+    fn plain(name: &str, start: u64, end: u64, detail: &str) -> Self {
         Self {
             name: name.to_string(),
             start,
@@ -154,7 +159,7 @@ impl TraceSpan {
             core: -1,
             freq_mhz: 0,
             admit_frac: 1.0,
-            detail,
+            detail: detail.to_string(),
         }
     }
 
@@ -261,142 +266,137 @@ pub type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 /// `u64` set hashed with [`IdHasher`].
 pub type IdSet = HashSet<u64, BuildHasherDefault<IdHasher>>;
 
-/// In-flight bookkeeping for one attempt. `Copy` on purpose: the happy
-/// path (offer → dispatch → complete, no shed/abandon/retry) must not
-/// allocate, because with `exemplars > 0` *every* request is a tail
-/// candidate and pays this bookkeeping.
+/// Dispatch context of an attempt: when it left the queue, the core it
+/// ran on, and the commanded frequency and admission threshold then in
+/// effect.
 #[derive(Clone, Copy, Debug)]
-struct LiteOpen {
-    client: u64,
-    attempt: u32,
-    /// The client's chain already lives in `chains` (a shed, abandon or
-    /// retry promoted it) — span assembly goes through the full record.
-    chained: bool,
-    offered_at: u64,
-    first_submit: u64,
-    sla_ns: u64,
-    /// Set at dispatch: `(t, core, freq_mhz, admit_frac)`.
-    dispatched: Option<(u64, usize, u32, f64)>,
+struct Dispatch {
+    t: u64,
+    core: usize,
+    freq_mhz: u32,
+    admit_frac: f64,
 }
 
-/// A finalized single-attempt completed chain, still span-free: the
-/// full [`RequestTrace`] is materialized (from these timestamps alone)
-/// only if the chain is actually emitted — as a head sample at
-/// completion, or as a tail exemplar at the window roll.
+/// How an attempt ended.
 #[derive(Clone, Copy, Debug)]
-struct LiteDone {
+enum End {
+    /// Still queued or running.
+    Open,
+    Shed {
+        t: u64,
+        reason: ShedReason,
+    },
+    /// Left its core; `wasted` when the client had already abandoned it.
+    Completed {
+        t: u64,
+        wasted: bool,
+    },
+}
+
+/// One attempt, keyed by its server id, kept until its chain's window
+/// rolls.
+#[derive(Clone, Copy, Debug)]
+struct Attempt {
     client: u64,
-    id: u64,
-    first_submit: u64,
-    end: u64,
-    latency_ns: u64,
-    sla_ns: u64,
+    ordinal: u32,
+    /// Server id of the chain's previous attempt.
+    prev: Option<u64>,
+    /// Start of the client-side backoff before this attempt's offer
+    /// (the offer time itself when there was none).
+    backoff_from: u64,
     offered_at: u64,
-    dispatched: Option<(u64, usize, u32, f64)>,
-    emitted: bool,
+    dispatch: Option<Dispatch>,
+    /// `(t, waited_ns)` when the client's deadline expired.
+    abandoned: Option<(u64, u64)>,
+    end: End,
 }
 
-/// One chain being built (every chain is pending until it finalizes —
-/// the ring of pending records the tail exemplars are cut from).
-#[derive(Clone, Debug)]
-struct Chain {
-    trace: RequestTrace,
-    /// Head-sampled (emitted at finalization).
-    head: bool,
-    /// Already emitted (head) — an exemplar pick must not re-emit.
-    emitted: bool,
-    /// End of the last failed attempt, for the next retry's backoff
-    /// span.
-    last_event: u64,
-}
-
-/// A finalized chain awaiting the window roll's exemplar cut. Chains
-/// that saw a retry/shed/abandon carry their full trace (boxed — the
-/// ring is dominated by lite entries and moves by value).
-#[derive(Debug)]
-enum Done {
-    Lite(LiteDone),
-    Full(Box<Chain>),
-}
-
-/// Exemplar ranking key: client-visible latency, ties by client id.
-fn done_key(d: &Done) -> (u64, u64) {
-    match d {
-        Done::Lite(l) => (l.latency_ns, l.client),
-        Done::Full(c) => (c.trace.latency_ns, c.trace.client),
+impl Attempt {
+    /// `completed` > `abandoned` > `shed` > `open`.
+    fn outcome(&self) -> &'static str {
+        match (self.end, self.abandoned) {
+            (End::Completed { wasted: false, .. }, _) => "completed",
+            (_, Some(_)) => "abandoned",
+            (End::Shed { .. }, None) => "shed",
+            _ => "open",
+        }
     }
-}
 
-/// Materialize the trace of a lite (single-attempt, completed) chain.
-fn lite_trace(l: &LiteDone, node: u64, sampled: &str) -> RequestTrace {
-    let mut spans = Vec::new();
-    if let Some((t_disp, core, freq_mhz, admit_frac)) = l.dispatched {
-        spans.push(TraceSpan::plain(
-            SPAN_QUEUE,
-            l.offered_at,
-            t_disp,
-            String::new(),
-        ));
-        spans.push(TraceSpan {
-            name: SPAN_SERVICE.to_string(),
-            start: t_disp,
-            end: l.end,
-            core: core as i64,
-            freq_mhz,
-            admit_frac,
-            detail: String::new(),
-        });
-    }
-    RequestTrace {
-        client: l.client,
-        node,
-        first_submit: l.first_submit,
-        end: l.end,
-        latency_ns: l.latency_ns,
-        sla_ns: l.sla_ns,
-        timed_out: l.latency_ns > l.sla_ns,
-        outcome: "completed".into(),
-        sampled: sampled.into(),
-        attempts: vec![AttemptTrace {
-            id: l.id,
-            attempt: 0,
-            outcome: "completed".into(),
+    /// The attempt's emitted form. Spans run in event order: backoff,
+    /// abandon, then `queue`("evicted") + `shed`, `shed`, or `queue` +
+    /// `service`.
+    fn trace(&self, id: u64) -> AttemptTrace {
+        let mut spans = Vec::new();
+        if self.backoff_from < self.offered_at {
+            spans.push(TraceSpan::plain(
+                SPAN_BACKOFF,
+                self.backoff_from,
+                self.offered_at,
+                "",
+            ));
+        }
+        if let Some((t, waited_ns)) = self.abandoned {
+            let detail = format!("waited {waited_ns} ns");
+            spans.push(TraceSpan::plain(SPAN_ABANDON, t, t, &detail));
+        }
+        match self.end {
+            End::Open => {}
+            End::Shed { t, reason } => {
+                // An evicted attempt sat in the queue until now; a fresh
+                // shed never entered it.
+                if reason == ShedReason::Evicted {
+                    spans.push(TraceSpan::plain(
+                        SPAN_QUEUE,
+                        self.offered_at,
+                        t,
+                        reason.as_str(),
+                    ));
+                }
+                spans.push(TraceSpan::plain(SPAN_SHED, t, t, reason.as_str()));
+            }
+            End::Completed { t, wasted } => {
+                if let Some(d) = self.dispatch {
+                    spans.push(TraceSpan::plain(SPAN_QUEUE, self.offered_at, d.t, ""));
+                    spans.push(TraceSpan {
+                        core: d.core as i64,
+                        freq_mhz: d.freq_mhz,
+                        admit_frac: d.admit_frac,
+                        ..TraceSpan::plain(SPAN_SERVICE, d.t, t, if wasted { "wasted" } else { "" })
+                    });
+                }
+            }
+        }
+        AttemptTrace {
+            id,
+            attempt: self.ordinal,
+            outcome: self.outcome().into(),
             spans,
-        }],
+        }
     }
 }
 
-/// Promote a lite attempt-0 record into a full chain: the record the
-/// old attempt would have opened had span assembly started at offer.
-fn promote(
-    chains: &mut IdMap<Chain>,
-    id: u64,
-    lite: LiteOpen,
-    head: bool,
-    node: u64,
-) -> &mut Chain {
-    chains.entry(lite.client).or_insert_with(|| Chain {
-        trace: RequestTrace {
-            client: lite.client,
-            node,
-            first_submit: lite.first_submit,
-            end: 0,
-            latency_ns: 0,
-            sla_ns: lite.sla_ns,
-            timed_out: false,
-            outcome: String::new(),
-            sampled: String::new(),
-            attempts: vec![AttemptTrace {
-                id,
-                attempt: lite.attempt,
-                outcome: "open".into(),
-                spans: Vec::new(),
-            }],
-        },
-        head,
-        emitted: false,
-        last_event: lite.first_submit,
-    })
+/// One retry chain: keyed by client id while open, then waiting in
+/// `done` for the window roll once finalized.
+#[derive(Clone, Copy, Debug)]
+struct Chain {
+    client: u64,
+    /// Server id of the latest attempt (the head of the `prev` links).
+    last: u64,
+    first_submit: u64,
+    sla_ns: u64,
+    /// Where the next retry's backoff span starts: the end of the last
+    /// failed attempt.
+    backoff_from: u64,
+    /// Finalization time (0 while open).
+    end: u64,
+    /// Finalized as `failed` rather than `completed`.
+    failed: bool,
+}
+
+impl Chain {
+    fn latency_ns(&self) -> u64 {
+        self.end.saturating_sub(self.first_submit)
+    }
 }
 
 /// The session-side tracer. Owned by the engine; hooks take primitives
@@ -404,25 +404,26 @@ fn promote(
 /// state is keyed on ids and updated in engine event order, so the
 /// trace stream is a pure function of the run spec.
 ///
-/// Two-tier bookkeeping keeps the hooks off the allocator: an attempt
-/// lives as a `Copy` [`LiteOpen`] record until its chain hits a
-/// complication (shed, abandon, retry), at which point the chain is
-/// promoted to a full span-assembling [`Chain`]. A clean completion
-/// never allocates — its trace is materialized from timestamps only if
-/// it is actually emitted.
+/// Pending state is all `Copy`: one record per attempt (keyed by server
+/// id, linked to the chain's previous attempt) and one per chain (keyed
+/// by client id). The hooks only update those records and never touch
+/// the allocator once the maps have grown to the run's working set. A
+/// [`RequestTrace`], with its spans and strings, is built from the
+/// records only when a chain is emitted — as a head sample when it
+/// finalizes, or as a tail exemplar at the window roll.
 #[derive(Debug)]
 pub struct RequestTracer {
     plan: TracePlan,
     enabled: bool,
     /// `sample · 2⁶⁴`, saturating.
     threshold: u64,
-    /// client id -> promoted (complicated) chain.
+    /// server attempt id -> attempt, until its chain's window rolls.
+    attempts: IdMap<Attempt>,
+    /// client id -> open chain.
     chains: IdMap<Chain>,
-    /// server attempt id -> in-flight bookkeeping.
-    open: IdMap<LiteOpen>,
     /// Chains finalized since the last window roll (ranked for tail
-    /// exemplars, then dropped).
-    done: Vec<Done>,
+    /// exemplars, then dropped with their attempts).
+    done: Vec<Chain>,
 }
 
 impl RequestTracer {
@@ -440,8 +441,8 @@ impl RequestTracer {
             plan,
             enabled: plan.is_active() && rec_enabled,
             threshold,
+            attempts: IdMap::default(),
             chains: IdMap::default(),
-            open: IdMap::default(),
             done: Vec::new(),
         }
     }
@@ -463,10 +464,23 @@ impl RequestTracer {
         self.plan.sample > 0.0 && splitmix64(client ^ self.plan.seed) <= self.threshold
     }
 
+    /// An attempt that has not ended, with its open chain. Events for
+    /// the attempts of a finalized chain (a wasted completion landing
+    /// after the client walked away for good) find none and are
+    /// dropped.
+    fn live(&mut self, id: u64) -> Option<(&mut Attempt, &mut Chain)> {
+        let attempt = self
+            .attempts
+            .get_mut(&id)
+            .filter(|a| matches!(a.end, End::Open))?;
+        let chain = self.chains.get_mut(&attempt.client)?;
+        Some((attempt, chain))
+    }
+
     /// An attempt was offered to the server (workload arrival, burst
-    /// clone or retry), before the admission decision. Opens the chain
-    /// on the first attempt; chains a retry (with its backoff span)
-    /// under the existing client id otherwise.
+    /// clone or retry), before the admission decision. A retry extends
+    /// its client's open chain after the backoff since the failed
+    /// attempt; a first submission opens a chain.
     pub fn on_offer(
         &mut self,
         now: u64,
@@ -479,114 +493,57 @@ impl RequestTracer {
         if !self.enabled {
             return;
         }
-        if attempt == 0 {
-            // First submission: lite record only. The chain is promoted
-            // the moment a shed/abandon/retry complicates it.
-            self.open.insert(
-                id,
-                LiteOpen {
+        let (prev, backoff_from) = match self.chains.get_mut(&client) {
+            Some(chain) => (
+                Some(std::mem::replace(&mut chain.last, id)),
+                chain.backoff_from,
+            ),
+            None => {
+                self.chains.insert(
                     client,
-                    attempt,
-                    chained: false,
-                    offered_at: now,
-                    first_submit: first_arrival,
-                    sla_ns,
-                    dispatched: None,
-                },
-            );
-            return;
-        }
-        // A retry extends the chain its failed predecessor promoted
-        // (defensively created here if the engine ever offers a bare
-        // retry), with a backoff span covering the client-side gap.
-        let node = self.plan.node;
-        let head = self.head_sampled(client);
-        let chain = self.chains.entry(client).or_insert_with(|| Chain {
-            trace: RequestTrace {
-                client,
-                node,
-                first_submit: first_arrival,
-                end: 0,
-                latency_ns: 0,
-                sla_ns,
-                timed_out: false,
-                outcome: String::new(),
-                sampled: String::new(),
-                attempts: Vec::new(),
-            },
-            head,
-            emitted: false,
-            last_event: first_arrival,
-        });
-        let mut spans = Vec::new();
-        if chain.last_event < now {
-            spans.push(TraceSpan::plain(
-                SPAN_BACKOFF,
-                chain.last_event,
-                now,
-                String::new(),
-            ));
-        }
-        chain.trace.attempts.push(AttemptTrace {
+                    Chain {
+                        client,
+                        last: id,
+                        first_submit: first_arrival,
+                        sla_ns,
+                        backoff_from: first_arrival,
+                        end: 0,
+                        failed: false,
+                    },
+                );
+                (None, now)
+            }
+        };
+        self.attempts.insert(
             id,
-            attempt,
-            outcome: "open".into(),
-            spans,
-        });
-        self.open.insert(
-            id,
-            LiteOpen {
+            Attempt {
                 client,
-                attempt,
-                chained: true,
+                ordinal: attempt,
+                prev,
+                backoff_from,
                 offered_at: now,
-                first_submit: first_arrival,
-                sla_ns,
-                dispatched: None,
+                dispatch: None,
+                abandoned: None,
+                end: End::Open,
             },
         );
     }
 
-    /// The attempt was shed at admission (`queue-full`, `admission`) or
-    /// evicted from the queue (`evicted`). The retry decision follows
-    /// separately ([`Self::on_give_up`] closes the chain when none
-    /// comes).
-    pub fn on_shed(&mut self, now: u64, id: u64, reason: &str) {
+    /// The attempt was shed at admission or evicted from the queue. The
+    /// retry decision follows separately ([`Self::on_give_up`] closes
+    /// the chain when none comes).
+    pub fn on_shed(&mut self, now: u64, id: u64, reason: ShedReason) {
         if !self.enabled {
             return;
         }
-        let Some(lite) = self.open.remove(&id) else {
-            return;
-        };
-        let chain = if lite.chained {
-            match self.chains.get_mut(&lite.client) {
-                Some(c) => c,
-                None => return,
+        if let Some((attempt, chain)) = self.live(id) {
+            attempt.end = End::Shed { t: now, reason };
+            // Evicting an abandoned attempt is no news to its client:
+            // the retry's backoff runs from the abandonment.
+            if attempt.abandoned.is_none() {
+                chain.backoff_from = now;
             }
-        } else {
-            let head = self.head_sampled(lite.client);
-            let node = self.plan.node;
-            promote(&mut self.chains, id, lite, head, node)
-        };
-        let Some(at) = chain.trace.attempts.iter_mut().rev().find(|a| a.id == id) else {
-            return;
-        };
-        // An evicted attempt sat in the queue until now; a fresh shed
-        // never entered it.
-        if reason == "evicted" {
-            at.spans.push(TraceSpan::plain(
-                SPAN_QUEUE,
-                lite.offered_at,
-                now,
-                "evicted".into(),
-            ));
         }
-        at.spans
-            .push(TraceSpan::plain(SPAN_SHED, now, now, reason.to_string()));
-        if at.outcome == "open" {
-            at.outcome = "shed".into();
-        }
-        chain.last_event = now;
     }
 
     /// The attempt left the queue for a core. Captures the controller
@@ -596,8 +553,13 @@ impl RequestTracer {
         if !self.enabled {
             return;
         }
-        if let Some(open) = self.open.get_mut(&id) {
-            open.dispatched = Some((now, core, freq_mhz, admit_frac));
+        if let Some(attempt) = self.attempts.get_mut(&id) {
+            attempt.dispatch = Some(Dispatch {
+                t: now,
+                core,
+                freq_mhz,
+                admit_frac,
+            });
         }
     }
 
@@ -608,108 +570,27 @@ impl RequestTracer {
         if !self.enabled {
             return;
         }
-        // The attempt stays open (its queue/service spans close later,
-        // as wasted work) but its chain is promoted now.
-        let Some(open_ref) = self.open.get_mut(&id) else {
-            return;
-        };
-        let lite = *open_ref;
-        open_ref.chained = true;
-        let chain = if lite.chained {
-            match self.chains.get_mut(&lite.client) {
-                Some(c) => c,
-                None => return,
-            }
-        } else {
-            let head = self.head_sampled(lite.client);
-            let node = self.plan.node;
-            promote(&mut self.chains, id, lite, head, node)
-        };
-        let Some(at) = chain.trace.attempts.iter_mut().rev().find(|a| a.id == id) else {
-            return;
-        };
-        at.spans.push(TraceSpan::plain(
-            SPAN_ABANDON,
-            now,
-            now,
-            format!("waited {waited_ns} ns"),
-        ));
-        if at.outcome == "open" {
-            at.outcome = "abandoned".into();
+        if let Some((attempt, chain)) = self.live(id) {
+            attempt.abandoned = Some((now, waited_ns));
+            chain.backoff_from = now;
         }
-        chain.last_event = now;
     }
 
     /// A server completion for `id`. `wasted == false` (the client was
     /// still waiting) finalizes the chain as `completed`; a wasted
-    /// completion only closes the attempt's spans — the chain already
-    /// moved on (retry in flight) or already failed.
+    /// completion only ends the attempt — the chain already moved on
+    /// (retry in flight).
     pub fn on_complete(&mut self, now: u64, id: u64, wasted: bool, rec: &Recorder) {
         if !self.enabled {
             return;
         }
-        let Some(lite) = self.open.remove(&id) else {
+        let Some((attempt, chain)) = self.live(id) else {
             return;
         };
-        if !lite.chained {
-            // Happy path: a single clean attempt. Finalize without
-            // touching the allocator — the trace is materialized only
-            // if this chain is head-sampled (or picked as an exemplar
-            // at the roll). A wasted completion implies the client
-            // moved on, which always promotes first; stay defensive.
-            if wasted {
-                return;
-            }
-            let mut done = LiteDone {
-                client: lite.client,
-                id,
-                first_submit: lite.first_submit,
-                end: now,
-                latency_ns: now.saturating_sub(lite.first_submit),
-                sla_ns: lite.sla_ns,
-                offered_at: lite.offered_at,
-                dispatched: lite.dispatched,
-                emitted: false,
-            };
-            if self.head_sampled(lite.client) {
-                done.emitted = true;
-                let node = self.plan.node;
-                rec.emit(|| Event::RequestTrace(lite_trace(&done, node, SAMPLED_HEAD)));
-            }
-            self.done.push(Done::Lite(done));
-            return;
-        }
-        let Some(chain) = self.chains.get_mut(&lite.client) else {
-            return;
-        };
-        if let Some(at) = chain.trace.attempts.iter_mut().rev().find(|a| a.id == id) {
-            if let Some((t_disp, core, freq_mhz, admit_frac)) = lite.dispatched {
-                at.spans.push(TraceSpan::plain(
-                    SPAN_QUEUE,
-                    lite.offered_at,
-                    t_disp,
-                    String::new(),
-                ));
-                at.spans.push(TraceSpan {
-                    name: SPAN_SERVICE.to_string(),
-                    start: t_disp,
-                    end: now,
-                    core: core as i64,
-                    freq_mhz,
-                    admit_frac,
-                    detail: if wasted {
-                        "wasted".into()
-                    } else {
-                        String::new()
-                    },
-                });
-            }
-            if !wasted {
-                at.outcome = "completed".into();
-            }
-        }
+        attempt.end = End::Completed { t: now, wasted };
         if !wasted {
-            self.finalize(lite.client, now, "completed", rec);
+            let client = chain.client;
+            self.finalize(client, now, false, rec);
         }
     }
 
@@ -720,87 +601,83 @@ impl RequestTracer {
         if !self.enabled {
             return;
         }
-        if self.chains.contains_key(&client) {
-            self.finalize(client, now, "failed", rec);
-        }
+        self.finalize(client, now, true, rec);
     }
 
-    /// Close the chain, emit it if head-sampled, move it to the pending
-    /// (exemplar-candidate) ring.
-    fn finalize(&mut self, client: u64, now: u64, outcome: &str, rec: &Recorder) {
+    /// Close the client's open chain, emit it if head-sampled, and move
+    /// it to the window's exemplar candidates.
+    fn finalize(&mut self, client: u64, now: u64, failed: bool, rec: &Recorder) {
         let Some(mut chain) = self.chains.remove(&client) else {
             return;
         };
-        chain.trace.end = now;
-        chain.trace.latency_ns = now.saturating_sub(chain.trace.first_submit);
-        chain.trace.timed_out = chain.trace.latency_ns > chain.trace.sla_ns;
-        chain.trace.outcome = outcome.to_string();
-        // Later events for this chain's attempts (a wasted completion
-        // landing after the client walked away for good) must not
-        // mutate an already-emitted trace: drop the id mappings.
-        for at in &chain.trace.attempts {
-            self.open.remove(&at.id);
+        chain.end = now;
+        chain.failed = failed;
+        if self.head_sampled(client) {
+            rec.emit(|| Event::RequestTrace(self.trace(&chain, SAMPLED_HEAD)));
         }
-        if chain.head {
-            chain.trace.sampled = SAMPLED_HEAD.to_string();
-            chain.emitted = true;
-            let tr = chain.trace.clone();
-            rec.emit(|| Event::RequestTrace(tr));
+        self.done.push(chain);
+    }
+
+    /// Build the emitted form of a finalized chain from its records.
+    fn trace(&self, chain: &Chain, sampled: &str) -> RequestTrace {
+        let mut attempts = Vec::new();
+        let mut next = Some(chain.last);
+        while let Some(id) = next {
+            let attempt = &self.attempts[&id];
+            attempts.push(attempt.trace(id));
+            next = attempt.prev;
         }
-        self.done.push(Done::Full(Box::new(chain)));
+        attempts.reverse();
+        let latency_ns = chain.latency_ns();
+        RequestTrace {
+            client: chain.client,
+            node: self.plan.node,
+            first_submit: chain.first_submit,
+            end: chain.end,
+            latency_ns,
+            sla_ns: chain.sla_ns,
+            timed_out: latency_ns > chain.sla_ns,
+            outcome: if chain.failed { "failed" } else { "completed" }.into(),
+            sampled: sampled.into(),
+            attempts,
+        }
     }
 
     /// Window roll: rank the window's finalized chains by client-visible
     /// latency (slowest first, ties by client id), emit the top
     /// `exemplars` not already emitted as head samples, and return the
-    /// chosen client ids — the rollup's exemplar links. Clears the ring.
+    /// chosen client ids — the rollup's exemplar links. Then drop the
+    /// window's chains and their attempts.
     pub fn roll(&mut self, rec: &Recorder) -> Vec<u64> {
-        if !self.enabled {
-            return Vec::new();
-        }
-        if self.done.is_empty() {
+        if !self.enabled || self.done.is_empty() {
             return Vec::new();
         }
         let k = self.plan.exemplars as usize;
         let mut ids = Vec::new();
         if k > 0 {
-            // Slowest first, ties by client id. The key is unique per
-            // chain, so select-then-sort of the top k is deterministic
-            // without ordering the whole window.
-            let cmp = |a: &Done, b: &Done| {
-                let (la, ca) = done_key(a);
-                let (lb, cb) = done_key(b);
-                (lb, ca).cmp(&(la, cb))
-            };
+            // The key is unique per chain, so select-then-sort of the
+            // top k is deterministic without ordering the whole window.
+            let cmp =
+                |a: &Chain, b: &Chain| (b.latency_ns(), a.client).cmp(&(a.latency_ns(), b.client));
             if self.done.len() > k {
                 self.done.select_nth_unstable_by(k - 1, cmp);
             }
             let top = k.min(self.done.len());
             self.done[..top].sort_by(cmp);
-            let node = self.plan.node;
-            for done in self.done.iter_mut().take(top) {
-                match done {
-                    Done::Lite(l) => {
-                        ids.push(l.client);
-                        if !l.emitted {
-                            l.emitted = true;
-                            let tr = lite_trace(l, node, SAMPLED_EXEMPLAR);
-                            rec.emit(|| Event::RequestTrace(tr));
-                        }
-                    }
-                    Done::Full(chain) => {
-                        ids.push(chain.trace.client);
-                        if !chain.emitted {
-                            chain.emitted = true;
-                            chain.trace.sampled = SAMPLED_EXEMPLAR.to_string();
-                            let tr = chain.trace.clone();
-                            rec.emit(|| Event::RequestTrace(tr));
-                        }
-                    }
+            for chain in &self.done[..top] {
+                ids.push(chain.client);
+                // A head-sampled chain was emitted when it finalized.
+                if !self.head_sampled(chain.client) {
+                    rec.emit(|| Event::RequestTrace(self.trace(chain, SAMPLED_EXEMPLAR)));
                 }
             }
         }
-        self.done.clear();
+        for chain in self.done.drain(..) {
+            let mut next = Some(chain.last);
+            while let Some(id) = next {
+                next = self.attempts.remove(&id).and_then(|a| a.prev);
+            }
+        }
         ids
     }
 }
@@ -961,7 +838,7 @@ mod tests {
         let mut tr = RequestTracer::new(TracePlan::sampled(1.0, 0, 7), rec.enabled());
         // Attempt 0 shed at admission, retry after backoff, completes.
         tr.on_offer(100, 1, 1, 0, 100, 100_000);
-        tr.on_shed(100, 1, "queue-full");
+        tr.on_shed(100, 1, ShedReason::QueueFull);
         tr.on_offer(600, 77, 1, 1, 100, 100_000);
         tr.on_dispatch(700, 77, 0, 2100, 1.0);
         tr.on_complete(1000, 77, false, &rec);

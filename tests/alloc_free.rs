@@ -2,6 +2,8 @@
 //! event loop makes the same number of heap allocations for N and for
 //! 2N arrivals, and generating plus splitting a fleet's arrivals costs
 //! allocations in proportion to the node count, not the request count.
+//! The request tracer's hooks do not allocate per chain either: only
+//! the traces it emits do.
 //!
 //! Allocations are counted by a `#[global_allocator]` that charges each
 //! one to the allocating thread, so tests running in parallel do not
@@ -11,7 +13,7 @@ use deeppower_fleet::{fleet_arrivals, split_arrivals, BalancerPolicy, FleetSpec}
 use deeppower_suite::deeppower::{ControllerParams, ThreadController};
 use deeppower_suite::sim::{Nanos, Request, RunOptions, Server, ServerConfig, SECOND};
 use deeppower_suite::workload::{constant_rate_arrivals, App, AppSpec};
-use deeppower_telemetry::Recorder;
+use deeppower_telemetry::{Recorder, RequestTracer, ShedReason, TracePlan};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -133,4 +135,50 @@ fn fleet_arrival_split_allocates_per_node_not_per_request() {
             policy.label()
         );
     }
+}
+
+/// One tumbling window of tracer traffic: `chains` retry-storm chains
+/// (shed, retry, abandon, wasted completion, retry completes) and as
+/// many clean completions, with ids from `base`, then the window roll.
+fn trace_window(tracer: &mut RequestTracer, rec: &Recorder, base: u64, chains: u64) {
+    const SLA: u64 = 1_000;
+    for i in 0..chains {
+        let t = 10_000 * i;
+        let storm = base + 4 * i;
+        let (retry1, retry2, clean) = (storm + 1, storm + 2, storm + 3);
+        tracer.on_offer(t, storm, storm, 0, t, SLA);
+        tracer.on_shed(t, storm, ShedReason::QueueFull);
+        tracer.on_offer(t + 100, retry1, storm, 1, t, SLA);
+        tracer.on_abandon(t + 300, retry1, 200);
+        tracer.on_dispatch(t + 350, retry1, 0, 2100, 1.0);
+        tracer.on_offer(t + 500, retry2, storm, 2, t, SLA);
+        tracer.on_complete(t + 600, retry1, true, rec);
+        tracer.on_dispatch(t + 650, retry2, 1, 2100, 1.0);
+        tracer.on_complete(t + 900, retry2, false, rec);
+
+        tracer.on_offer(t, clean, clean, 0, t, SLA);
+        tracer.on_dispatch(t + 10, clean, 2, 2100, 1.0);
+        tracer.on_complete(t + 200, clean, false, rec);
+    }
+    let exemplars = tracer.roll(rec);
+    assert_eq!(exemplars.len(), 2, "the two slowest storm chains");
+}
+
+#[test]
+fn tracer_hooks_allocate_per_emitted_trace_not_per_chain() {
+    // No head sampling: every window emits exactly its two tail
+    // exemplars, whatever its size.
+    let rec = Recorder::ring(16);
+    let mut tracer = RequestTracer::new(TracePlan::sampled(0.0, 2, 9), rec.enabled());
+    let n = 2_000;
+    // Warm up: grow the tracer's maps to a 2N-chain window.
+    trace_window(&mut tracer, &rec, 0, 2 * n);
+    let (half, ()) = counted(|| trace_window(&mut tracer, &rec, 1 << 32, n));
+    let (full, ()) = counted(|| trace_window(&mut tracer, &rec, 2 << 32, 2 * n));
+    assert_eq!(
+        half,
+        full,
+        "a window of {n} chain pairs made {half} allocations, one of {} made {full}",
+        2 * n
+    );
 }
