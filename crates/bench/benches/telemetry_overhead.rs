@@ -1,15 +1,13 @@
 //! Telemetry overhead — cost of the recorder on the hot simulation loop.
 //!
 //! The acceptance bar for the telemetry layer: running the server
-//! through `run_recorded` with a *disabled* recorder, with one backed
-//! by the no-op sink, or with a [`MonitorSink`] feeding a *disabled*
-//! health monitor, must cost within 2% of the plain `run` path. A
+//! through `run_recorded` with a *disabled* recorder or with one backed
+//! by the no-op sink must cost within 2% of the plain `run` path. A
 //! disabled recorder is a single `Option` branch per emission site;
 //! `NoopSink` additionally constructs each event payload before
-//! discarding it; a disabled monitor discards after one branch in
-//! `observe`. The ring-buffered full-capture and enabled-monitor costs
-//! are reported for reference (no assertion — they pay for payload
-//! construction plus buffering / SLO evaluation).
+//! discarding it. The ring-buffered full-capture and [`MonitorSink`]
+//! health-monitor costs are reported for reference (no assertion —
+//! they pay for payload construction plus buffering / SLO evaluation).
 //!
 //! Workload: a compare-style rollout — Xapian under the thread
 //! controller at moderate load, default (non-tracing) `TraceConfig`, so
@@ -82,19 +80,8 @@ fn main() {
     let (t_ring, r_ring) = min_wall_s(repeats, || {
         server.run_recorded(&arrivals, &mut gov(), opts, &Recorder::ring(1 << 16))
     });
-    // The health monitor holds the same contract: a disabled monitor
-    // behind a `MonitorSink` discards every event after one branch, so
-    // wiring the sink must be free; an *enabled* monitor folds rollups
-    // and runs the SLO machine (reported, not asserted).
-    let (t_mon_off, r_mon_off) = min_wall_s(repeats, || {
-        let mon = Rc::new(RefCell::new(FleetMonitor::disabled()));
-        server.run_recorded(
-            &arrivals,
-            &mut gov(),
-            opts,
-            &Recorder::with_sink(Box::new(MonitorSink::new(mon, 0))),
-        )
-    });
+    // The health monitor folds rollups and runs the SLO machine
+    // (reported, not asserted).
     let (t_mon_on, r_mon_on) = min_wall_s(repeats, || {
         let mon = Rc::new(RefCell::new(FleetMonitor::new(MonitorConfig::default())));
         server.run_recorded(
@@ -149,7 +136,6 @@ fn main() {
         ("disabled", &r_disabled),
         ("noop-sink", &r_noop),
         ("ring", &r_ring),
-        ("monitor-off", &r_mon_off),
         ("monitor-on", &r_mon_on),
         ("tracer-off", &r_trace_off),
         ("tracer-1pct", &r_trace_1pct),
@@ -185,12 +171,6 @@ fn main() {
     );
     println!(
         "{:<22} {:>9.4} {:>+8.2}%",
-        "monitor disabled",
-        t_mon_off,
-        pct(t_mon_off)
-    );
-    println!(
-        "{:<22} {:>9.4} {:>+8.2}%",
         "monitor enabled",
         t_mon_on,
         pct(t_mon_on)
@@ -222,12 +202,11 @@ fn main() {
 
     let worst = (t_disabled / t_plain - 1.0)
         .max(t_noop / t_plain - 1.0)
-        .max(t_mon_off / t_plain - 1.0)
         .max(t_trace_off / t_plain - 1.0)
         .max(t_prof_off / t_plain - 1.0);
     assert!(
         worst < tolerance,
-        "disabled recorder/monitor/tracer/profiler overhead {:.2}% exceeds {:.0}% budget",
+        "disabled recorder/tracer/profiler overhead {:.2}% exceeds {:.0}% budget",
         worst * 100.0,
         tolerance * 100.0
     );

@@ -58,12 +58,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let log = Logger::from_flags(
-        flags.contains_key("quiet"),
-        flags.contains_key("verbose"),
-        Recorder::ring(64),
-    );
-    let result = match cmd.as_str() {
+    let log = Logger::from_flags(flags.contains_key("quiet"), flags.contains_key("verbose"));
+    let result = check_positive(&flags).and_then(|()| match cmd.as_str() {
         "train" => cmd_train(&flags, &log),
         "eval" => cmd_eval(&flags, &log),
         "compare" => cmd_compare(&flags, &log),
@@ -82,7 +78,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown command `{other}`")),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -232,6 +228,26 @@ fn get<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Result<T, 
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("bad value for --{key}: {v}")),
     }
+}
+
+/// Reject a zero, negative or non-finite run length, load or rate
+/// wherever it is given. Runs before any command, so none trains a
+/// policy first and then fails on its flags.
+fn check_positive(flags: &Flags) -> Result<(), String> {
+    for key in [
+        "duration-s",
+        "episode-s",
+        "period-s",
+        "peak-load",
+        "base-rps",
+    ] {
+        let Some(v) = flags.get(key) else { continue };
+        // An unparseable value is left to `get`'s "bad value" error.
+        if v.parse::<f64>().is_ok_and(|x| x <= 0.0 || !x.is_finite()) {
+            return Err(format!("--{key} must be positive and finite, got {v}"));
+        }
+    }
+    Ok(())
 }
 
 fn app_by_name(name: &str) -> Result<App, String> {

@@ -371,3 +371,52 @@ fn fleet_flight_dump_without_trace_fails() {
     ]);
     assert_clean_failure(&out, "--flight-dump needs --trace --monitor");
 }
+
+/// A zero run length used to reach the diurnal generator's assertion
+/// (`period and slot must be positive`) through every run-length flag.
+#[test]
+fn zero_run_length_fails_before_running() {
+    for args in [
+        &[
+            "grid",
+            "--apps",
+            "masstree",
+            "--governors",
+            "baseline",
+            "--seeds",
+            "1",
+            "--duration-s",
+            "0",
+        ][..],
+        &["fleet", "--app", "masstree", "--episode-s", "0"],
+        &["workload-trace", "--period-s", "0"],
+    ] {
+        let out = deeppower(args);
+        let key = args[args.len() - 2];
+        assert_clean_failure(&out, &format!("{key} must be positive and finite, got 0"));
+        assert_one_line_error(&out);
+    }
+}
+
+/// A zero or negative load used to reach `AppSpec::rps_for_load`'s
+/// assertion (`load must be positive`).
+#[test]
+fn non_positive_peak_load_fails() {
+    for bad in ["0", "-1", "inf"] {
+        let out = deeppower(&["grid", "--apps", "masstree", "--peak-load", bad]);
+        assert_clean_failure(
+            &out,
+            &format!("--peak-load must be positive and finite, got {bad}"),
+        );
+        assert_one_line_error(&out);
+    }
+}
+
+/// A zero base rate used to reach the diurnal generator's
+/// `base rps must be positive` assertion.
+#[test]
+fn zero_base_rps_fails() {
+    let out = deeppower(&["workload-trace", "--base-rps", "0"]);
+    assert_clean_failure(&out, "--base-rps must be positive and finite, got 0");
+    assert_one_line_error(&out);
+}

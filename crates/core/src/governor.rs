@@ -18,7 +18,7 @@ use crate::state::{StateObserver, STATE_DIM};
 use crate::thread_controller::{ControllerParams, ThreadController};
 use deeppower_drl::{Ddpg, Transition, UpdateStats};
 use deeppower_simd_server::{FreqCommands, Governor, Nanos, ServerView};
-use deeppower_telemetry::{event, Event, Recorder};
+use deeppower_telemetry::{event, Event, FaultKind, Recorder};
 use serde::{Deserialize, Serialize};
 
 /// Whether the agent explores and learns, or just executes its policy.
@@ -149,6 +149,18 @@ impl<'a> DeepPowerGovernor<'a> {
         self.controller.params
     }
 
+    /// Record an internal fault the governor detected (socket-wide).
+    fn emit_fault(&self, t: Nanos, kind: FaultKind, magnitude: f64) {
+        self.recorder.emit(|| {
+            Event::FaultInjected(event::FaultInjected {
+                t,
+                kind,
+                core: -1,
+                magnitude,
+            })
+        });
+    }
+
     fn drl_step(&mut self, view: &ServerView<'_>) {
         let next_state = self.observer.observe(view);
         let closed = self.close_window(view, &next_state, false);
@@ -159,15 +171,7 @@ impl<'a> DeepPowerGovernor<'a> {
         };
         self.policy_healthy = action.iter().all(|a| a.is_finite());
         if !self.policy_healthy {
-            self.recorder.emit(|| {
-                Event::FaultInjected(event::FaultInjected {
-                    t: view.now,
-                    kind: "action-nan".to_string(),
-                    core: -1,
-                    magnitude: 0.0,
-                })
-            });
-            self.recorder.add("faults.action_nan", 1);
+            self.emit_fault(view.now, FaultKind::ActionNan, 0.0);
         }
         // `ControllerParams::new` maps non-finite components to 0.0, so
         // the controller keeps a well-defined (minimum-frequency) policy
@@ -226,15 +230,7 @@ impl<'a> DeepPowerGovernor<'a> {
                 done,
             });
             if !accepted {
-                self.recorder.emit(|| {
-                    Event::FaultInjected(event::FaultInjected {
-                        t: view.now,
-                        kind: "replay-reject".to_string(),
-                        core: -1,
-                        magnitude: 0.0,
-                    })
-                });
-                self.recorder.add("faults.replay_reject", 1);
+                self.emit_fault(view.now, FaultKind::ReplayReject, 0.0);
             }
             if self.mode == Mode::Train && self.agent.ready() {
                 let mut last = UpdateStats::default();
@@ -242,15 +238,8 @@ impl<'a> DeepPowerGovernor<'a> {
                     last = self.agent.update();
                     self.updates_done += 1;
                     if last.diverged {
-                        self.recorder.emit(|| {
-                            Event::FaultInjected(event::FaultInjected {
-                                t: view.now,
-                                kind: "train-diverged".to_string(),
-                                core: -1,
-                                magnitude: self.agent.rollbacks() as f64,
-                            })
-                        });
-                        self.recorder.add("faults.train_diverged", 1);
+                        let rollbacks = self.agent.rollbacks() as f64;
+                        self.emit_fault(view.now, FaultKind::TrainDiverged, rollbacks);
                     }
                 }
                 self.recorder.emit(|| {

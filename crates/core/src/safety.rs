@@ -28,12 +28,13 @@
 //! `robustness_matrix` bench asserts this).
 //!
 //! Every intervention is recorded as a typed
-//! [`deeppower_telemetry::SafetyAction`] event.
+//! [`deeppower_telemetry::SafetyAction`] event; watchdog trips, holds
+//! and fallbacks are also counted in the governor's public fields.
 
 use std::collections::VecDeque;
 
 use deeppower_simd_server::{FreqCommands, Governor, Nanos, Request, ServerView};
-use deeppower_telemetry::{event, Event, Recorder};
+use deeppower_telemetry::{event, Event, Recorder, SafetyKind};
 
 /// Thresholds for the three safety mechanisms. Defaults follow the
 /// paper's time scales: the watchdog window is one `LongTime` (1 s) so
@@ -140,20 +141,9 @@ impl<G: Governor> SafetyGovernor<G> {
         self
     }
 
-    fn record(&self, t: Nanos, action: &str, core: i64) {
-        self.recorder.emit(|| {
-            Event::SafetyAction(event::SafetyAction {
-                t,
-                action: action.to_string(),
-                core,
-            })
-        });
-        match action {
-            "watchdog-turbo" => self.recorder.add("safety.watchdog_trips", 1),
-            "hold-decay" => self.recorder.add("safety.hold_decays", 1),
-            "maxfreq-fallback" => self.recorder.add("safety.fallbacks", 1),
-            _ => {}
-        }
+    fn record(&self, t: Nanos, action: SafetyKind, core: i64) {
+        self.recorder
+            .emit(|| Event::SafetyAction(event::SafetyAction { t, action, core }));
     }
 
     /// Record any command the wrapped policy issued this callback so the
@@ -207,7 +197,7 @@ impl<G: Governor> Governor for SafetyGovernor<G> {
             let held = if silent_for >= self.cfg.decay_after_ns && held < max_mhz {
                 let stepped = (held + decay_step).min(max_mhz);
                 self.last_cmd[core] = Some(stepped);
-                self.record(now, "hold-decay", core as i64);
+                self.record(now, SafetyKind::HoldDecay, core as i64);
                 stepped
             } else {
                 held
@@ -226,7 +216,7 @@ impl<G: Governor> Governor for SafetyGovernor<G> {
             if rate > self.cfg.timeout_rate_threshold {
                 self.boost_until = now + self.cfg.turbo_hold_ns;
                 self.watchdog_trips += 1;
-                self.record(now, "watchdog-turbo", -1);
+                self.record(now, SafetyKind::WatchdogTurbo, -1);
             }
         }
         if now < self.boost_until {
@@ -243,7 +233,7 @@ impl<G: Governor> Governor for SafetyGovernor<G> {
         if !healthy {
             if self.was_healthy {
                 self.fallbacks += 1;
-                self.record(now, "maxfreq-fallback", -1);
+                self.record(now, SafetyKind::MaxfreqFallback, -1);
             }
             cmds.set_all(max_mhz);
         }
@@ -405,10 +395,12 @@ mod tests {
         .with_recorder(rec.clone());
         let _ = server.run(&arrivals, &mut safe, RunOptions::default());
         assert!(safe.holds > 0, "silent policy never triggered a hold");
-        assert!(
-            rec.counter("safety.hold_decays") > 0,
-            "held command never decayed"
-        );
+        let decays = rec
+            .drain_events()
+            .iter()
+            .filter(|e| matches!(e, Event::SafetyAction(a) if a.action == SafetyKind::HoldDecay))
+            .count();
+        assert!(decays > 0, "held command never decayed");
         // After decay completes every held command sits at nominal max.
         let plan = deeppower_simd_server::FreqPlan::xeon_gold_5218r();
         for held in &safe.last_cmd {

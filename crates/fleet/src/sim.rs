@@ -36,8 +36,8 @@ use deeppower_simd_server::{
     Server, ServerConfig, ServerView, Session, SimResult, MILLISECOND,
 };
 use deeppower_telemetry::{
-    merge_gauges, Event, FleetMonitor, HealthReport, MonitorConfig, MonitorSink, Profiler,
-    Recorder, Span, TracePlan,
+    Event, FleetMonitor, HealthReport, MonitorConfig, MonitorSink, Profiler, Recorder, Span,
+    TracePlan,
 };
 use deeppower_workload::{trace_arrivals, App, AppSpec, DiurnalConfig, DiurnalTrace};
 use serde::{Deserialize, Serialize};
@@ -727,16 +727,11 @@ fn assemble(
     let mut total_energy_j = 0.0;
     let mut total_power_w = 0.0;
     let (mut total_goodput, mut total_wasted, mut total_shed) = (0u64, 0u64, 0u64);
-    // Fleet gauges fold through the per-key merge policy — "peak" keys
-    // take the max across nodes, where a last-write fold would report
-    // whichever node happened to merge last.
-    let mut fleet_gauges: std::collections::BTreeMap<&'static str, f64> = Default::default();
+    // The fleet peak is the deepest any node's queue got.
+    let mut peak_queue_depth = 0;
     let (profiles, group_of) = (spec.node_profiles(), spec.group_of());
     for (node, sim) in results.into_iter().enumerate() {
-        merge_gauges(
-            &mut fleet_gauges,
-            &[("queue.peak_depth", sim.peak_queue_depth as f64)],
-        );
+        peak_queue_depth = peak_queue_depth.max(sim.peak_queue_depth);
         let s = &sim.stats;
         total_goodput += sim.goodput;
         total_wasted += sim.wasted;
@@ -783,7 +778,7 @@ fn assemble(
         fleet_p95_ms: ms(fleet.p95_ns),
         fleet_p99_ms: ms(fleet.p99_ns),
         fleet_timeout_rate: fleet.timeout_rate(),
-        fleet_peak_queue_depth: fleet_gauges.get("queue.peak_depth").copied().unwrap_or(0.0) as u64,
+        fleet_peak_queue_depth: peak_queue_depth,
         per_node,
     }
 }

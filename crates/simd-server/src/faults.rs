@@ -11,13 +11,14 @@
 //! ([`FaultPlan::none`]) performs no draws and perturbs nothing: the run
 //! is bit-identical to one without the fault subsystem.
 //!
-//! Every *discrete* injected fault is recorded as a typed
-//! [`Event::FaultInjected`] plus the `faults.injected` counter;
-//! continuous perturbations (per-refresh power-reading noise) are
-//! parameters of the sensor model and show up only in counters.
+//! Every *discrete* injected fault is counted in
+//! [`FaultState::injected`] (the run's `faults_injected`) and recorded
+//! as a typed [`Event::FaultInjected`]; continuous perturbations
+//! (per-refresh power-reading noise) are parameters of the sensor model
+//! and are neither counted nor recorded.
 
 use crate::clock::Nanos;
-use deeppower_telemetry::{event, Event, Recorder};
+use deeppower_telemetry::{event, Event, FaultKind, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -192,14 +193,13 @@ impl FaultState {
         &self.plan
     }
 
-    /// Record one discrete injected fault: counter + typed event.
-    pub fn record(&mut self, rec: &Recorder, t: Nanos, kind: &str, core: i64, magnitude: f64) {
+    /// Record one discrete injected fault: count + typed event.
+    pub fn record(&mut self, rec: &Recorder, t: Nanos, kind: FaultKind, core: i64, magnitude: f64) {
         self.injected += 1;
-        rec.add("faults.injected", 1);
         rec.emit(|| {
             Event::FaultInjected(event::FaultInjected {
                 t,
-                kind: kind.to_string(),
+                kind,
                 core,
                 magnitude,
             })
@@ -259,7 +259,7 @@ impl FaultState {
                     rec.emit(|| {
                         Event::FaultInjected(event::FaultInjected {
                             t: until,
-                            kind: "core-online".to_string(),
+                            kind: FaultKind::CoreOnline,
                             core: core as i64,
                             magnitude: 0.0,
                         })
@@ -273,7 +273,7 @@ impl FaultState {
                     self.record(
                         rec,
                         t,
-                        "core-stall",
+                        FaultKind::CoreStall,
                         core as i64,
                         self.plan.stall_duration_ns as f64,
                     );
@@ -300,7 +300,7 @@ impl FaultState {
         if self.latched.is_some() && self.plan.sensor_drop_prob > 0.0 {
             let u: f64 = self.sensor_rng.random();
             if u < self.plan.sensor_drop_prob {
-                self.record(rec, now, "sensor-stale", -1, 0.0);
+                self.record(rec, now, FaultKind::SensorStale, -1, 0.0);
                 return self.latched.expect("latched reading present");
             }
         }
@@ -308,7 +308,6 @@ impl FaultState {
         let noisy_delta = if self.plan.power_noise_frac > 0.0 {
             let u: f64 = self.sensor_rng.random();
             let factor = 1.0 + self.plan.power_noise_frac * (2.0 * u - 1.0);
-            rec.add("faults.power_noise", 1);
             (delta as f64 * factor).round() as u64
         } else {
             delta
@@ -424,7 +423,7 @@ mod tests {
         let events = rec.drain_events();
         let kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();
         assert_eq!(kinds, vec!["FaultInjected", "FaultInjected"]);
-        assert_eq!(rec.counter("faults.injected"), 1); // only the stall begin
+        assert_eq!(st.injected, 1); // only the stall begin
     }
 
     #[test]

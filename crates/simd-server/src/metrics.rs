@@ -3,7 +3,7 @@
 //! figures.
 
 use crate::clock::{Nanos, MILLISECOND};
-use deeppower_telemetry::LatencyRecorder;
+use deeppower_telemetry::Histogram;
 use serde::{Deserialize, Serialize};
 
 /// Completion record for one request.
@@ -163,10 +163,10 @@ pub struct MetricsCollector {
     /// unbounded, so this is the only backpressure signal a plain run
     /// surfaces).
     pub peak_queue_depth: u64,
-    /// Incremental latency aggregator: O(1) insert, O(buckets)
-    /// percentile reads, feeding run-so-far snapshots without
-    /// re-sorting `records` (see [`quick_stats`](Self::quick_stats)).
-    pub latency: LatencyRecorder,
+    /// Every completion's latency: O(1) insert, O(buckets) percentile
+    /// reads, feeding run-so-far snapshots without re-sorting `records`
+    /// (see [`quick_stats`](Self::quick_stats)).
+    pub latency: Histogram,
 }
 
 impl MetricsCollector {
@@ -188,7 +188,7 @@ impl MetricsCollector {
         if rec.timed_out {
             self.timeouts += 1;
         }
-        self.latency.record(rec.latency, rec.timed_out);
+        self.latency.record(rec.latency);
         self.records.push(rec);
     }
 
@@ -196,20 +196,20 @@ impl MetricsCollector {
         LatencyStats::from_records(&self.records)
     }
 
-    /// Run-so-far stats from the incremental recorder. Count, mean, max
+    /// Run-so-far stats from the latency histogram. Count, mean, max
     /// and timeouts are exact; percentiles are histogram bucket bounds
     /// (within one log-bucket, ≤ 6.25 % relative error). This is the
     /// periodic-snapshot path: unlike [`stats`](Self::stats) it never
     /// clones or re-sorts the record vector.
     pub fn quick_stats(&self) -> LatencyStats {
         LatencyStats {
-            count: self.latency.count(),
-            mean_ns: self.latency.mean_ns(),
-            p50_ns: self.latency.percentile_ns(0.50),
-            p95_ns: self.latency.percentile_ns(0.95),
-            p99_ns: self.latency.percentile_ns(0.99),
-            max_ns: self.latency.max_ns(),
-            timeouts: self.latency.timeouts(),
+            count: self.completed,
+            mean_ns: self.latency.mean(),
+            p50_ns: self.latency.percentile(0.50),
+            p95_ns: self.latency.percentile(0.95),
+            p99_ns: self.latency.percentile(0.99),
+            max_ns: self.latency.max(),
+            timeouts: self.timeouts,
         }
     }
 }

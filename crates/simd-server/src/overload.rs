@@ -553,7 +553,6 @@ impl OverloadState {
             self.abandoned.insert(d.id);
             self.counters.abandoned += 1;
             let waited = now - (d.at - self.plan.client_timeout_ns).min(now);
-            rec.add("overload.abandoned", 1);
             rec.emit(|| {
                 Event::Abandoned(event::Abandoned {
                     t: now,
@@ -620,7 +619,6 @@ impl OverloadState {
         self.open.remove(&req.id);
         let abandoned = self.abandoned.remove(&req.id);
         self.counters.shed += 1;
-        rec.add("overload.shed", 1);
         rec.emit(|| {
             Event::Shed(event::Shed {
                 t: now,
@@ -703,7 +701,6 @@ impl OverloadState {
         let id = self.alloc_synth_id();
         self.retry_seq += 1;
         self.counters.retries += 1;
-        rec.add("overload.retries", 1);
         rec.emit(|| {
             Event::Retry(event::Retry {
                 t: now,

@@ -88,8 +88,8 @@ pub struct RequestComplete {
 }
 
 /// Periodic snapshot of the run-so-far latency distribution, read from
-/// the server's incremental [`crate::LatencyRecorder`] (percentiles are
-/// histogram upper bounds, within one log-bucket of exact).
+/// the server's latency [`crate::Histogram`] (percentiles are histogram
+/// upper bounds, within one log-bucket of exact).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LatencySnapshot {
     pub t: u64,
@@ -155,50 +155,103 @@ pub struct JobEnd {
     pub drl_steps: u64,
 }
 
-/// Why an attempt was shed. Serialized as its stable tag
-/// ([`Self::as_str`]), so JSONL artifacts carry `"queue-full"`,
-/// `"admission"` or `"evicted"`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShedReason {
-    /// The bounded queue was full and the policy sheds the arrival.
-    QueueFull,
-    /// The admission controller rejected the arrival.
-    Admission,
-    /// `DropOldest` evicted the attempt from the queue to make room.
-    Evicted,
-}
-
-impl ShedReason {
-    /// Every reason.
-    pub const ALL: [ShedReason; 3] = [Self::QueueFull, Self::Admission, Self::Evicted];
-
-    /// The stable tag.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::QueueFull => "queue-full",
-            Self::Admission => "admission",
-            Self::Evicted => "evicted",
+/// A fieldless enum over stable kebab-case tags: `ALL`, `as_str()`,
+/// and (de)serialization as the tag, so JSONL artifacts carry the tag
+/// string and an unknown tag is a one-line parse error.
+macro_rules! tag_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident ($what:literal) {
+            $($(#[$vmeta:meta])* $variant:ident => $tag:literal,)+
         }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: [$name; [$($tag),+].len()] = [$(Self::$variant),+];
+
+            /// The stable tag.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $(Self::$variant => $tag,)+
+                }
+            }
+        }
+
+        impl Serialize for $name {
+            fn serialize_value(&self) -> Value {
+                Value::String(self.as_str().to_string())
+            }
+        }
+
+        impl Deserialize for $name {
+            fn deserialize_value(value: &Value) -> Result<Self, Error> {
+                let tag = String::deserialize_value(value)?;
+                Self::ALL
+                    .into_iter()
+                    .find(|v| v.as_str() == tag)
+                    .ok_or_else(|| {
+                        Error::custom(format!(
+                            concat!("unknown ", $what, " `{}` ({})"),
+                            tag,
+                            Self::ALL.map(Self::as_str).join("|")
+                        ))
+                    })
+            }
+        }
+    };
+}
+
+tag_enum! {
+    /// Why an attempt was shed.
+    pub enum ShedReason ("shed reason") {
+        /// The bounded queue was full and the policy sheds the arrival.
+        QueueFull => "queue-full",
+        /// The admission controller rejected the arrival.
+        Admission => "admission",
+        /// `DropOldest` evicted the attempt from the queue to make room.
+        Evicted => "evicted",
     }
 }
 
-impl Serialize for ShedReason {
-    fn serialize_value(&self) -> Value {
-        Value::String(self.as_str().to_string())
+tag_enum! {
+    /// What a [`FaultInjected`] event reports: a discrete fault the
+    /// simulator's `FaultPlan` injected, or an internal fault the
+    /// DeepPower governor detected.
+    pub enum FaultKind ("fault kind") {
+        /// A DVFS write was dropped; the core kept its frequency.
+        DvfsFail => "dvfs-fail",
+        /// A DVFS write paid an extra-latency spike.
+        DvfsSpike => "dvfs-spike",
+        /// A core stall window opened.
+        CoreStall => "core-stall",
+        /// The stalled core came back (not counted as an injection).
+        CoreOnline => "core-online",
+        /// A sensor refresh was dropped; the governor saw stale counters.
+        SensorStale => "sensor-stale",
+        /// A DDPG update diverged and the agent rolled back.
+        TrainDiverged => "train-diverged",
+        /// The replay pool rejected a non-finite transition.
+        ReplayReject => "replay-reject",
+        /// The actor emitted a non-finite action.
+        ActionNan => "action-nan",
     }
 }
 
-impl Deserialize for ShedReason {
-    fn deserialize_value(value: &Value) -> Result<Self, Error> {
-        let tag = String::deserialize_value(value)?;
-        Self::ALL
-            .into_iter()
-            .find(|r| r.as_str() == tag)
-            .ok_or_else(|| {
-                Error::custom(format!(
-                    "unknown shed reason `{tag}` (queue-full|admission|evicted)"
-                ))
-            })
+tag_enum! {
+    /// What a [`SafetyAction`] event reports.
+    pub enum SafetyKind ("safety action") {
+        /// The SLA watchdog tripped and snapped busy cores to turbo.
+        WatchdogTurbo => "watchdog-turbo",
+        /// A held command decayed toward the maximum frequency.
+        HoldDecay => "hold-decay",
+        /// An unhealthy policy fell back to the maximum frequency.
+        MaxfreqFallback => "maxfreq-fallback",
     }
 }
 
@@ -247,13 +300,11 @@ pub struct Retry {
 
 /// One discrete injected fault (from the simulator's `FaultPlan`) or a
 /// detected internal fault (training divergence, rejected replay
-/// transition). `kind` is a stable tag: `dvfs-fail`, `dvfs-spike`,
-/// `core-stall`, `core-online`, `sensor-stale`, `train-diverged`,
-/// `replay-reject`, `action-nan`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// transition), serialized with `kind` as its [`FaultKind`] tag.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FaultInjected {
     pub t: u64,
-    pub kind: String,
+    pub kind: FaultKind,
     /// Affected core, or -1 when the fault is not core-scoped.
     pub core: i64,
     /// Fault-specific magnitude (spike/stall ns, dropped target MHz…),
@@ -261,13 +312,12 @@ pub struct FaultInjected {
     pub magnitude: f64,
 }
 
-/// The `SafetyGovernor` intervened on behalf of its wrapped policy.
-/// `action` is a stable tag: `watchdog-turbo`, `hold-decay`,
-/// `maxfreq-fallback`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// The `SafetyGovernor` intervened on behalf of its wrapped policy,
+/// serialized with `action` as its [`SafetyKind`] tag.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SafetyAction {
     pub t: u64,
-    pub action: String,
+    pub action: SafetyKind,
     /// Affected core, or -1 when the action covers the whole socket.
     pub core: i64,
 }
@@ -517,13 +567,13 @@ mod tests {
             }),
             Event::FaultInjected(FaultInjected {
                 t: 2_000_000,
-                kind: "dvfs-fail".into(),
+                kind: FaultKind::DvfsFail,
                 core: 3,
                 magnitude: 2100.0,
             }),
             Event::SafetyAction(SafetyAction {
                 t: 3_000_000,
-                action: "watchdog-turbo".into(),
+                action: SafetyKind::WatchdogTurbo,
                 core: -1,
             }),
             Event::WindowRollup(WindowRollup {

@@ -266,13 +266,13 @@ mod tests {
             }),
             Event::FaultInjected(FaultInjected {
                 t: 50,
-                kind: "dvfs-fail".into(),
+                kind: FaultKind::DvfsFail,
                 core: 3,
                 magnitude: 2100.0,
             }),
             Event::SafetyAction(SafetyAction {
                 t: 60,
-                action: "watchdog-turbo".into(),
+                action: SafetyKind::WatchdogTurbo,
                 core: -1,
             }),
             Event::Shed(Shed {
@@ -473,6 +473,63 @@ mod tests {
         assert!(err.starts_with("line 1:"), "{err}");
         assert!(err.contains("unknown shed reason `overflow`"), "{err}");
         assert!(!err.contains('\n'), "one-line error: {err}");
+    }
+
+    #[test]
+    fn fault_and_safety_kinds_serialize_as_their_stable_tags() {
+        use crate::event::{FaultInjected, FaultKind, SafetyAction, SafetyKind};
+        let fault = |kind| {
+            Event::FaultInjected(FaultInjected {
+                t: 1,
+                kind,
+                core: -1,
+                magnitude: 0.5,
+            })
+        };
+        for kind in FaultKind::ALL {
+            let line = to_jsonl(&[fault(kind)]);
+            assert_eq!(
+                line,
+                format!(
+                    "{{\"FaultInjected\":{{\"t\":1,\"kind\":\"{}\",\"core\":-1,\"magnitude\":0.5}}}}\n",
+                    kind.as_str()
+                )
+            );
+            assert_eq!(from_jsonl(&line).unwrap(), vec![fault(kind)]);
+        }
+        let safety = |action| {
+            Event::SafetyAction(SafetyAction {
+                t: 1,
+                action,
+                core: 0,
+            })
+        };
+        for action in SafetyKind::ALL {
+            let line = to_jsonl(&[safety(action)]);
+            assert_eq!(
+                line,
+                format!(
+                    "{{\"SafetyAction\":{{\"t\":1,\"action\":\"{}\",\"core\":0}}}}\n",
+                    action.as_str()
+                )
+            );
+            assert_eq!(from_jsonl(&line).unwrap(), vec![safety(action)]);
+        }
+        for (text, want) in [
+            (
+                "{\"FaultInjected\":{\"t\":1,\"kind\":\"meltdown\",\"core\":-1,\"magnitude\":0.5}}\n",
+                "unknown fault kind `meltdown`",
+            ),
+            (
+                "{\"SafetyAction\":{\"t\":1,\"action\":\"reboot\",\"core\":0}}\n",
+                "unknown safety action `reboot`",
+            ),
+        ] {
+            let err = from_jsonl(text).unwrap_err();
+            assert!(err.starts_with("line 1:"), "{err}");
+            assert!(err.contains(want), "{err}");
+            assert!(!err.contains('\n'), "one-line error: {err}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Log-bucketed histograms and the incremental latency recorder.
+//! Log-bucketed histograms.
 //!
 //! The bucket scheme is HdrHistogram-style: each power-of-two range is
 //! split into `2^SUB_BITS` linear sub-buckets, so the relative
@@ -165,27 +165,6 @@ impl Histogram {
         self.max
     }
 
-    /// Point-in-time summary, or `None` when nothing has been recorded —
-    /// the non-panicking read path for empty distributions. (The scalar
-    /// accessors above return 0 for an empty histogram, which callers
-    /// assembling reports cannot distinguish from a real recorded zero;
-    /// the snapshot makes emptiness explicit instead of panicking or
-    /// fabricating values.)
-    pub fn snapshot(&self) -> Option<HistogramSnapshot> {
-        if self.count == 0 {
-            return None;
-        }
-        Some(HistogramSnapshot {
-            count: self.count,
-            mean: self.mean(),
-            min: self.min,
-            max: self.max,
-            p50: self.percentile(0.50),
-            p95: self.percentile(0.95),
-            p99: self.percentile(0.99),
-        })
-    }
-
     /// Recorded values whose bucket upper bound is `<= v` — the
     /// "within target" count a latency burn rate is computed from.
     /// O(buckets), conservative by at most one bucket (values sharing
@@ -209,70 +188,6 @@ impl Histogram {
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (bucket_upper_bound(i), c))
             .collect()
-    }
-}
-
-/// Summary of a non-empty [`Histogram`] (see [`Histogram::snapshot`]).
-/// `min`/`max`/`mean` are exact; the percentiles carry the bucket
-/// scheme's `2^-SUB_BITS` relative quantization error.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HistogramSnapshot {
-    pub count: u64,
-    pub mean: f64,
-    pub min: u64,
-    pub max: u64,
-    pub p50: u64,
-    pub p95: u64,
-    pub p99: u64,
-}
-
-/// Incremental latency aggregator: O(1) insert, O(buckets) reads.
-///
-/// This is the replacement for calling `LatencyStats::from_records`
-/// (which clones and re-sorts every record) on periodic paths: the
-/// server's `MetricsCollector` feeds every completion into one of
-/// these, and run-so-far snapshots read percentiles straight from the
-/// histogram.
-#[derive(Clone, Debug, Default)]
-pub struct LatencyRecorder {
-    hist: Histogram,
-    timeouts: u64,
-}
-
-impl LatencyRecorder {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    pub fn record(&mut self, latency_ns: u64, timed_out: bool) {
-        self.hist.record(latency_ns);
-        if timed_out {
-            self.timeouts += 1;
-        }
-    }
-
-    pub fn count(&self) -> u64 {
-        self.hist.count()
-    }
-
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts
-    }
-
-    /// Exact mean latency in ns.
-    pub fn mean_ns(&self) -> f64 {
-        self.hist.mean()
-    }
-
-    /// Exact max latency in ns.
-    pub fn max_ns(&self) -> u64 {
-        self.hist.max()
-    }
-
-    /// Histogram-quantized percentile (see [`Histogram::percentile`]).
-    pub fn percentile_ns(&self, q: f64) -> u64 {
-        self.hist.percentile(q)
     }
 }
 
@@ -315,17 +230,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn latency_recorder_counts_timeouts() {
-        let mut r = LatencyRecorder::new();
-        r.record(1000, false);
-        r.record(9000, true);
-        assert_eq!(r.count(), 2);
-        assert_eq!(r.timeouts(), 1);
-        assert_eq!(r.max_ns(), 9000);
-        assert!((r.mean_ns() - 5000.0).abs() < 1e-9);
-    }
-
     proptest! {
         /// Satellite property: bucket mapping is monotone in the value.
         #[test]
@@ -352,12 +256,9 @@ mod tests {
         }
 
         /// Percentiles never leave the recorded range and are monotone
-        /// in q. Regression: this property used to read the bounds with
-        /// `values.iter().min()/max().unwrap()` over a generator that
-        /// excluded the empty vector — the empty and single-value
-        /// distributions were never exercised. The bounds now come from
-        /// the non-panicking [`Histogram::snapshot`], and the generator
-        /// includes both edge cases (`0..200`).
+        /// in q. The generator includes the empty and single-value
+        /// distributions (`0..200`); an empty histogram reads zero
+        /// everywhere rather than panicking.
         #[test]
         fn percentile_bounded_and_monotone(
             values in proptest::collection::vec(0u64..1_000_000_000, 0..200),
@@ -366,44 +267,38 @@ mod tests {
         ) {
             let mut h = Histogram::new();
             for &v in &values { h.record(v); }
-            match h.snapshot() {
-                None => {
-                    // Empty histogram: no snapshot, and every scalar read
-                    // is a well-defined zero rather than a panic.
-                    prop_assert!(values.is_empty());
-                    prop_assert_eq!(h.percentile(q1), 0);
-                    prop_assert_eq!(h.min(), 0);
-                    prop_assert_eq!(h.max(), 0);
+            if values.is_empty() {
+                prop_assert!(h.is_empty());
+                prop_assert_eq!(h.percentile(q1), 0);
+                prop_assert_eq!(h.min(), 0);
+                prop_assert_eq!(h.max(), 0);
+            } else {
+                let (lo, hi) = (h.min(), h.max());
+                prop_assert_eq!(lo, *values.iter().min().unwrap());
+                prop_assert_eq!(hi, *values.iter().max().unwrap());
+                for q in [q1, q2, 0.0, 1.0] {
+                    let p = h.percentile(q);
+                    prop_assert!(p >= lo && p <= hi, "p{} = {} outside [{}, {}]", q, p, lo, hi);
                 }
-                Some(snap) => {
-                    let (lo, hi) = (snap.min, snap.max);
-                    prop_assert_eq!(lo, *values.iter().min().unwrap());
-                    prop_assert_eq!(hi, *values.iter().max().unwrap());
-                    for q in [q1, q2, 0.0, 1.0] {
-                        let p = h.percentile(q);
-                        prop_assert!(p >= lo && p <= hi, "p{} = {} outside [{}, {}]", q, p, lo, hi);
-                    }
-                    let (ql, qh) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-                    prop_assert!(h.percentile(ql) <= h.percentile(qh));
-                }
+                let (ql, qh) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
+                prop_assert!(h.percentile(ql) <= h.percentile(qh));
             }
         }
 
-        /// A single-value distribution snapshots to that value exactly —
-        /// min, max and every percentile (the percentile clamp to the
-        /// true extremes cancels the bucket quantization).
+        /// A single-value distribution reads that value exactly — min,
+        /// max and every percentile (the percentile clamp to the true
+        /// extremes cancels the bucket quantization).
         #[test]
         fn single_value_snapshot_is_exact(v in 0u64..u64::MAX / 2, q in 0.0f64..1.0) {
             let mut h = Histogram::new();
             h.record(v);
-            let snap = h.snapshot().expect("one value recorded");
-            prop_assert_eq!(snap.count, 1);
-            prop_assert_eq!(snap.min, v);
-            prop_assert_eq!(snap.max, v);
-            prop_assert_eq!(snap.p50, v);
-            prop_assert_eq!(snap.p99, v);
+            prop_assert_eq!(h.count(), 1);
+            prop_assert_eq!(h.min(), v);
+            prop_assert_eq!(h.max(), v);
+            prop_assert_eq!(h.percentile(0.50), v);
+            prop_assert_eq!(h.percentile(0.99), v);
             prop_assert_eq!(h.percentile(q), v);
-            prop_assert!((snap.mean - v as f64).abs() < 1.0);
+            prop_assert!((h.mean() - v as f64).abs() < 1.0);
         }
     }
 
@@ -451,21 +346,5 @@ mod tests {
             prop_assert_eq!(h.count(), rebuilt.count());
             prop_assert_eq!(h.nonzero_buckets(), rebuilt.nonzero_buckets());
         }
-    }
-
-    #[test]
-    fn empty_histogram_snapshot_is_none_not_a_panic() {
-        let h = Histogram::new();
-        assert_eq!(h.snapshot(), None);
-        // The scalar read paths stay total on empty input too.
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.percentile(0.5), 0);
-        assert_eq!(h.mean(), 0.0);
-        // One record flips it to Some.
-        let mut h = h;
-        h.record(7);
-        let snap = h.snapshot().unwrap();
-        assert_eq!((snap.count, snap.min, snap.max), (1, 7, 7));
     }
 }

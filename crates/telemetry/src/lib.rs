@@ -9,22 +9,21 @@
 //!   frequency transitions and per-core residency, DDPG training
 //!   internals (losses, gradient norms, replay occupancy), harness job
 //!   lifecycle, and periodic latency snapshots.
-//! * [`Recorder`] — the cheap, cloneable handle call sites hold. A
-//!   disabled recorder is a `None` and every emission guards on one
-//!   branch, so instrumented hot paths cost nothing when telemetry is
-//!   off (asserted by the `telemetry_overhead` bench). Enabled
-//!   recorders share a [`TelemetrySink`] (by default a preallocated
-//!   [`RingSink`]) plus counters, gauges and log-bucketed
-//!   [`Histogram`]s.
+//! * [`Recorder`] — the cheap, cloneable handle call sites hold: an
+//!   optional [`TelemetrySink`] (by default a preallocated
+//!   [`RingSink`]) plus the span [`Profiler`]. A disabled recorder is
+//!   a `None` and every emission guards on one branch, so instrumented
+//!   hot paths cost nothing when telemetry is off (asserted by the
+//!   `telemetry_overhead` bench). The recorder keeps no counts: a run's
+//!   counts live in its result (`SimResult` fields) and in the events.
 //! * [`export`] — JSONL (the artifact format written by
 //!   `deeppower grid --telemetry` and `deeppower trace`) and CSV
 //!   exporters, plus series reconstruction from transition events.
-//! * [`Logger`] — the leveled logger behind the CLI's `-v`/`--quiet`
-//!   flags; log volume is counted through the recorder.
-//! * [`LatencyRecorder`] — an incremental, histogram-backed latency
-//!   aggregator: O(1) insert and O(buckets) percentile reads, replacing
-//!   sort-a-fresh-clone percentile computation on periodic paths.
-//!
+//! * [`Logger`] — the leveled stderr logger behind the CLI's
+//!   `-v`/`--quiet` flags.
+//! * [`Histogram`] — a log-bucketed histogram: O(1) insert and
+//!   O(buckets) percentile reads, behind the server's run-so-far
+//!   latency snapshots and the window rollups.
 //! * [`Profiler`] — hierarchical wall-clock span profiling for the hot
 //!   paths (engine phases, DDPG update stages, fleet lockstep epochs,
 //!   harness jobs), with per-phase aggregate tables and Chrome
@@ -51,19 +50,19 @@ pub mod slo;
 pub mod trace;
 
 pub use event::{
-    Alert, AlertResolved, CoreResidency, DrlStep, EpisodeEnd, Event, FaultInjected, FreqTransition,
-    IncidentEntry, JobEnd, JobStart, LatencySnapshot, RequestComplete, RequestDispatch,
-    SafetyAction, ShedReason, SloViolation, TrainUpdate, WindowRollup,
+    Alert, AlertResolved, CoreResidency, DrlStep, EpisodeEnd, Event, FaultInjected, FaultKind,
+    FreqTransition, IncidentEntry, JobEnd, JobStart, LatencySnapshot, RequestComplete,
+    RequestDispatch, SafetyAction, SafetyKind, ShedReason, SloViolation, TrainUpdate, WindowRollup,
 };
 pub use export::{
     episode_events, freq_series, from_jsonl, steps_to_csv, to_jsonl, STEP_CSV_HEADER,
 };
 pub use fs::atomic_write;
-pub use histogram::{Histogram, HistogramSnapshot, LatencyRecorder};
+pub use histogram::Histogram;
 pub use logger::{LogLevel, Logger};
 pub use monitor::{
-    gauge_merge_policy, merge_gauges, AlertRecord, AnomalyRecord, FleetMonitor, GaugeMerge,
-    HealthReport, MonitorConfig, MonitorSink, SloOutcome, WindowSummary,
+    AlertRecord, AnomalyRecord, FleetMonitor, HealthReport, MonitorConfig, MonitorSink, SloOutcome,
+    WindowSummary,
 };
 pub use profile::{
     from_chrome_trace, render_phase_table, ChromeEvent, PhaseRow, Profiler, Span, SpanRecord,

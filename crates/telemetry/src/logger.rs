@@ -1,12 +1,8 @@
-//! Leveled logging for the CLI, counted through the telemetry sink.
+//! Leveled logging for the CLI.
 //!
 //! Logs are human-facing wall-clock-side output and go to stderr; they
 //! are never part of a run artifact (artifacts must stay a pure
-//! function of the job spec). The logger counts emissions per level
-//! into the recorder (`log.error`, `log.warn`, ...) so a run artifact
-//! records *how much* was logged without capturing the text.
-
-use crate::recorder::Recorder;
+//! function of the job spec), so the logger holds no recorder.
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LogLevel {
@@ -25,32 +21,22 @@ impl LogLevel {
             LogLevel::Debug => "debug",
         }
     }
-
-    fn counter(self) -> &'static str {
-        match self {
-            LogLevel::Error => "log.error",
-            LogLevel::Warn => "log.warn",
-            LogLevel::Info => "log.info",
-            LogLevel::Debug => "log.debug",
-        }
-    }
 }
 
 /// A leveled stderr logger. `--quiet` maps to `Error`, the default to
 /// `Info`, `-v` to `Debug`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Logger {
     level: LogLevel,
-    recorder: Recorder,
 }
 
 impl Logger {
-    pub fn new(level: LogLevel, recorder: Recorder) -> Self {
-        Self { level, recorder }
+    pub fn new(level: LogLevel) -> Self {
+        Self { level }
     }
 
     /// Logger from CLI flags: `--quiet` wins over `-v`.
-    pub fn from_flags(quiet: bool, verbose: bool, recorder: Recorder) -> Self {
+    pub fn from_flags(quiet: bool, verbose: bool) -> Self {
         let level = if quiet {
             LogLevel::Error
         } else if verbose {
@@ -58,7 +44,7 @@ impl Logger {
         } else {
             LogLevel::Info
         };
-        Self::new(level, recorder)
+        Self::new(level)
     }
 
     pub fn level(&self) -> LogLevel {
@@ -70,7 +56,6 @@ impl Logger {
     }
 
     pub fn log(&self, level: LogLevel, msg: &str) {
-        self.recorder.add(level.counter(), 1);
         if self.enabled(level) {
             eprintln!("[{}] {msg}", level.label());
         }
@@ -106,30 +91,18 @@ mod tests {
 
     #[test]
     fn from_flags_maps_levels() {
-        let r = Recorder::disabled();
-        assert_eq!(
-            Logger::from_flags(true, false, r.clone()).level(),
-            LogLevel::Error
-        );
-        assert_eq!(
-            Logger::from_flags(false, true, r.clone()).level(),
-            LogLevel::Debug
-        );
-        assert_eq!(
-            Logger::from_flags(false, false, r.clone()).level(),
-            LogLevel::Info
-        );
+        assert_eq!(Logger::from_flags(true, false).level(), LogLevel::Error);
+        assert_eq!(Logger::from_flags(false, true).level(), LogLevel::Debug);
+        assert_eq!(Logger::from_flags(false, false).level(), LogLevel::Info);
         // --quiet wins over -v.
-        assert_eq!(Logger::from_flags(true, true, r).level(), LogLevel::Error);
+        assert_eq!(Logger::from_flags(true, true).level(), LogLevel::Error);
     }
 
     #[test]
-    fn suppressed_levels_still_count() {
-        let r = Recorder::ring(4);
-        let log = Logger::from_flags(true, false, r.clone());
-        log.info("not printed");
-        log.error("printed");
-        assert_eq!(r.counter("log.info"), 1);
-        assert_eq!(r.counter("log.error"), 1);
+    fn quiet_logger_prints_errors_only() {
+        let log = Logger::from_flags(true, false);
+        assert!(log.enabled(LogLevel::Error));
+        assert!(!log.enabled(LogLevel::Warn));
+        assert!(!log.enabled(LogLevel::Info));
     }
 }

@@ -23,8 +23,7 @@
 //! [`HealthReport`] is a pure function of the *set* of per-node
 //! streams — independent of node interleaving (asserted by proptest)
 //! and therefore byte-identical between the serial and threaded fleet
-//! drivers. A disabled monitor ([`FleetMonitor::disabled`]) costs one
-//! branch per observed event, matching the `Recorder` contract.
+//! drivers.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -102,11 +101,10 @@ struct TrainSample {
 #[derive(Clone, Debug)]
 pub struct FleetMonitor {
     cfg: MonitorConfig,
-    enabled: bool,
     /// window index -> node -> that node's rollup.
     windows: BTreeMap<u64, BTreeMap<u64, WindowRollup>>,
     /// (window index, node, kind) -> aggregated context.
-    context: BTreeMap<(u64, u64, String), CtxAgg>,
+    context: BTreeMap<(u64, u64, &'static str), CtxAgg>,
     /// node -> window index new context is attributed to (advances when
     /// the node's rollup for a window arrives).
     cur_window: BTreeMap<u64, u64>,
@@ -120,25 +118,12 @@ impl FleetMonitor {
     pub fn new(cfg: MonitorConfig) -> Self {
         Self {
             cfg,
-            enabled: true,
             windows: BTreeMap::new(),
             context: BTreeMap::new(),
             cur_window: BTreeMap::new(),
             train: BTreeMap::new(),
             flight: crate::trace::FlightRecorder::new(),
         }
-    }
-
-    /// A monitor that observes nothing: every `observe` is one branch.
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::new(MonitorConfig::default())
-        }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     pub fn config(&self) -> &MonitorConfig {
@@ -148,9 +133,6 @@ impl FleetMonitor {
     /// Feed one event from `node`'s stream. Events must arrive in each
     /// node's stream order; different nodes may interleave arbitrarily.
     pub fn observe(&mut self, node: u64, event: &Event) {
-        if !self.enabled {
-            return;
-        }
         match event {
             Event::WindowRollup(w) => {
                 // Tail-exemplar links land on the *closing* window's
@@ -160,7 +142,7 @@ impl FleetMonitor {
                     self.context_entry(
                         node,
                         w.t,
-                        "tail-exemplar".into(),
+                        "tail-exemplar",
                         format!("trace ids {:?}", w.exemplars),
                     );
                 }
@@ -180,18 +162,18 @@ impl FleetMonitor {
                 self.context_entry(
                     node,
                     f.t,
-                    f.kind.clone(),
+                    f.kind.as_str(),
                     format!("core {}, magnitude {}", f.core, f.magnitude),
                 );
             }
             Event::SafetyAction(a) => {
-                self.context_entry(node, a.t, a.action.clone(), format!("core {}", a.core));
+                self.context_entry(node, a.t, a.action.as_str(), format!("core {}", a.core));
             }
             Event::DrlStep(s) => {
                 self.context_entry(
                     node,
                     s.t,
-                    "drl-step".into(),
+                    "drl-step",
                     format!(
                         "base_freq {:.3}, coef {:.3}, queue {}, timeouts {}",
                         s.base_freq, s.scaling_coef, s.queue_len, s.timeouts
@@ -211,9 +193,6 @@ impl FleetMonitor {
 
     /// Feed a whole per-node stream (stream order).
     pub fn ingest(&mut self, node: u64, events: &[Event]) {
-        if !self.enabled {
-            return;
-        }
         for ev in events {
             self.observe(node, ev);
         }
@@ -224,9 +203,6 @@ impl FleetMonitor {
     /// each worker its own monitor over its owned nodes); merged state
     /// is identical to one monitor having observed every stream.
     pub fn merge(&mut self, other: FleetMonitor) {
-        if !self.enabled {
-            return;
-        }
         for (idx, per_node) in other.windows {
             self.windows.entry(idx).or_default().extend(per_node);
         }
@@ -242,7 +218,7 @@ impl FleetMonitor {
         &self.flight
     }
 
-    fn context_entry(&mut self, node: u64, t: u64, kind: String, detail: String) {
+    fn context_entry(&mut self, node: u64, t: u64, kind: &'static str, detail: String) {
         let window = self.cur_window.get(&node).copied().unwrap_or(0);
         let agg = self
             .context
@@ -269,7 +245,7 @@ impl FleetMonitor {
             .map(|((_, node, kind), agg)| IncidentEntry {
                 t: agg.t_last,
                 node: *node,
-                kind: kind.clone(),
+                kind: kind.to_string(),
                 count: agg.count,
                 detail: agg.detail.clone(),
             })
@@ -858,67 +834,6 @@ impl HealthReport {
     }
 }
 
-/// How one gauge key folds when per-node [`crate::Recorder`] snapshots
-/// are merged into a fleet view.
-///
-/// Gauges are last-write *within* one node's recorder — correct for a
-/// single stream — but folding node snapshots with the same rule
-/// silently keeps whichever node happened to fold last. A peak gauge
-/// (e.g. `queue.peak_depth`) under-reports the true fleet peak that
-/// way; per-key policies fix the fold.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GaugeMerge {
-    /// Fleet value is the max across nodes (peaks, high-water marks).
-    Max,
-    /// Fleet value is the min across nodes (floors, low-water marks).
-    Min,
-    /// Fleet value is the sum across nodes (totals).
-    Sum,
-    /// Last write wins — only for keys where cross-node aggregation is
-    /// meaningless (a genuinely per-run scalar).
-    Last,
-}
-
-/// The merge policy for a gauge key, by naming convention: `peak`/`max`
-/// segments aggregate by max, `floor`/`min` by min, `total`/`sum` by
-/// sum, anything else stays last-write.
-pub fn gauge_merge_policy(key: &str) -> GaugeMerge {
-    let has = |needle: &str| key.split(['.', '_', '-']).any(|seg| seg == needle);
-    if has("peak") || has("max") {
-        GaugeMerge::Max
-    } else if has("floor") || has("min") {
-        GaugeMerge::Min
-    } else if has("total") || has("sum") {
-        GaugeMerge::Sum
-    } else {
-        GaugeMerge::Last
-    }
-}
-
-/// Fold one node's gauge snapshot into a fleet accumulator under the
-/// per-key [`gauge_merge_policy`]. Max/Min/Sum keys are
-/// order-independent across nodes; only `Last` keys depend on fold
-/// order (callers fold in ascending node order for determinism).
-pub fn merge_gauges(into: &mut BTreeMap<&'static str, f64>, node_gauges: &[(&'static str, f64)]) {
-    for &(key, value) in node_gauges {
-        match into.entry(key) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(value);
-            }
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                let cur = *e.get();
-                let merged = match gauge_merge_policy(key) {
-                    GaugeMerge::Max => cur.max(value),
-                    GaugeMerge::Min => cur.min(value),
-                    GaugeMerge::Sum => cur + value,
-                    GaugeMerge::Last => value,
-                };
-                e.insert(merged);
-            }
-        }
-    }
-}
-
 /// A [`TelemetrySink`] that feeds a shared [`FleetMonitor`] inline —
 /// events stream straight into monitor state without buffering.
 pub struct MonitorSink {
@@ -942,7 +857,7 @@ impl TelemetrySink for MonitorSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::FaultInjected;
+    use crate::event::{FaultInjected, FaultKind};
     use crate::slo::BurnRateRule;
     use proptest::prelude::*;
 
@@ -967,10 +882,10 @@ mod tests {
         ))
     }
 
-    fn fault(t: u64, kind: &str) -> Event {
+    fn fault(t: u64, kind: FaultKind) -> Event {
         Event::FaultInjected(FaultInjected {
             t,
-            kind: kind.into(),
+            kind,
             core: 2,
             magnitude: 20.0,
         })
@@ -989,17 +904,6 @@ mod tests {
                 max_burn: 2.0,
             }],
         })
-    }
-
-    #[test]
-    fn disabled_monitor_is_inert() {
-        let mut m = FleetMonitor::disabled();
-        assert!(!m.enabled());
-        m.observe(0, &rollup(0, &[1000, 2000], 1, 50.0));
-        let report = m.finish();
-        assert_eq!(report.windows, 0);
-        assert!(report.healthy);
-        assert!(report.events.is_empty());
     }
 
     #[test]
@@ -1031,7 +935,7 @@ mod tests {
             m.observe(0, &rollup(i, &[1000, 1000], 0, 60.0));
         }
         for i in 3..7 {
-            m.observe(0, &fault(i * WIN + WIN / 2, "core-stall"));
+            m.observe(0, &fault(i * WIN + WIN / 2, FaultKind::CoreStall));
             m.observe(0, &rollup(i, &[1000, 9_000_000], 1, 60.0));
         }
         for i in 7..12 {
@@ -1194,7 +1098,7 @@ mod tests {
                     let mut evs = Vec::new();
                     for i in 0..8u64 {
                         let idx = (node + i) as usize % timeouts.len();
-                        evs.push(fault(i * WIN + node, "dvfs-fail"));
+                        evs.push(fault(i * WIN + node, FaultKind::DvfsFail));
                         evs.push(rollup(
                             i,
                             &[1000 * (node + 1), 50_000 + 1000 * i],
@@ -1230,40 +1134,6 @@ mod tests {
             }
             prop_assert_eq!(reference.finish().to_json(), shuffled.finish().to_json());
         }
-    }
-
-    #[test]
-    fn gauge_merge_uses_per_key_policy_not_last_write() {
-        // Regression: folding per-node gauge snapshots by last-write
-        // under-reported the fleet peak — a node with a small peak
-        // folding last clobbered the true maximum.
-        let node0 = vec![("queue.peak_depth", 40.0), ("load", 0.7)];
-        let node1 = vec![("queue.peak_depth", 9.0), ("load", 0.2)];
-        let mut fwd = BTreeMap::new();
-        merge_gauges(&mut fwd, &node0);
-        merge_gauges(&mut fwd, &node1);
-        // The fleet peak is node0's 40 even though node1 folded last.
-        assert_eq!(fwd.get("queue.peak_depth"), Some(&40.0));
-        // Peak keys are order-independent.
-        let mut rev = BTreeMap::new();
-        merge_gauges(&mut rev, &node1);
-        merge_gauges(&mut rev, &node0);
-        assert_eq!(fwd.get("queue.peak_depth"), rev.get("queue.peak_depth"));
-        // Plain keys stay last-write.
-        assert_eq!(fwd.get("load"), Some(&0.2));
-        assert_eq!(rev.get("load"), Some(&0.7));
-    }
-
-    #[test]
-    fn gauge_policy_follows_key_naming_convention() {
-        assert_eq!(gauge_merge_policy("queue.peak_depth"), GaugeMerge::Max);
-        assert_eq!(gauge_merge_policy("freq.max_mhz"), GaugeMerge::Max);
-        assert_eq!(gauge_merge_policy("freq.min_mhz"), GaugeMerge::Min);
-        assert_eq!(gauge_merge_policy("energy.total_j"), GaugeMerge::Sum);
-        assert_eq!(gauge_merge_policy("power.sum"), GaugeMerge::Sum);
-        assert_eq!(gauge_merge_policy("load"), GaugeMerge::Last);
-        // Substrings that are not whole segments do not trip the policy.
-        assert_eq!(gauge_merge_policy("speaker.level"), GaugeMerge::Last);
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! The recorder handle and its sinks.
 //!
-//! A [`Recorder`] is the single object instrumented code holds. Its
-//! event stream is either *disabled* (`Recorder::disabled()`) — a
-//! `None` inside, so every emission is one branch and no allocation
-//! ever happens — or backed by shared state holding a
-//! [`TelemetrySink`] for the event stream plus counters, gauges and
-//! log-bucketed histograms.
+//! A [`Recorder`] is the single object instrumented code holds: an
+//! optional event sink plus the span profiler. Its event stream is
+//! either *disabled* (`Recorder::disabled()`) — a `None` inside, so
+//! every emission is one branch and no allocation ever happens — or a
+//! shared [`TelemetrySink`] that every clone of the handle feeds.
+//!
+//! The recorder keeps no counts of its own. What happened in a run is
+//! counted once, in the run's result (`SimResult` fields such as
+//! `faults_injected` and `shed`, the safety governor's trip counters),
+//! and told once, as typed events; tests compare the two.
 //!
 //! The recorder also carries the span [`Profiler`] (disabled by
 //! default; attach one with [`Recorder::with_profiler`]), so one handle
@@ -20,11 +24,9 @@
 //! byte-identical across `--threads` values.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::event::Event;
-use crate::histogram::Histogram;
 use crate::profile::Profiler;
 
 /// Destination for the typed event stream.
@@ -43,8 +45,7 @@ pub trait TelemetrySink {
 }
 
 /// Discards every event. Used by the overhead bench to measure the
-/// cost of an *enabled* recorder minus any buffering work, and as the
-/// stand-in sink wherever only counters/histograms matter.
+/// cost of an *enabled* recorder minus any buffering work.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopSink;
 
@@ -108,17 +109,10 @@ impl TelemetrySink for RingSink {
     }
 }
 
-struct Inner {
-    sink: Box<dyn TelemetrySink>,
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-}
-
 /// Cheap, cloneable telemetry handle. See the module docs.
 #[derive(Clone, Default)]
 pub struct Recorder {
-    inner: Option<Rc<RefCell<Inner>>>,
+    sink: Option<Rc<RefCell<Box<dyn TelemetrySink>>>>,
     prof: Profiler,
 }
 
@@ -137,12 +131,7 @@ impl Recorder {
     /// An enabled recorder over an arbitrary sink.
     pub fn with_sink(sink: Box<dyn TelemetrySink>) -> Self {
         Self {
-            inner: Some(Rc::new(RefCell::new(Inner {
-                sink,
-                counters: BTreeMap::new(),
-                gauges: BTreeMap::new(),
-                histograms: BTreeMap::new(),
-            }))),
+            sink: Some(Rc::new(RefCell::new(sink))),
             prof: Profiler::disabled(),
         }
     }
@@ -156,7 +145,7 @@ impl Recorder {
     /// Whether the event stream is on (the profiler is independent).
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.inner.is_some()
+        self.sink.is_some()
     }
 
     /// The attached span profiler (disabled unless
@@ -170,93 +159,23 @@ impl Recorder {
     /// callers pay for constructing the payload only when enabled.
     #[inline]
     pub fn emit(&self, event: impl FnOnce() -> Event) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().sink.record(event());
-        }
-    }
-
-    /// Add `delta` to the named counter.
-    #[inline]
-    pub fn add(&self, name: &'static str, delta: u64) {
-        if let Some(inner) = &self.inner {
-            *inner.borrow_mut().counters.entry(name).or_insert(0) += delta;
-        }
-    }
-
-    /// Set the named gauge to `value`.
-    #[inline]
-    pub fn set(&self, name: &'static str, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().gauges.insert(name, value);
-        }
-    }
-
-    /// Record `value` into the named log-bucketed histogram.
-    #[inline]
-    pub fn observe(&self, name: &'static str, value: u64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .borrow_mut()
-                .histograms
-                .entry(name)
-                .or_insert_with(Histogram::new)
-                .record(value);
+        if let Some(sink) = &self.sink {
+            sink.borrow_mut().record(event());
         }
     }
 
     /// Take every buffered event, oldest first (empty when disabled).
     pub fn drain_events(&self) -> Vec<Event> {
-        match &self.inner {
-            Some(inner) => inner.borrow_mut().sink.drain(),
+        match &self.sink {
+            Some(sink) => sink.borrow_mut().drain(),
             None => Vec::new(),
         }
-    }
-
-    /// Snapshot of the counters (name order).
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        match &self.inner {
-            Some(inner) => inner
-                .borrow()
-                .counters
-                .iter()
-                .map(|(&k, &v)| (k, v))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Value of one counter (0 when absent or disabled).
-    pub fn counter(&self, name: &str) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.borrow().counters.get(name).copied().unwrap_or(0),
-            None => 0,
-        }
-    }
-
-    /// Snapshot of the gauges (name order).
-    pub fn gauges(&self) -> Vec<(&'static str, f64)> {
-        match &self.inner {
-            Some(inner) => inner
-                .borrow()
-                .gauges
-                .iter()
-                .map(|(&k, &v)| (k, v))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Clone of one histogram, if recorded.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.inner
-            .as_ref()
-            .and_then(|inner| inner.borrow().histograms.get(name).cloned())
     }
 
     /// Events the sink discarded due to capacity.
     pub fn dropped_events(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.borrow().sink.dropped(),
+        match &self.sink {
+            Some(sink) => sink.borrow().dropped(),
             None => 0,
         }
     }
@@ -290,12 +209,8 @@ mod tests {
         let r = Recorder::disabled();
         assert!(!r.enabled());
         r.emit(|| panic!("payload must not be constructed when disabled"));
-        r.add("x", 1);
-        r.observe("h", 5);
         assert!(r.drain_events().is_empty());
-        assert!(r.counters().is_empty());
-        assert_eq!(r.counter("x"), 0);
-        assert!(r.histogram("h").is_none());
+        assert_eq!(r.dropped_events(), 0);
         assert!(!r.profiler().is_enabled());
     }
 
@@ -329,17 +244,9 @@ mod tests {
     }
 
     #[test]
-    fn recorder_counters_gauges_histograms() {
+    fn recorder_clones_share_one_sink() {
         let r = Recorder::ring(16);
-        let r2 = r.clone(); // handles share state
-        r.add("steps", 2);
-        r2.add("steps", 3);
-        r.set("load", 0.7);
-        r.observe("latency", 100);
-        r.observe("latency", 200);
-        assert_eq!(r.counter("steps"), 5);
-        assert_eq!(r.gauges(), vec![("load", 0.7)]);
-        assert_eq!(r.histogram("latency").unwrap().count(), 2);
+        let r2 = r.clone();
         r.emit(|| ft(1));
         assert_eq!(r2.drain_events().len(), 1);
         assert!(r.drain_events().is_empty());
