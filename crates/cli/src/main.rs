@@ -59,26 +59,28 @@ fn main() -> ExitCode {
         }
     };
     let log = Logger::from_flags(flags.contains_key("quiet"), flags.contains_key("verbose"));
-    let result = check_positive(&flags).and_then(|()| match cmd.as_str() {
-        "train" => cmd_train(&flags, &log),
-        "eval" => cmd_eval(&flags, &log),
-        "compare" => cmd_compare(&flags, &log),
-        "grid" => cmd_grid(&flags, &log),
-        "robustness" => cmd_robustness(&flags, &log),
-        "fleet" => cmd_fleet(&flags, &log),
-        "monitor" => cmd_monitor(&flags, &log),
-        "trace" => cmd_trace(&flags, &log),
-        "rtrace" => cmd_rtrace(&flags, &log),
-        "profile" => cmd_profile(&flags, &log),
-        "explain" => cmd_explain(&flags, &log),
-        "bench-diff" => cmd_bench_diff(&flags, &log),
-        "workload-trace" => cmd_workload_trace(&flags, &log),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`")),
-    });
+    let result = check_known(cmd, &flags)
+        .and_then(|()| check_positive(&flags))
+        .and_then(|()| match cmd.as_str() {
+            "train" => cmd_train(&flags, &log),
+            "eval" => cmd_eval(&flags, &log),
+            "compare" => cmd_compare(&flags, &log),
+            "grid" => cmd_grid(&flags, &log),
+            "robustness" => cmd_robustness(&flags, &log),
+            "fleet" => cmd_fleet(&flags, &log),
+            "monitor" => cmd_monitor(&flags, &log),
+            "trace" => cmd_trace(&flags, &log),
+            "rtrace" => cmd_rtrace(&flags, &log),
+            "profile" => cmd_profile(&flags, &log),
+            "explain" => cmd_explain(&flags, &log),
+            "bench-diff" => cmd_bench_diff(&flags, &log),
+            "workload-trace" => cmd_workload_trace(&flags, &log),
+            "help" | "--help" | "-h" => {
+                println!("{USAGE}");
+                Ok(())
+            }
+            other => Err(format!("unknown command `{other}`")),
+        });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -200,6 +202,158 @@ type Flags = HashMap<String, String>;
 
 /// Flags that take no value; their presence maps to `"true"`.
 const BOOL_FLAGS: &[&str] = &["quiet", "verbose", "monitor", "trace"];
+
+/// Flags every command takes (`--quiet`, and `-v`).
+const GLOBAL_FLAGS: &[&str] = &["quiet", "verbose"];
+
+/// The flags `cmd` reads besides [`GLOBAL_FLAGS`] (`-o` is `out`), or
+/// `None` for an unknown command. `--policy`, `--app`, `--train-seed`,
+/// `--episodes` and `--episode-s` select or train the policy of the
+/// commands that take either one.
+fn command_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "train" => &["app", "episodes", "episode-s", "peak-load", "seed", "out"],
+        "eval" => &["policy", "duration-s", "peak-load", "seed"],
+        "compare" => &[
+            "app",
+            "duration-s",
+            "seed",
+            "train-seed",
+            "threads",
+            "telemetry",
+        ],
+        "grid" => &[
+            "apps",
+            "governors",
+            "seeds",
+            "duration-s",
+            "peak-load",
+            "workload",
+            "threads",
+            "out",
+            "telemetry",
+        ],
+        "robustness" => &[
+            "app",
+            "governors",
+            "scenario",
+            "duration-s",
+            "peak-load",
+            "seed",
+            "threads",
+            "out",
+            "queue-policy",
+            "queue-capacity",
+            "retry-prob",
+        ],
+        "fleet" => &[
+            "policy",
+            "app",
+            "train-seed",
+            "episodes",
+            "episode-s",
+            "nodes",
+            "balancer",
+            "profiles",
+            "duration-s",
+            "peak-load",
+            "seed",
+            "fault",
+            "overload",
+            "monitor",
+            "trace",
+            "trace-sample",
+            "trace-exemplars",
+            "flight-dump",
+            "slo",
+            "health",
+            "threads",
+            "out",
+            "telemetry",
+        ],
+        "monitor" => &["input", "slo", "app", "out", "log"],
+        "trace" => &[
+            "policy",
+            "app",
+            "train-seed",
+            "episodes",
+            "episode-s",
+            "duration-s",
+            "peak-load",
+            "seed",
+            "out",
+            "csv",
+        ],
+        "rtrace" => &[
+            "input",
+            "policy",
+            "app",
+            "train-seed",
+            "episodes",
+            "episode-s",
+            "scenario",
+            "sample",
+            "exemplars",
+            "nodes",
+            "duration-s",
+            "peak-load",
+            "seed",
+            "slo",
+            "flight-dump",
+            "out",
+        ],
+        "profile" => &[
+            "policy",
+            "app",
+            "train-seed",
+            "episodes",
+            "episode-s",
+            "duration-s",
+            "peak-load",
+            "seed",
+            "out",
+            "table",
+        ],
+        "explain" => &[
+            "policy",
+            "app",
+            "train-seed",
+            "episodes",
+            "episode-s",
+            "duration-s",
+            "peak-load",
+            "seed",
+            "points",
+            "eps",
+            "jsonl",
+            "csv",
+            "surface",
+        ],
+        "bench-diff" => &["baseline", "candidate", "tolerance"],
+        "workload-trace" => &["period-s", "base-rps", "seed", "out"],
+        "help" | "--help" | "-h" => &[],
+        _ => return None,
+    })
+}
+
+/// Reject every flag `cmd` does not read, so a misspelt or misplaced
+/// flag fails instead of running silently with its default. An unknown
+/// command is left to the dispatch's own error.
+fn check_known(cmd: &str, flags: &Flags) -> Result<(), String> {
+    let Some(accepted) = command_flags(cmd) else {
+        return Ok(());
+    };
+    let mut unknown: Vec<String> = flags
+        .keys()
+        .filter(|k| !GLOBAL_FLAGS.contains(&k.as_str()) && !accepted.contains(&k.as_str()))
+        .map(|k| format!("--{k}"))
+        .collect();
+    if unknown.is_empty() {
+        return Ok(());
+    }
+    unknown.sort_unstable();
+    Err(format!("`{cmd}` does not take {}", unknown.join(", ")))
+}
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut out = HashMap::new();
@@ -941,9 +1095,10 @@ fn warn_dropped(log: &Logger, what: &str, unit: &str, streams: &[(Vec<Event>, u6
 }
 
 /// Replay a policy with full instrumentation and dump the decision
-/// trace. The recorder ring is sized for the worst case — one
-/// `FreqTransition` per core per 1 ms tick plus two request marks per
-/// request — so nothing is evicted on sane durations.
+/// trace. The recorder ring is sized for the worst case — two request
+/// marks per request at the trace's peak rate for the whole run, plus
+/// one `FreqTransition` per core per 1 ms tick — so nothing is evicted
+/// on sane durations.
 fn cmd_trace(flags: &Flags, log: &Logger) -> Result<(), String> {
     log.info(
         "`trace` records the governor decision trace; for request-lifecycle traces \
@@ -956,7 +1111,8 @@ fn cmd_trace(flags: &Flags, log: &Logger) -> Result<(), String> {
     let out: PathBuf = get(flags, "out", PathBuf::from("trace.jsonl"))?;
 
     let spec = AppSpec::get(policy.app);
-    let capacity = duration_s as usize * 1000 * spec.n_threads * 2 + (1 << 16);
+    let marks = (2.0 * spec.rps_for_load(peak) * duration_s as f64).ceil() as usize;
+    let capacity = marks + duration_s as usize * 1000 * spec.n_threads + (1 << 16);
     let rec = Recorder::ring(capacity);
     log.info(&format!(
         "tracing {:?} policy: {duration_s} s at peak load {peak:.2} (event capacity {capacity})",

@@ -420,3 +420,27 @@ fn zero_base_rps_fails() {
     assert_clean_failure(&out, "--base-rps must be positive and finite, got 0");
     assert_one_line_error(&out);
 }
+
+/// A flag the command does not read used to be ignored: `trace --fault
+/// all` ran fault-free and `grid --bogus-flag 3` exited 0.
+#[test]
+fn flag_the_command_does_not_take_fails() {
+    let out = deeppower(&["trace", "--fault", "all"]);
+    assert_clean_failure(&out, "`trace` does not take --fault");
+    assert_one_line_error(&out);
+    let out = deeppower(&[
+        "grid",
+        "--apps",
+        "masstree",
+        "--governors",
+        "baseline",
+        "--seeds",
+        "1",
+        "--duration-s",
+        "1",
+        "--bogus-flag",
+        "3",
+    ]);
+    assert_clean_failure(&out, "`grid` does not take --bogus-flag");
+    assert_one_line_error(&out);
+}

@@ -10,10 +10,11 @@
 //!
 //! `inflation = 1 + coeff · (busy / total)^exponent`
 //!
-//! It is recomputed at every event boundary, so a request slows down while
-//! the socket is crowded and speeds back up as siblings drain — exactly the
-//! load-coupled drift that makes fixed-load service-time models (Fig. 2)
-//! inaccurate across load levels.
+//! The engine recomputes it whenever the busy count changes (a core starts
+//! or finishes a request), so a request slows down while the socket is
+//! crowded and speeds back up as siblings drain — exactly the load-coupled
+//! drift that makes fixed-load service-time models (Fig. 2) inaccurate
+//! across load levels.
 
 use serde::{Deserialize, Serialize};
 

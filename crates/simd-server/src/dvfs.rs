@@ -164,6 +164,10 @@ struct PendingTransition {
 #[derive(Clone, Debug)]
 pub struct DvfsController {
     pending: Vec<Option<PendingTransition>>,
+    /// How many entries of `pending` are `Some`, so the engine's
+    /// per-event [`poll`](Self::poll) and [`next_ready`](Self::next_ready)
+    /// passes cost nothing while no transition is in flight.
+    in_flight: usize,
 }
 
 impl DvfsController {
@@ -171,7 +175,13 @@ impl DvfsController {
         assert!(n_cores > 0, "DvfsController needs at least one core");
         Self {
             pending: vec![None; n_cores],
+            in_flight: 0,
         }
+    }
+
+    /// Whether any core has a transition in flight.
+    pub fn any_in_flight(&self) -> bool {
+        self.in_flight > 0
     }
 
     /// Whether `core` has a transition in flight.
@@ -207,6 +217,7 @@ impl DvfsController {
                     target_mhz,
                     ready_at,
                 });
+                self.in_flight += 1;
                 TransitionOutcome::Deferred { ready_at }
             }
         }
@@ -219,6 +230,7 @@ impl DvfsController {
             Some(p) if now >= p.ready_at => {
                 let target = p.target_mhz;
                 self.pending[core] = None;
+                self.in_flight -= 1;
                 Some(target)
             }
             _ => None,
@@ -228,6 +240,9 @@ impl DvfsController {
     /// Earliest pending-transition completion time across all cores
     /// (feeds the engine's next-event computation).
     pub fn next_ready(&self) -> Option<Nanos> {
+        if !self.any_in_flight() {
+            return None;
+        }
         self.pending.iter().flatten().map(|p| p.ready_at).min()
     }
 }
@@ -349,6 +364,7 @@ mod tests {
         let out = c.request(0, 1_000, 1000, 2000, DvfsFault::Spike(500));
         assert_eq!(out, TransitionOutcome::Deferred { ready_at: 1_500 });
         assert!(c.in_transition(0));
+        assert!(c.any_in_flight());
         // A second write while the first is in flight is rejected —
         // including a write back to the current frequency.
         assert_eq!(
@@ -364,6 +380,7 @@ mod tests {
         assert_eq!(c.next_ready(), Some(1_500));
         assert_eq!(c.poll(0, 1_500), Some(2000));
         assert!(!c.in_transition(0));
+        assert!(!c.any_in_flight());
         assert_eq!(c.next_ready(), None);
         // After completion, new requests land again.
         assert_eq!(

@@ -19,7 +19,7 @@ use crate::request::{Features, Request};
 use std::collections::VecDeque;
 
 /// What a governor may see about one in-flight request.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RunningView {
     /// When the request arrived at the server queue.
     pub arrival: Nanos,
@@ -34,7 +34,7 @@ pub struct RunningView {
 }
 
 /// What a governor may see about one core.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CoreView {
     /// Commanded frequency in MHz.
     pub freq_mhz: u32,
@@ -92,6 +92,9 @@ pub struct FreqCommands {
     targets: Vec<Option<u32>>,
     sleep_targets: Vec<Option<usize>>,
     admission: Option<f32>,
+    /// Set by every setter and cleared by the engine, which skips its
+    /// per-core apply pass after a callback that commanded nothing.
+    issued: bool,
     turbo_mhz: u32,
     min_mhz: u32,
     max_mhz: u32,
@@ -106,6 +109,7 @@ impl FreqCommands {
             targets: vec![None; n_cores],
             sleep_targets: vec![None; n_cores],
             admission: None,
+            issued: false,
             turbo_mhz: plan.turbo_mhz,
             min_mhz: plan.min_mhz(),
             max_mhz: plan.max_mhz(),
@@ -128,15 +132,11 @@ impl FreqCommands {
         f.round() as u32
     }
 
-    #[allow(dead_code)]
-    pub(crate) fn reset(&mut self) {
-        self.targets.iter_mut().for_each(|t| *t = None);
-    }
-
     /// Command core `core_id` to `mhz` (snapped to a legal level by the
     /// engine if needed).
     pub fn set(&mut self, core_id: usize, mhz: u32) {
         self.targets[core_id] = Some(mhz);
+        self.issued = true;
     }
 
     /// Peek the pending command for `core_id` without consuming it.
@@ -149,11 +149,13 @@ impl FreqCommands {
     /// Command core `core_id` to the turbo frequency (Algorithm 1 line 7).
     pub fn set_turbo(&mut self, core_id: usize) {
         self.targets[core_id] = Some(self.turbo_mhz);
+        self.issued = true;
     }
 
     /// Command every core to the same frequency.
     pub fn set_all(&mut self, mhz: u32) {
         self.targets.iter_mut().for_each(|t| *t = Some(mhz));
+        self.issued = true;
     }
 
     pub(crate) fn take(&mut self, core_id: usize) -> Option<u32> {
@@ -166,6 +168,7 @@ impl FreqCommands {
     /// engine dispatches a request to it.
     pub fn set_sleep(&mut self, core_id: usize, level: usize) {
         self.sleep_targets[core_id] = Some(level);
+        self.issued = true;
     }
 
     pub(crate) fn take_sleep(&mut self, core_id: usize) -> Option<usize> {
@@ -184,6 +187,7 @@ impl FreqCommands {
     pub fn set_admission(&mut self, frac: f32) {
         let frac = if frac.is_finite() { frac } else { 1.0 };
         self.admission = Some(frac.clamp(0.0, 1.0));
+        self.issued = true;
     }
 
     /// Peek the pending admission command without consuming it.
@@ -193,6 +197,11 @@ impl FreqCommands {
 
     pub(crate) fn take_admission(&mut self) -> Option<f32> {
         self.admission.take()
+    }
+
+    /// Whether any setter ran since the last call, clearing the flag.
+    pub(crate) fn take_issued(&mut self) -> bool {
+        std::mem::take(&mut self.issued)
     }
 
     pub fn n_cores(&self) -> usize {
@@ -313,6 +322,8 @@ mod tests {
         cmds.set(1, 1000);
         cmds.set(1, 1500);
         cmds.set_turbo(2);
+        assert!(cmds.take_issued());
+        assert!(!cmds.take_issued(), "taking the flag clears it");
         assert_eq!(cmds.take(0), None);
         assert_eq!(cmds.take(1), Some(1500));
         assert_eq!(cmds.take(1), None);

@@ -637,12 +637,16 @@ impl OverloadState {
     /// Classify a completion: `true` if the work was wasted (client
     /// already abandoned).
     pub fn on_completion(&mut self, id: u64, service_ns: Nanos) -> bool {
-        if self.abandoned.remove(&id) {
+        // Without client deadlines (every open-loop run) both sets stay
+        // empty: skip hashing the id into them.
+        if !self.abandoned.is_empty() && self.abandoned.remove(&id) {
             self.counters.wasted += 1;
             self.counters.wasted_service_ns += service_ns;
             true
         } else {
-            self.open.remove(&id);
+            if !self.open.is_empty() {
+                self.open.remove(&id);
+            }
             self.counters.good += 1;
             false
         }

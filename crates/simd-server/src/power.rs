@@ -63,14 +63,6 @@ impl PowerModel {
             dynamic * self.idle_activity
         }
     }
-
-    /// Socket power given each core's `(freq_mhz, busy)` state.
-    pub fn socket_power_w(&self, cores: impl Iterator<Item = (u32, bool)>) -> f64 {
-        self.static_w
-            + cores
-                .map(|(f, busy)| self.core_power_w(f, busy))
-                .sum::<f64>()
-    }
 }
 
 /// Monotone energy accumulator with a RAPL-like microjoule counter.
@@ -122,17 +114,22 @@ mod tests {
     use super::*;
     use crate::clock::SECOND;
 
+    /// Socket power with 20 cores all at `freq_mhz`, busy or idle.
+    fn socket_w(m: &PowerModel, freq_mhz: u32, busy: bool) -> f64 {
+        m.static_w + (0..20).map(|_| m.core_power_w(freq_mhz, busy)).sum::<f64>()
+    }
+
     #[test]
     fn default_calibration_near_tdp_at_full_load() {
         let m = PowerModel::xeon_gold_5218r();
-        let p = m.socket_power_w((0..20).map(|_| (2100u32, true)));
+        let p = socket_w(&m, 2100, true);
         assert!((100.0..130.0).contains(&p), "full-load power {p}");
     }
 
     #[test]
     fn idle_low_frequency_power_is_much_lower() {
         let m = PowerModel::xeon_gold_5218r();
-        let p = m.socket_power_w((0..20).map(|_| (800u32, false)));
+        let p = socket_w(&m, 800, false);
         // Mostly static power.
         assert!(p < 35.0, "idle power {p}");
         assert!(p > m.static_w);

@@ -121,35 +121,26 @@ impl Request {
         }
     }
 
-    /// Wall-clock time this request needs on a core at `freq_mhz`, given
-    /// the reference frequency and a contention inflation factor, starting
-    /// from `remaining_ref_ns` of intrinsic work.
-    ///
-    /// `time = remaining_ref · (s · f_ref/f + (1 − s)) · inflation`
-    pub fn scaled_time(
-        remaining_ref_ns: f64,
-        freq_sensitivity: f32,
-        freq_mhz: u32,
-        reference_mhz: u32,
-        inflation: f64,
-    ) -> f64 {
+    /// The factor by which a core at `freq_mhz` stretches a request's
+    /// work relative to the reference frequency, given the request's
+    /// `freq_sensitivity` `s`: `s · f_ref/f + (1 − s)`. The engine keeps this per running core
+    /// and refreshes it only when the core's frequency changes.
+    pub fn freq_scale(freq_sensitivity: f32, freq_mhz: u32, reference_mhz: u32) -> f64 {
         debug_assert!(freq_mhz > 0);
         let s = freq_sensitivity as f64;
-        let scale = s * reference_mhz as f64 / freq_mhz as f64 + (1.0 - s);
+        s * reference_mhz as f64 / freq_mhz as f64 + (1.0 - s)
+    }
+
+    /// Wall-clock time `remaining_ref_ns` of intrinsic work takes at a
+    /// frequency [`scale`](Self::freq_scale) and a contention inflation
+    /// factor: `time = remaining_ref · scale · inflation`.
+    pub fn scaled_time(remaining_ref_ns: f64, scale: f64, inflation: f64) -> f64 {
         remaining_ref_ns * scale * inflation
     }
 
     /// Inverse of [`Request::scaled_time`]: how much intrinsic work is
     /// retired by running `dt` nanoseconds at the given conditions.
-    pub fn retired_work(
-        dt: f64,
-        freq_sensitivity: f32,
-        freq_mhz: u32,
-        reference_mhz: u32,
-        inflation: f64,
-    ) -> f64 {
-        let s = freq_sensitivity as f64;
-        let scale = s * reference_mhz as f64 / freq_mhz as f64 + (1.0 - s);
+    pub fn retired_work(dt: f64, scale: f64, inflation: f64) -> f64 {
         dt / (scale * inflation)
     }
 }
@@ -158,34 +149,41 @@ impl Request {
 mod tests {
     use super::*;
 
+    /// Time for `remaining` work at sensitivity `s`, `freq_mhz` against a
+    /// 2100 MHz reference, and `inflation`.
+    fn time(remaining: f64, s: f32, freq_mhz: u32, inflation: f64) -> f64 {
+        Request::scaled_time(remaining, Request::freq_scale(s, freq_mhz, 2100), inflation)
+    }
+
     #[test]
     fn fully_sensitive_work_scales_inversely_with_frequency() {
         // s = 1: halving the frequency doubles the time.
-        let t_full = Request::scaled_time(1000.0, 1.0, 2100, 2100, 1.0);
-        let t_half = Request::scaled_time(1000.0, 1.0, 1050, 2100, 1.0);
+        let t_full = time(1000.0, 1.0, 2100, 1.0);
+        let t_half = time(1000.0, 1.0, 1050, 1.0);
         assert!((t_full - 1000.0).abs() < 1e-9);
         assert!((t_half - 2000.0).abs() < 1e-9);
     }
 
     #[test]
     fn insensitive_work_ignores_frequency() {
-        let t_slow = Request::scaled_time(1000.0, 0.0, 800, 2100, 1.0);
-        let t_fast = Request::scaled_time(1000.0, 0.0, 2100, 2100, 1.0);
+        let t_slow = time(1000.0, 0.0, 800, 1.0);
+        let t_fast = time(1000.0, 0.0, 2100, 1.0);
         assert_eq!(t_slow, t_fast);
     }
 
     #[test]
     fn contention_inflates_linearly() {
-        let base = Request::scaled_time(1000.0, 0.7, 1500, 2100, 1.0);
-        let inflated = Request::scaled_time(1000.0, 0.7, 1500, 2100, 1.25);
+        let base = time(1000.0, 0.7, 1500, 1.0);
+        let inflated = time(1000.0, 0.7, 1500, 1.25);
         assert!((inflated / base - 1.25).abs() < 1e-9);
     }
 
     #[test]
     fn retired_work_inverts_scaled_time() {
         let remaining = 12345.0;
-        let t = Request::scaled_time(remaining, 0.6, 1300, 2100, 1.1);
-        let retired = Request::retired_work(t, 0.6, 1300, 2100, 1.1);
+        let scale = Request::freq_scale(0.6, 1300, 2100);
+        let t = Request::scaled_time(remaining, scale, 1.1);
+        let retired = Request::retired_work(t, scale, 1.1);
         assert!((retired - remaining).abs() < 1e-6);
     }
 
@@ -201,9 +199,9 @@ mod tests {
 
     #[test]
     fn partial_sensitivity_between_extremes() {
-        let t_min = Request::scaled_time(1000.0, 0.0, 800, 2100, 1.0);
-        let t_mid = Request::scaled_time(1000.0, 0.5, 800, 2100, 1.0);
-        let t_max = Request::scaled_time(1000.0, 1.0, 800, 2100, 1.0);
+        let t_min = time(1000.0, 0.0, 800, 1.0);
+        let t_mid = time(1000.0, 0.5, 800, 1.0);
+        let t_max = time(1000.0, 1.0, 800, 1.0);
         assert!(t_min < t_mid && t_mid < t_max);
         // s = 0.5 at f = f_ref/2.625 → scale = 0.5·2.625 + 0.5.
         assert!((t_mid - 1000.0 * (0.5 * 2100.0 / 800.0 + 0.5)).abs() < 1e-6);

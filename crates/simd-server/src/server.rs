@@ -298,6 +298,9 @@ struct Running {
     /// a request is dispatched to a sleeping core; frequency- and
     /// contention-independent).
     wake_remaining_ns: f64,
+    /// [`Request::freq_scale`] at the core's current frequency, kept
+    /// current by [`Cores::update`].
+    scale: f64,
 }
 
 struct CoreState {
@@ -305,6 +308,161 @@ struct CoreState {
     running: Option<Running>,
     /// Current C-state index while idle (`None` = C0).
     sleep: Option<usize>,
+}
+
+/// Every core's state plus what the engine derives from it, cached so
+/// that an event does work only for the cores that changed. A core's
+/// frequency, request or sleep state changes only through
+/// [`update`](Self::update), which refreshes that core's share of every
+/// cache with the same expressions a from-scratch pass would use (and
+/// [`check`](Self::check) asserts that in debug builds). Request
+/// progress (`remaining_ref_ns`, `wake_remaining_ns`) feeds no cache and
+/// is advanced in place.
+struct Cores<'a> {
+    cfg: &'a ServerConfig,
+    state: Vec<CoreState>,
+    /// What the governor sees of each core. Handed to callbacks by
+    /// reference, so a [`ServerView`] never allocates.
+    views: Vec<CoreView>,
+    /// Bit `i % 64` of word `i / 64` is set while core `i` runs a
+    /// request; the per-event passes visit only those cores.
+    running: Vec<u64>,
+    /// Number of running cores, and the contention inflation at it.
+    busy: usize,
+    inflation: f64,
+    /// Each core's power draw, watts.
+    power_w: Vec<f64>,
+    /// Socket power (static plus `power_w` summed in core order), or
+    /// `None` once a term changed since it was last summed.
+    socket_w: Option<f64>,
+}
+
+impl<'a> Cores<'a> {
+    fn new(cfg: &'a ServerConfig) -> Self {
+        let n = cfg.n_cores;
+        let state: Vec<CoreState> = (0..n)
+            .map(|i| CoreState {
+                freq_mhz: match cfg.core_cap(i) {
+                    Some(cap) => cfg.initial_mhz.min(cap),
+                    None => cfg.initial_mhz,
+                },
+                running: None,
+                sleep: None,
+            })
+            .collect();
+        Self {
+            views: state.iter().map(core_view).collect(),
+            running: vec![0; n.div_ceil(64)],
+            busy: 0,
+            inflation: cfg.contention.inflation(0, n),
+            power_w: state.iter().map(|c| core_power_w(cfg, c)).collect(),
+            socket_w: None,
+            state,
+            cfg,
+        }
+    }
+
+    /// Change core `i` with `f`, then refresh everything derived from
+    /// it: the running bit, the busy count and inflation (only if the
+    /// core started or finished a request), the running request's
+    /// frequency scale, the core's power term and its view.
+    fn update<T>(&mut self, i: usize, f: impl FnOnce(&mut CoreState) -> T) -> T {
+        let out = f(&mut self.state[i]);
+        let cfg = self.cfg;
+        let c = &mut self.state[i];
+        let bit = 1u64 << (i % 64);
+        let word = &mut self.running[i / 64];
+        if c.running.is_some() != (*word & bit != 0) {
+            *word ^= bit;
+            if c.running.is_some() {
+                self.busy += 1;
+            } else {
+                self.busy -= 1;
+            }
+            self.inflation = cfg.contention.inflation(self.busy, cfg.n_cores);
+        }
+        if let Some(r) = &mut c.running {
+            r.scale = Request::freq_scale(
+                r.req.freq_sensitivity,
+                c.freq_mhz,
+                cfg.freq_plan.reference_mhz,
+            );
+        }
+        let p = core_power_w(cfg, c);
+        if p.to_bits() != self.power_w[i].to_bits() {
+            self.power_w[i] = p;
+            self.socket_w = None;
+        }
+        self.views[i] = core_view(c);
+        out
+    }
+
+    /// Indices of the running cores, ascending.
+    fn running_cores(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.running.len()).flat_map(|w| set_bits(self.running[w], w))
+    }
+
+    /// Indices of the idle cores, ascending.
+    fn idle_cores(&self) -> impl Iterator<Item = usize> + '_ {
+        let n = self.state.len();
+        (0..self.running.len()).flat_map(move |w| {
+            let valid = if 64 * (w + 1) <= n {
+                !0
+            } else {
+                (1u64 << (n % 64)) - 1
+            };
+            set_bits(!self.running[w] & valid, w)
+        })
+    }
+
+    /// Socket power, re-summed only if a core's term changed.
+    fn socket_w(&mut self) -> f64 {
+        let (cfg, terms) = (self.cfg, &self.power_w);
+        *self
+            .socket_w
+            .get_or_insert_with(|| cfg.power.static_w + terms.iter().sum::<f64>())
+    }
+
+    /// Assert that every cache equals a from-scratch recomputation, bit
+    /// for bit.
+    fn check(&self) {
+        let cfg = self.cfg;
+        for (i, c) in self.state.iter().enumerate() {
+            let bit = self.running[i / 64] >> (i % 64) & 1 == 1;
+            assert_eq!(bit, c.running.is_some(), "core {i}: running bit");
+            if let Some(r) = &c.running {
+                let scale = Request::freq_scale(
+                    r.req.freq_sensitivity,
+                    c.freq_mhz,
+                    cfg.freq_plan.reference_mhz,
+                );
+                assert_eq!(r.scale.to_bits(), scale.to_bits(), "core {i}: scale");
+            }
+            let p = core_power_w(cfg, c);
+            assert_eq!(self.power_w[i].to_bits(), p.to_bits(), "core {i}: power");
+            assert_eq!(self.views[i], core_view(c), "core {i}: view");
+        }
+        let busy = self.state.iter().filter(|c| c.running.is_some()).count();
+        assert_eq!(self.busy, busy, "busy count");
+        let inflation = cfg.contention.inflation(busy, cfg.n_cores);
+        assert_eq!(self.inflation.to_bits(), inflation.to_bits(), "inflation");
+        if let Some(w) = self.socket_w {
+            let sum = cfg.power.static_w + self.power_w.iter().sum::<f64>();
+            assert_eq!(w.to_bits(), sum.to_bits(), "socket power");
+        }
+    }
+}
+
+/// Core indices of the set bits of `word`, the `w`-th word of a core
+/// bitset, ascending.
+fn set_bits(mut word: u64, w: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            64 * w + b
+        })
+    })
 }
 
 /// The simulated server.
@@ -397,17 +555,7 @@ impl Server {
             metrics.records.reserve_exact(arrivals.len());
         }
         Session {
-            cores: (0..n)
-                .map(|i| CoreState {
-                    freq_mhz: match self.cfg.core_cap(i) {
-                        Some(cap) => self.cfg.initial_mhz.min(cap),
-                        None => self.cfg.initial_mhz,
-                    },
-                    running: None,
-                    sleep: None,
-                })
-                .collect(),
-            views: Vec::with_capacity(n),
+            cores: Cores::new(&self.cfg),
             queue: VecDeque::new(),
             metrics,
             energy: EnergyMeter::new(),
@@ -459,11 +607,7 @@ pub struct Session<'a> {
     /// `rec`'s profiler, held by value so that each `engine.*` span
     /// site is one branch when it is disabled.
     prof: Profiler,
-    cores: Vec<CoreState>,
-    /// Reusable per-core view buffer, refilled from `cores` before each
-    /// governor callback (dispatch, tick, run end), so handing the
-    /// governor a [`ServerView`] never allocates.
-    views: Vec<CoreView>,
+    cores: Cores<'a>,
     /// The server queue. Unbounded by default — which silently encodes
     /// the paper's *open-loop* assumption: offered load never reacts to
     /// server state, every arrival is eventually served, and the only
@@ -559,7 +703,8 @@ impl Session<'_> {
             // No rollup stream to ride on; still flush tail exemplars.
             self.rtrace.roll(self.rec);
         }
-        self.freq_telem.finish(self.now, &self.cores, self.rec);
+        self.freq_telem
+            .finish(self.now, &self.cores.state, self.rec);
         let oc = self.overload.counters;
         SimResult {
             stats: self.metrics.stats(),
@@ -584,13 +729,10 @@ impl Session<'_> {
     /// governor sees (unperturbed sensors). The driver-side window into
     /// a node between epochs.
     pub fn with_view<T>(&self, f: impl FnOnce(&ServerView<'_>) -> T) -> T {
-        // Once per driver epoch, not per event: a fresh buffer keeps
-        // this `&self`.
-        let views: Vec<CoreView> = self.cores.iter().map(core_view).collect();
         let view = make_view(
             self.now,
             &self.queue,
-            &views,
+            &self.cores.views,
             &self.metrics,
             &self.energy,
             &self.overload,
@@ -608,23 +750,33 @@ impl Session<'_> {
         // plan both are single-branch no-ops.
         let sp = self.prof.span("engine.completions");
         self.faults.poll_stalls(now, self.rec);
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            if let Some(target) = self.dvfs.poll(i, now) {
-                if target != core.freq_mhz {
+        if self.dvfs.any_in_flight() {
+            for i in 0..self.cfg.n_cores {
+                let Some(target) = self.dvfs.poll(i, now) else {
+                    continue;
+                };
+                let from = self.cores.state[i].freq_mhz;
+                if target != from {
                     self.freq_telem
-                        .on_transition(now, i, core.freq_mhz, target, self.rec);
-                    core.freq_mhz = target;
+                        .on_transition(now, i, from, target, self.rec);
+                    self.cores.update(i, |c| c.freq_mhz = target);
                     self.metrics.freq_transitions += 1;
                 }
             }
         }
 
         // ---- 1. Completions at `now` ----
-        for (core_id, core) in self.cores.iter_mut().enumerate() {
-            let done = matches!(&core.running,
-                Some(r) if r.remaining_ref_ns <= WORK_EPS && r.wake_remaining_ns <= WORK_EPS);
-            if done {
-                let running = core.running.take().unwrap();
+        for w in 0..self.cores.running.len() {
+            for core_id in set_bits(self.cores.running[w], w) {
+                let done = matches!(&self.cores.state[core_id].running,
+                    Some(r) if r.remaining_ref_ns <= WORK_EPS && r.wake_remaining_ns <= WORK_EPS);
+                if !done {
+                    continue;
+                }
+                let running = self
+                    .cores
+                    .update(core_id, |c| c.running.take())
+                    .expect("a running bit marks a running core");
                 // Client-perceived latency: measured from the *first*
                 // submission for retried requests (equals the attempt
                 // arrival for first attempts, i.e. every request of an
@@ -711,16 +863,13 @@ impl Session<'_> {
         // the C-state's wake latency. Stalled cores accept nothing.
         let newest_first = self.opts.overload.queue_policy.serves_newest_first();
         while !self.queue.is_empty() {
-            let faults = &self.faults;
-            let idle = |(i, c): &(usize, &CoreState)| c.running.is_none() && !faults.is_stalled(*i);
+            let (faults, state) = (&self.faults, &self.cores.state);
             let awake = self
                 .cores
-                .iter()
-                .enumerate()
-                .find(|e| idle(e) && e.1.sleep.is_none())
-                .map(|(i, _)| i);
+                .idle_cores()
+                .find(|&i| !faults.is_stalled(i) && state[i].sleep.is_none());
             let any_idle =
-                awake.or_else(|| self.cores.iter().enumerate().find(idle).map(|(i, _)| i));
+                awake.or_else(|| self.cores.idle_cores().find(|&i| !faults.is_stalled(i)));
             let Some(core_id) = any_idle else { break };
             let req = if newest_first {
                 self.queue.pop_back().unwrap()
@@ -728,11 +877,10 @@ impl Session<'_> {
                 self.queue.pop_front().unwrap()
             };
             {
-                fill_core_views(&mut self.views, &self.cores);
                 let view = make_view(
                     now,
                     &self.queue,
-                    &self.views,
+                    &self.cores.views,
                     &self.metrics,
                     &self.energy,
                     &self.overload,
@@ -740,20 +888,7 @@ impl Session<'_> {
                 self.governor
                     .on_request_start(&view, core_id, &req, &mut self.cmds);
             }
-            apply_commands(
-                now,
-                &mut self.cores,
-                &mut self.cmds,
-                self.cfg,
-                &mut self.metrics,
-                self.rec,
-                &mut self.freq_telem,
-                &mut self.faults,
-                &mut self.dvfs,
-            );
-            if let Some(frac) = self.cmds.take_admission() {
-                self.overload.set_threshold(frac);
-            }
+            self.apply_commands(now);
             if self.opts.trace.request_marks {
                 self.traces.marks.push((now, core_id, req.id, true));
                 self.rec.emit(|| {
@@ -771,22 +906,24 @@ impl Session<'_> {
                     now,
                     req.id,
                     core_id,
-                    self.cores[core_id].freq_mhz,
+                    self.cores.state[core_id].freq_mhz,
                     self.overload.admit_frac(),
                 );
             }
-            let wake_ns = self.cores[core_id]
+            let wake_ns = self.cores.state[core_id]
                 .sleep
-                .take()
                 .and_then(|i| self.cfg.cstates.get(i))
                 .map(|st| st.wake_ns as f64)
                 .unwrap_or(0.0);
-            let remaining = req.work_ref_ns as f64;
-            self.cores[core_id].running = Some(Running {
-                req,
-                started: now,
-                remaining_ref_ns: remaining,
-                wake_remaining_ns: wake_ns,
+            self.cores.update(core_id, |c| {
+                c.sleep = None;
+                c.running = Some(Running {
+                    req,
+                    started: now,
+                    remaining_ref_ns: req.work_ref_ns as f64,
+                    wake_remaining_ns: wake_ns,
+                    scale: 0.0, // set by `update`
+                });
             });
         }
         drop(sp);
@@ -810,24 +947,10 @@ impl Session<'_> {
                     },
                     self.rec,
                 );
-                fill_core_views(&mut self.views, &self.cores);
-                let view = make_view_with(now, &self.queue, &self.views, reading);
+                let view = make_view_with(now, &self.queue, &self.cores.views, reading);
                 self.governor.on_tick(&view, &mut self.cmds);
             }
-            apply_commands(
-                now,
-                &mut self.cores,
-                &mut self.cmds,
-                self.cfg,
-                &mut self.metrics,
-                self.rec,
-                &mut self.freq_telem,
-                &mut self.faults,
-                &mut self.dvfs,
-            );
-            if let Some(frac) = self.cmds.take_admission() {
-                self.overload.set_threshold(frac);
-            }
+            self.apply_commands(now);
             self.next_tick = now + self.opts.tick_ns;
             if self.rec.enabled() && now >= self.next_snapshot {
                 let s = self.metrics.quick_stats();
@@ -844,7 +967,7 @@ impl Session<'_> {
                 self.next_snapshot = now + crate::clock::SECOND;
             }
             if self.window.enabled {
-                self.window.on_tick(&self.cores);
+                self.window.on_tick(&self.cores.state);
                 if now >= self.window.next {
                     let queue_len = self.queue.len() as u64;
                     let energy_uj = self.energy.read_energy_uj();
@@ -860,35 +983,36 @@ impl Session<'_> {
         // ---- 5. Trace samples ----
         let sp = self.prof.span("engine.metrics");
         if now >= self.next_freq_sample {
-            for (i, c) in self.cores.iter().enumerate() {
+            for (i, c) in self.cores.state.iter().enumerate() {
                 self.traces.freq.push((now, i, c.freq_mhz));
             }
             self.next_freq_sample = now + self.opts.trace.freq_sample_ns;
         }
         if now >= self.next_power_sample {
-            let p = socket_power(self.cfg, &self.cores);
-            let busy = self.cores.iter().filter(|c| c.running.is_some()).count();
+            let p = self.cores.socket_w();
+            let busy = self.cores.busy;
             self.traces.power.push((now, p, self.queue.len(), busy));
             self.next_power_sample = now + self.opts.trace.power_sample_ns;
         }
         drop(sp);
+        if cfg!(debug_assertions) {
+            self.cores.check();
+        }
 
         // ---- 6. Termination ----
-        let all_idle = self.cores.iter().all(|c| c.running.is_none());
         if self.arr_idx == self.arrivals.len()
             && self.queue.is_empty()
-            && all_idle
+            && self.cores.busy == 0
             && !self.overload.retries_pending()
         {
             // The run-end flush is governor work (DRL governors close
             // their last window and may train here), so it gets its own
             // span — DDPG stage spans must never be roots.
             let _sp = self.prof.span("engine.finish");
-            fill_core_views(&mut self.views, &self.cores);
             let view = make_view(
                 now,
                 &self.queue,
-                &self.views,
+                &self.cores.views,
                 &self.metrics,
                 &self.energy,
                 &self.overload,
@@ -944,9 +1068,6 @@ impl Session<'_> {
     /// Phase 7: earliest pending event time (always finite — the
     /// governor tick never stops).
     fn next_event_time(&self) -> Nanos {
-        let plan = &self.cfg.freq_plan;
-        let busy = self.cores.iter().filter(|c| c.running.is_some()).count();
-        let inflation = self.cfg.contention.inflation(busy, self.cfg.n_cores);
         let mut t_next = self
             .next_tick
             .min(self.next_freq_sample)
@@ -967,22 +1088,16 @@ impl Session<'_> {
         if let Some(t) = self.overload.next_event_time() {
             t_next = t_next.min(t);
         }
-        for (i, c) in self.cores.iter().enumerate() {
+        for i in self.cores.running_cores() {
             // A stalled core retires no work: its request has no
             // completion time until the stall window closes (which is
             // itself in the event set above).
             if self.faults.is_stalled(i) {
                 continue;
             }
-            if let Some(r) = &c.running {
+            if let Some(r) = &self.cores.state[i].running {
                 let t = r.wake_remaining_ns
-                    + Request::scaled_time(
-                        r.remaining_ref_ns,
-                        r.req.freq_sensitivity,
-                        c.freq_mhz,
-                        plan.reference_mhz,
-                        inflation,
-                    );
+                    + Request::scaled_time(r.remaining_ref_ns, r.scale, self.cores.inflation);
                 let tc = self.now + (t.ceil().max(1.0)) as Nanos;
                 t_next = t_next.min(tc);
             }
@@ -996,36 +1111,106 @@ impl Session<'_> {
         debug_assert!(t_next > self.now, "event time did not advance");
         let _sp = self.prof.span("engine.advance");
         let dt = t_next - self.now;
-        let plan = &self.cfg.freq_plan;
-        let busy = self.cores.iter().filter(|c| c.running.is_some()).count();
-        let inflation = self.cfg.contention.inflation(busy, self.cfg.n_cores);
-        let p = socket_power(self.cfg, &self.cores);
+        let p = self.cores.socket_w();
         self.energy.accumulate(p, dt);
-        for (i, c) in self.cores.iter_mut().enumerate() {
-            if self.faults.is_stalled(i) {
-                continue;
-            }
-            if let Some(r) = &mut c.running {
-                // Wake latency drains first, in real time.
-                let mut dt_work = dt as f64;
-                if r.wake_remaining_ns > 0.0 {
-                    let waking = r.wake_remaining_ns.min(dt_work);
-                    r.wake_remaining_ns -= waking;
-                    dt_work -= waking;
+        let inflation = self.cores.inflation;
+        for w in 0..self.cores.running.len() {
+            for i in set_bits(self.cores.running[w], w) {
+                if self.faults.is_stalled(i) {
+                    continue;
                 }
-                if dt_work > 0.0 {
-                    let retired = Request::retired_work(
-                        dt_work,
-                        r.req.freq_sensitivity,
-                        c.freq_mhz,
-                        plan.reference_mhz,
-                        inflation,
-                    );
-                    r.remaining_ref_ns = (r.remaining_ref_ns - retired).max(0.0);
+                if let Some(r) = &mut self.cores.state[i].running {
+                    // Wake latency drains first, in real time.
+                    let mut dt_work = dt as f64;
+                    if r.wake_remaining_ns > 0.0 {
+                        let waking = r.wake_remaining_ns.min(dt_work);
+                        r.wake_remaining_ns -= waking;
+                        dt_work -= waking;
+                    }
+                    if dt_work > 0.0 {
+                        let retired = Request::retired_work(dt_work, r.scale, inflation);
+                        r.remaining_ref_ns = (r.remaining_ref_ns - retired).max(0.0);
+                    }
                 }
             }
         }
         self.now = t_next;
+    }
+
+    /// Apply what the governor commanded in its last callback: frequency
+    /// writes (snapped, capped, then through the DVFS fault model), sleep
+    /// requests for idle cores, and an admission threshold. A callback
+    /// that commanded nothing costs one branch.
+    fn apply_commands(&mut self, now: Nanos) {
+        if !self.cmds.take_issued() {
+            return;
+        }
+        let cfg = self.cfg;
+        let plan = &cfg.freq_plan;
+        for i in 0..cfg.n_cores {
+            if let Some(mhz) = self.cmds.take(i) {
+                let snapped = if mhz == plan.turbo_mhz {
+                    mhz
+                } else {
+                    plan.snap(mhz)
+                };
+                // big.LITTLE cap: a little core silently tops out at its
+                // ceiling, whatever the governor commanded (turbo included).
+                let snapped = match cfg.core_cap(i) {
+                    Some(cap) if snapped > cap => {
+                        if plan.is_valid(cap) {
+                            cap
+                        } else {
+                            plan.snap(cap)
+                        }
+                    }
+                    _ => snapped,
+                };
+                // A write while a (spiked) transition is in flight is
+                // rejected — the stuck-cpufreq case. Not an injected fault
+                // itself, so it is not recorded.
+                let current = self.cores.state[i].freq_mhz;
+                if !self.dvfs.in_transition(i) && snapped != current {
+                    let fault = self.faults.draw_dvfs();
+                    match self.dvfs.request(i, now, current, snapped, fault) {
+                        TransitionOutcome::Applied => {
+                            self.freq_telem
+                                .on_transition(now, i, current, snapped, self.rec);
+                            self.cores.update(i, |c| c.freq_mhz = snapped);
+                            self.metrics.freq_transitions += 1;
+                        }
+                        TransitionOutcome::Deferred { ready_at } => {
+                            self.faults.record(
+                                self.rec,
+                                now,
+                                FaultKind::DvfsSpike,
+                                i as i64,
+                                (ready_at - now) as f64,
+                            );
+                        }
+                        TransitionOutcome::Failed => {
+                            self.faults.record(
+                                self.rec,
+                                now,
+                                FaultKind::DvfsFail,
+                                i as i64,
+                                snapped as f64,
+                            );
+                        }
+                        TransitionOutcome::Rejected | TransitionOutcome::NoOp => {}
+                    }
+                }
+            }
+            if let Some(level) = self.cmds.take_sleep(i) {
+                // Only idle cores may sleep; invalid levels are ignored.
+                if self.cores.state[i].running.is_none() && cfg.cstates.get(level).is_some() {
+                    self.cores.update(i, |c| c.sleep = Some(level));
+                }
+            }
+        }
+        if let Some(frac) = self.cmds.take_admission() {
+            self.overload.set_threshold(frac);
+        }
     }
 }
 
@@ -1042,26 +1227,15 @@ fn core_view(c: &CoreState) -> CoreView {
     }
 }
 
-/// Refill the session's view buffer in place (its capacity is the core
-/// count from the start, so this never allocates).
-fn fill_core_views(views: &mut Vec<CoreView>, cores: &[CoreState]) {
-    views.clear();
-    views.extend(cores.iter().map(core_view));
-}
-
-/// Socket power with C-states: a sleeping core draws its state's residual
-/// power; an awake idle core its clocked-idle power; a busy core full
-/// dynamic power (including while paying wake latency).
-fn socket_power(cfg: &ServerConfig, cores: &[CoreState]) -> f64 {
-    cfg.power.static_w
-        + cores
-            .iter()
-            .map(|c| match (&c.running, c.sleep) {
-                (Some(_), _) => cfg.power.core_power_w(c.freq_mhz, true),
-                (None, Some(i)) => cfg.cstates.get(i).map(|s| s.power_w).unwrap_or(0.0),
-                (None, None) => cfg.power.core_power_w(c.freq_mhz, false),
-            })
-            .sum::<f64>()
+/// One core's power draw with C-states: a sleeping core draws its
+/// state's residual power; an awake idle core its clocked-idle power; a
+/// busy core full dynamic power (including while paying wake latency).
+fn core_power_w(cfg: &ServerConfig, c: &CoreState) -> f64 {
+    match (&c.running, c.sleep) {
+        (Some(_), _) => cfg.power.core_power_w(c.freq_mhz, true),
+        (None, Some(i)) => cfg.cstates.get(i).map(|s| s.power_w).unwrap_or(0.0),
+        (None, None) => cfg.power.core_power_w(c.freq_mhz, false),
+    }
 }
 
 fn make_view<'a>(
@@ -1185,75 +1359,6 @@ impl FreqTelemetry {
                         })
                     });
                 }
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn apply_commands(
-    now: Nanos,
-    cores: &mut [CoreState],
-    cmds: &mut FreqCommands,
-    cfg: &ServerConfig,
-    metrics: &mut MetricsCollector,
-    rec: &Recorder,
-    freq_telem: &mut FreqTelemetry,
-    faults: &mut FaultState,
-    dvfs: &mut DvfsController,
-) {
-    let plan = &cfg.freq_plan;
-    let cstates = &cfg.cstates;
-    for (i, core) in cores.iter_mut().enumerate() {
-        if let Some(mhz) = cmds.take(i) {
-            let snapped = if mhz == plan.turbo_mhz {
-                mhz
-            } else {
-                plan.snap(mhz)
-            };
-            // big.LITTLE cap: a little core silently tops out at its
-            // ceiling, whatever the governor commanded (turbo included).
-            let snapped = match cfg.core_cap(i) {
-                Some(cap) if snapped > cap => {
-                    if plan.is_valid(cap) {
-                        cap
-                    } else {
-                        plan.snap(cap)
-                    }
-                }
-                _ => snapped,
-            };
-            // A write while a (spiked) transition is in flight is
-            // rejected — the stuck-cpufreq case. Not an injected fault
-            // itself, so it is not recorded.
-            if !dvfs.in_transition(i) && snapped != core.freq_mhz {
-                let fault = faults.draw_dvfs();
-                match dvfs.request(i, now, core.freq_mhz, snapped, fault) {
-                    TransitionOutcome::Applied => {
-                        freq_telem.on_transition(now, i, core.freq_mhz, snapped, rec);
-                        core.freq_mhz = snapped;
-                        metrics.freq_transitions += 1;
-                    }
-                    TransitionOutcome::Deferred { ready_at } => {
-                        faults.record(
-                            rec,
-                            now,
-                            FaultKind::DvfsSpike,
-                            i as i64,
-                            (ready_at - now) as f64,
-                        );
-                    }
-                    TransitionOutcome::Failed => {
-                        faults.record(rec, now, FaultKind::DvfsFail, i as i64, snapped as f64);
-                    }
-                    TransitionOutcome::Rejected | TransitionOutcome::NoOp => {}
-                }
-            }
-        }
-        if let Some(level) = cmds.take_sleep(i) {
-            // Only idle cores may sleep; invalid levels are ignored.
-            if core.running.is_none() && cstates.get(level).is_some() {
-                core.sleep = Some(level);
             }
         }
     }

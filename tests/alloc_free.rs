@@ -11,7 +11,9 @@
 
 use deeppower_fleet::{fleet_arrivals, split_arrivals, BalancerPolicy, FleetSpec};
 use deeppower_suite::deeppower::{ControllerParams, ThreadController};
-use deeppower_suite::sim::{Nanos, Request, RunOptions, Server, ServerConfig, SECOND};
+use deeppower_suite::sim::{
+    FreqCommands, Governor, Nanos, Request, RunOptions, Server, ServerConfig, ServerView, SECOND,
+};
 use deeppower_suite::workload::{constant_rate_arrivals, App, AppSpec};
 use deeppower_telemetry::{Recorder, RequestTracer, ShedReason, TracePlan};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -68,17 +70,14 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCS.with(Cell::get) - before, out)
 }
 
-/// Allocations inside `advance_until` for one Masstree node serving
-/// `arrivals` open loop under the DeepPower thread controller, with a
-/// disabled recorder. The session (and its record buffer) is built
-/// outside the counted region. Also returns the node's peak queue depth.
-fn engine_allocs(arrivals: &[Request]) -> (u64, u64) {
-    let server = Server::new(ServerConfig::paper_default(
-        AppSpec::get(App::Masstree).n_threads,
-    ));
-    let mut gov = ThreadController::new(ControllerParams::default());
+/// Allocations inside `advance_until` for a `cfg` node serving
+/// `arrivals` open loop under `gov`, with a disabled recorder. The
+/// session (and its record buffer) is built outside the counted region.
+/// Also returns the node's peak queue depth.
+fn engine_allocs(cfg: ServerConfig, gov: &mut dyn Governor, arrivals: &[Request]) -> (u64, u64) {
+    let server = Server::new(cfg);
     let rec = Recorder::disabled();
-    let mut session = server.session(arrivals, &mut gov, RunOptions::default(), &rec);
+    let mut session = server.session(arrivals, gov, RunOptions::default(), &rec);
     let (allocs, done) = counted(|| session.advance_until(Nanos::MAX));
     assert!(done, "an unbounded advance runs to termination");
     let res = session.finish();
@@ -86,16 +85,23 @@ fn engine_allocs(arrivals: &[Request]) -> (u64, u64) {
     (allocs, res.peak_queue_depth)
 }
 
-#[test]
-fn engine_allocations_do_not_grow_with_arrivals() {
-    let spec = AppSpec::get(App::Masstree);
-    let all = constant_rate_arrivals(&spec, spec.rps_for_load(0.3), 2 * SECOND, 5);
+/// Assert that `app` at `load`, served open loop on a `cfg` node under
+/// the governor `make_gov` builds, allocates as often for N arrivals as
+/// for 2N.
+fn assert_engine_allocations_flat(
+    app: App,
+    load: f64,
+    cfg: impl Fn() -> ServerConfig,
+    make_gov: impl Fn() -> Box<dyn Governor>,
+) {
+    let spec = AppSpec::get(app);
+    let all = constant_rate_arrivals(&spec, spec.rps_for_load(load), 2 * SECOND, 5);
     let n = all.len() / 2;
     assert!(n > 10_000, "too few arrivals to tell: {n}");
     // The N-run is a prefix of the 2N-run, so the only difference is
     // N more requests through the same path.
-    let (half, half_peak) = engine_allocs(&all[..n]);
-    let (full, full_peak) = engine_allocs(&all[..2 * n]);
+    let (half, half_peak) = engine_allocs(cfg(), make_gov().as_mut(), &all[..n]);
+    let (full, full_peak) = engine_allocs(cfg(), make_gov().as_mut(), &all[..2 * n]);
     // What may still allocate grows with the deepest backlog (the
     // queue's buffer), never with the request count.
     assert_eq!(
@@ -104,6 +110,47 @@ fn engine_allocations_do_not_grow_with_arrivals() {
         "advance_until made {half} allocations for {n} arrivals (peak queue \
          {half_peak}) but {full} for {} (peak queue {full_peak})",
         2 * n
+    );
+}
+
+#[test]
+fn engine_allocations_do_not_grow_with_arrivals() {
+    assert_engine_allocations_flat(
+        App::Masstree,
+        0.3,
+        || ServerConfig::paper_default(AppSpec::get(App::Masstree).n_threads),
+        || Box::new(ThreadController::new(ControllerParams::default())),
+    );
+}
+
+/// Commands every core at each tick, alternating between two
+/// frequencies, and sends every idle core to the deepest C-state, so
+/// each tick changes every core's frequency and power term.
+struct CommandEveryCore {
+    high: bool,
+}
+
+impl Governor for CommandEveryCore {
+    fn on_tick(&mut self, view: &ServerView<'_>, cmds: &mut FreqCommands) {
+        self.high = !self.high;
+        let mhz = if self.high { 2100 } else { 1500 };
+        for (i, core) in view.cores.iter().enumerate() {
+            cmds.set(i, mhz);
+            if !core.busy() {
+                cmds.set_sleep(i, 1);
+            }
+        }
+    }
+}
+
+#[test]
+fn per_core_commands_and_sleep_allocate_nothing_per_request() {
+    let cores = AppSpec::get(App::Xapian).n_threads;
+    assert_engine_allocations_flat(
+        App::Xapian,
+        0.5,
+        || ServerConfig::paper_with_cstates(cores),
+        || Box::new(CommandEveryCore { high: false }),
     );
 }
 

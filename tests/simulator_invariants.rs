@@ -84,8 +84,9 @@ proptest! {
 
         let model = PowerModel::default();
         let dur_s = a.duration_ns as f64 * 1e-9;
-        let min_p = model.socket_power_w((0..8).map(|_| (800u32, false)));
-        let max_p = model.socket_power_w((0..8).map(|_| (3000u32, true)));
+        let socket_w = |mhz, busy| model.static_w + (0..8).map(|_| model.core_power_w(mhz, busy)).sum::<f64>();
+        let min_p = socket_w(800, false);
+        let max_p = socket_w(3000, true);
         prop_assert!(a.energy_j >= min_p * dur_s * 0.5, "energy below plausible floor");
         prop_assert!(a.energy_j <= max_p * dur_s * 1.001, "energy above physical ceiling");
     }
