@@ -19,7 +19,7 @@
 //!    per request" granularity Fig. 9c shows).
 
 use crate::profile::ProfileSample;
-use deeppower_nn::{mse_loss, ActivationKind, Adam, AdamConfig, Matrix, Optimizer, Sequential};
+use deeppower_nn::{mse_loss, ActivationKind, Adam, AdamConfig, Matrix, Sequential};
 use deeppower_simd_server::{FreqCommands, FreqPlan, Governor, Nanos, Request, ServerView};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -327,15 +327,17 @@ mod tests {
             sla: 8_000_000,
             features: Features::from_slice(&[0.5]),
         };
-        let res = server.run(
-            &[req],
-            &mut gov,
-            RunOptions {
-                trace: deeppower_simd_server::TraceConfig::millisecond(),
-                ..Default::default()
-            },
-        );
-        let max_seen = res.traces.freq.iter().map(|&(_, _, f)| f).max().unwrap();
+        let rec = deeppower_telemetry::Recorder::ring(1 << 10);
+        let res = server.run_recorded(&[req], &mut gov, RunOptions::default(), &rec);
+        let max_seen = rec
+            .drain_events()
+            .iter()
+            .filter_map(|e| match e {
+                deeppower_telemetry::Event::CoreResidency(r) => Some(r.mhz),
+                _ => None,
+            })
+            .max()
+            .unwrap();
         assert_eq!(max_seen, 2100, "boost to max never happened");
         assert_eq!(res.stats.count, 1);
     }

@@ -9,10 +9,15 @@
 //! "A low BaseFreq results in a lower frequency during the initial
 //! execution of requests … a higher value of ScalingCoef causes a rapid
 //! increase of frequency during request processing."
+//!
+//! Per-core 1 ms frequency series and request start/end marks come from
+//! the telemetry event stream (`FreqTransition`, `RequestDispatch`,
+//! `RequestComplete`).
 
 use deeppower_bench::{downsample, sparkline};
 use deeppower_core::{ControllerParams, ThreadController};
 use deeppower_simd_server::{RunOptions, Server, ServerConfig, TraceConfig, MILLISECOND, SECOND};
+use deeppower_telemetry::{freq_series, Event, Recorder};
 use deeppower_workload::{constant_rate_arrivals, App, AppSpec};
 
 /// Mean commanded frequency of busy-ish samples in a ms-bucket timeline,
@@ -29,30 +34,48 @@ fn run(base: f32, coef: f32) -> Summary {
     // Load high enough that requests keep cores busy for several ms.
     let arrivals = constant_rate_arrivals(&spec, spec.rps_for_load(0.6), SECOND, 3);
     let mut tc = ThreadController::new(ControllerParams::new(base, coef));
-    let res = server.run(
+    let rec = Recorder::ring(1 << 18);
+    let res = server.run_recorded(
         &arrivals,
         &mut tc,
         RunOptions {
             tick_ns: MILLISECOND,
-            trace: TraceConfig::millisecond(),
+            trace: TraceConfig { events: true },
             ..Default::default()
         },
+        &rec,
     );
+    let events = rec.drain_events();
+    assert_eq!(rec.dropped_events(), 0, "event ring must not overflow");
+    let freq: Vec<Vec<(u64, u32)>> = (0..spec.n_threads as u64)
+        .map(|core| {
+            freq_series(
+                &events,
+                core,
+                server.config().initial_mhz,
+                res.duration_ns,
+                MILLISECOND,
+            )
+        })
+        .collect();
 
     // Reconstruct per-request frequency ramps: for each request mark pair
     // on a core, collect the core's frequency samples in between.
     let mut per_core_start: Vec<Option<u64>> = vec![None; spec.n_threads];
     let mut ramps: Vec<(f64, f64)> = Vec::new(); // (initial freq, slope)
-    for &(t, core, _id, is_start) in &res.traces.marks {
+    for ev in &events {
+        let (t, core, is_start) = match ev {
+            Event::RequestDispatch(d) => (d.t, d.core as usize, true),
+            Event::RequestComplete(c) => (c.t, c.core as usize, false),
+            _ => continue,
+        };
         if is_start {
             per_core_start[core] = Some(t);
         } else if let Some(t0) = per_core_start[core].take() {
-            let samples: Vec<(f64, f64)> = res
-                .traces
-                .freq
+            let samples: Vec<(f64, f64)> = freq[core]
                 .iter()
-                .filter(|&&(ts, c, _)| c == core && ts >= t0 && ts <= t)
-                .map(|&(ts, _, f)| (((ts - t0) / MILLISECOND) as f64, f as f64))
+                .filter(|&&(ts, _)| ts >= t0 && ts <= t)
+                .map(|&(ts, f)| (((ts - t0) / MILLISECOND) as f64, f as f64))
                 .collect();
             if samples.len() >= 3 {
                 // Least-squares slope.
@@ -70,13 +93,7 @@ fn run(base: f32, coef: f32) -> Summary {
     let n = ramps.len().max(1) as f64;
     let initial = ramps.iter().map(|r| r.0).sum::<f64>() / n;
     let slope = ramps.iter().map(|r| r.1).sum::<f64>() / n;
-    let trace: Vec<f64> = res
-        .traces
-        .freq
-        .iter()
-        .filter(|&&(_, c, _)| c == 0)
-        .map(|&(_, _, f)| f as f64)
-        .collect();
+    let trace: Vec<f64> = freq[0].iter().map(|&(_, f)| f as f64).collect();
     Summary {
         initial_freq: initial,
         ramp_mhz_per_ms: slope,

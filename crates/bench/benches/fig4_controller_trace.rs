@@ -58,7 +58,7 @@ fn main() {
         &mut gov,
         RunOptions {
             tick_ns: MILLISECOND,
-            trace: TraceConfig::millisecond(),
+            trace: TraceConfig { events: true },
             ..Default::default()
         },
         &rec,

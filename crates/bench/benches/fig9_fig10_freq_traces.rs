@@ -94,7 +94,7 @@ fn run_app(app: App, window_s: u64, scale: Scale) -> Vec<PolicyTrace> {
     let arrivals = trace_arrivals(&spec, &trace, 4242);
     let profile = collect_profile(&spec, 0.5, 3, 77);
     let opts = RunOptions {
-        trace: TraceConfig::millisecond(),
+        trace: TraceConfig { events: true },
         ..Default::default()
     };
 
@@ -108,7 +108,7 @@ fn run_app(app: App, window_s: u64, scale: Scale) -> Vec<PolicyTrace> {
         &mut dp,
         RunOptions {
             tick_ns: policy.deeppower.short_time,
-            trace: TraceConfig::millisecond(),
+            trace: TraceConfig { events: true },
             ..Default::default()
         },
         window_s,

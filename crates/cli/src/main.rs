@@ -1123,7 +1123,7 @@ fn cmd_trace(flags: &Flags, log: &Logger) -> Result<(), String> {
         peak,
         duration_s,
         seed,
-        TraceConfig::millisecond(),
+        TraceConfig { events: true },
         &rec,
     );
     let events = rec.drain_events();

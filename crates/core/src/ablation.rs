@@ -158,25 +158,32 @@ mod tests {
         let spec = AppSpec::get(App::Xapian);
         let arrivals = constant_rate_arrivals(&spec, 2000.0, SECOND, 1);
         let server = Server::new(ServerConfig::paper_default(8));
-        let res = server.run(
+        let rec = deeppower_telemetry::Recorder::ring(1 << 16);
+        let res = server.run_recorded(
             &arrivals,
             &mut gov,
             RunOptions {
                 tick_ns: MILLISECOND,
-                trace: deeppower_simd_server::TraceConfig::millisecond(),
+                trace: deeppower_simd_server::TraceConfig { events: true },
                 ..Default::default()
             },
+            &rec,
         );
-        // All cores share one frequency at every sample instant.
-        let mut by_time: std::collections::HashMap<u64, Vec<u32>> = Default::default();
-        for &(t, _, f) in &res.traces.freq {
-            by_time.entry(t).or_default().push(f);
-        }
-        for (t, freqs) in by_time {
-            assert!(
-                freqs.iter().all(|&f| f == freqs[0]),
-                "cores diverged at t={t}: {freqs:?}"
-            );
+        assert_eq!(rec.dropped_events(), 0);
+        let events = rec.drain_events();
+        // All cores share one frequency at every millisecond.
+        let series = |core| {
+            deeppower_telemetry::freq_series(
+                &events,
+                core,
+                server.config().initial_mhz,
+                res.duration_ns,
+                MILLISECOND,
+            )
+        };
+        let core0 = series(0);
+        for core in 1..8 {
+            assert_eq!(series(core), core0, "core {core} diverged from core 0");
         }
     }
 

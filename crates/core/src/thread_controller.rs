@@ -160,8 +160,9 @@ mod tests {
     use super::*;
     use deeppower_simd_server::{
         ContentionModel, FreqPlan, PowerModel, Request, RunOptions, Server, ServerConfig,
-        TraceConfig, MILLISECOND,
+        SimResult, TraceConfig, MILLISECOND,
     };
+    use deeppower_telemetry::{freq_series, Event, Recorder};
 
     fn server(n: usize) -> Server {
         Server::new(ServerConfig {
@@ -187,6 +188,40 @@ mod tests {
             sla,
             features: Default::default(),
         }
+    }
+
+    /// Run `arrivals` under `tc` at 1 ms ticks with the per-core event
+    /// stream on.
+    fn run_traced(
+        s: &Server,
+        arrivals: &[Request],
+        tc: &mut ThreadController,
+    ) -> (SimResult, Vec<Event>) {
+        let rec = Recorder::ring(1 << 14);
+        let res = s.run_recorded(
+            arrivals,
+            tc,
+            RunOptions {
+                tick_ns: MILLISECOND,
+                trace: TraceConfig { events: true },
+                ..Default::default()
+            },
+            &rec,
+        );
+        assert_eq!(rec.dropped_events(), 0);
+        (res, rec.drain_events())
+    }
+
+    /// Every frequency level any core (or only `core`) held for a
+    /// nonzero time.
+    fn levels(events: &[Event], core: Option<u64>) -> Vec<u32> {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                Event::CoreResidency(r) if core.is_none_or(|c| c == r.core) => Some(r.mhz),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -219,21 +254,15 @@ mod tests {
         let s = server(1);
         let mut tc = ThreadController::new(ControllerParams::new(0.2, 1.2));
         let arrivals = vec![req(0, 0, 7 * MILLISECOND, 10 * MILLISECOND)];
-        let res = s.run(
-            &arrivals,
-            &mut tc,
-            RunOptions {
-                tick_ns: MILLISECOND,
-                trace: TraceConfig::millisecond(),
-                ..Default::default()
-            },
-        );
-        let freqs: Vec<u32> = res.traces.freq.iter().map(|&(_, _, f)| f).collect();
+        let (res, events) = run_traced(&s, &arrivals, &mut tc);
+        let freqs: Vec<u32> = freq_series(&events, 0, 2100, res.duration_ns, MILLISECOND)
+            .into_iter()
+            .map(|(_, f)| f)
+            .collect();
         // Frequency is non-decreasing while the request runs.
-        let busy_freqs: Vec<u32> = freqs.clone();
         assert!(
-            busy_freqs.windows(2).all(|w| w[1] >= w[0] || w[1] == 800),
-            "freq not ramping: {busy_freqs:?}"
+            freqs.windows(2).all(|w| w[1] >= w[0] || w[1] == 800),
+            "freq not ramping: {freqs:?}"
         );
         // Reaches turbo before completion (score crosses 1 at 6.67 ms).
         assert!(freqs.contains(&3000), "never hit turbo: {freqs:?}");
@@ -248,16 +277,8 @@ mod tests {
         // (~930 MHz) it still finishes well within 10 % of SLA → never
         // leaves the bottom levels.
         let arrivals = vec![req(0, 0, 350_000, 10 * MILLISECOND)];
-        let res = s.run(
-            &arrivals,
-            &mut tc,
-            RunOptions {
-                tick_ns: MILLISECOND,
-                trace: TraceConfig::millisecond(),
-                ..Default::default()
-            },
-        );
-        let max_freq = res.traces.freq.iter().map(|&(_, _, f)| f).max().unwrap();
+        let (res, events) = run_traced(&s, &arrivals, &mut tc);
+        let max_freq = levels(&events, None).into_iter().max().unwrap();
         assert!(
             max_freq <= 1000,
             "short request over-accelerated: {max_freq}"
@@ -271,22 +292,8 @@ mod tests {
         let mut tc = ThreadController::new(ControllerParams::new(0.5, 1.0));
         // Only one long request → core 1 stays idle.
         let arrivals = vec![req(0, 0, 3 * MILLISECOND, 100 * MILLISECOND)];
-        let res = s.run(
-            &arrivals,
-            &mut tc,
-            RunOptions {
-                tick_ns: MILLISECOND,
-                trace: TraceConfig::millisecond(),
-                ..Default::default()
-            },
-        );
-        let idle_freqs: Vec<u32> = res
-            .traces
-            .freq
-            .iter()
-            .filter(|&&(_, c, _)| c == 1)
-            .map(|&(_, _, f)| f)
-            .collect();
+        let (_, events) = run_traced(&s, &arrivals, &mut tc);
+        let idle_freqs = levels(&events, Some(1));
         // base 0.5 → 800 + 1300·0.5 = 1450 → snaps to 1400 or 1500.
         assert!(
             idle_freqs.iter().all(|&f| f == 1400 || f == 1500),
@@ -313,16 +320,8 @@ mod tests {
         // base 0.5 → 1000 + 1000·0.5 = 1500 exactly (a plan level).
         let mut tc = ThreadController::new(ControllerParams::new(0.5, 0.0));
         let arrivals = vec![req(0, 0, 3 * MILLISECOND, 100 * MILLISECOND)];
-        let res = s.run(
-            &arrivals,
-            &mut tc,
-            RunOptions {
-                tick_ns: MILLISECOND,
-                trace: TraceConfig::millisecond(),
-                ..Default::default()
-            },
-        );
-        let freqs: Vec<u32> = res.traces.freq.iter().map(|&(_, _, f)| f).collect();
+        let (_, events) = run_traced(&s, &arrivals, &mut tc);
+        let freqs = levels(&events, None);
         assert!(!freqs.is_empty());
         assert!(
             freqs.iter().all(|&f| f == 1500),
@@ -342,16 +341,8 @@ mod tests {
         let s = server(1);
         let mut tc = ThreadController::new(ControllerParams::new(1.0, 0.0));
         let arrivals = vec![req(0, 0, MILLISECOND, 10 * MILLISECOND)];
-        let res = s.run(
-            &arrivals,
-            &mut tc,
-            RunOptions {
-                tick_ns: MILLISECOND,
-                trace: TraceConfig::millisecond(),
-                ..Default::default()
-            },
-        );
-        assert!(res.traces.freq.iter().all(|&(_, _, f)| f == 3000));
+        let (_, events) = run_traced(&s, &arrivals, &mut tc);
+        assert_eq!(levels(&events, None), [3000]);
     }
 
     #[test]
@@ -370,7 +361,6 @@ mod tests {
             &mut tc,
             RunOptions {
                 tick_ns: MILLISECOND,
-                trace: TraceConfig::millisecond(),
                 ..Default::default()
             },
         );

@@ -255,8 +255,9 @@ pub fn evaluate(
 
 /// [`evaluate`] with a telemetry [`Recorder`] receiving the full
 /// decision trace: per-step [`event::DrlStep`]s from the governor plus
-/// the engine's frequency-transition/residency/latency-snapshot events
-/// (and request marks when `trace_cfg.request_marks` is set). A
+/// the engine's residency/latency-snapshot/window events (and
+/// frequency transitions plus request marks when `trace_cfg.events` is
+/// set). A
 /// profiler attached to `rec` times workload generation
 /// (`engine.ingest`) and the engine (`engine.*` phases).
 pub fn evaluate_recorded(

@@ -11,7 +11,7 @@ use crate::actor::TwoHeadActor;
 use crate::critic::Critic;
 use crate::noise::{clamp_action, GaussianNoise};
 use crate::replay::{ReplayBuffer, Transition};
-use deeppower_nn::{mse_loss, Adam, AdamConfig, Matrix, Optimizer, Params};
+use deeppower_nn::{mse_loss, Adam, AdamConfig, Matrix, Params};
 use deeppower_telemetry::Profiler;
 use rand::{rngs::StdRng, SeedableRng};
 use serde::{Deserialize, Serialize};

@@ -16,8 +16,8 @@
 //!   backward passes explicitly. `backward` *returns the gradient with
 //!   respect to the layer input*, which is what DDPG needs to push critic
 //!   gradients through the action input (`dQ/da`).
-//! * [`Adam`] and [`Sgd`] walk a network's parameters through the
-//!   [`Params`] visitor trait, so optimizer state lines up with any
+//! * [`Adam`] walks a network's parameters through the [`Params`]
+//!   visitor trait, so its optimizer state lines up with any
 //!   parameter layout (plain stacks, two-headed actors, critics with a
 //!   concatenated action input).
 //! * Weights serialize to a flat `Vec<f32>` snapshot (serde-friendly) for
@@ -38,7 +38,7 @@ pub use init::{he_init, xavier_init};
 pub use layers::{Activation, ActivationKind, Linear};
 pub use loss::mse_loss;
 pub use matrix::Matrix;
-pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
+pub use optim::{Adam, AdamConfig};
 pub use params::{ParamVisitor, ParamVisitorMut, Params};
 pub use sequential::Sequential;
 

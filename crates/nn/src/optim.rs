@@ -1,52 +1,9 @@
-//! Optimizers over [`Params`]-visiting networks.
+//! The Adam optimizer over [`Params`]-visiting networks.
 //!
 //! State is kept flat and positional: the visitor order defines the
 //! parameter indexing, which [`Params`] guarantees is stable.
 
 use crate::params::Params;
-
-/// Common optimizer interface.
-pub trait Optimizer {
-    /// Apply one update using the gradients currently accumulated in the
-    /// network. Does *not* zero gradients — callers do that before the next
-    /// backward pass.
-    fn step<N: Params>(&mut self, net: &mut N);
-}
-
-/// Plain SGD with optional momentum.
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    pub lr: f32,
-    pub momentum: f32,
-    velocity: Vec<f32>,
-}
-
-impl Sgd {
-    pub fn new(lr: f32, momentum: f32, net: &impl Params) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: vec![0.0; net.num_params()],
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step<N: Params>(&mut self, net: &mut N) {
-        let mut offset = 0usize;
-        let (lr, mom) = (self.lr, self.momentum);
-        let velocity = &mut self.velocity;
-        net.visit_params_mut(&mut |w, g| {
-            let v = &mut velocity[offset..offset + w.len()];
-            for ((wi, &gi), vi) in w.iter_mut().zip(g.iter()).zip(v.iter_mut()) {
-                *vi = mom * *vi + gi;
-                *wi -= lr * *vi;
-            }
-            offset += w.len();
-        });
-        assert_eq!(offset, velocity.len(), "network size changed under Sgd");
-    }
-}
 
 /// Adam hyper-parameters. Defaults follow Kingma & Ba (and the PyTorch
 /// defaults the paper's implementation would have used).
@@ -96,10 +53,11 @@ impl Adam {
     pub fn steps(&self) -> u64 {
         self.t
     }
-}
 
-impl Optimizer for Adam {
-    fn step<N: Params>(&mut self, net: &mut N) {
+    /// Apply one update using the gradients currently accumulated in the
+    /// network. Does *not* zero gradients — callers do that before the
+    /// next backward pass.
+    pub fn step<N: Params>(&mut self, net: &mut N) {
         self.t += 1;
         let cfg = self.cfg;
         let bc1 = 1.0 - cfg.beta1.powi(self.t as i32);
@@ -150,32 +108,6 @@ mod tests {
         l.gw = Matrix::from_vec(1, 1, vec![2.0 * w]);
         let b = l.b[0];
         l.gb = vec![2.0 * b];
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut l = quadratic_layer();
-        let mut opt = Sgd::new(0.1, 0.0, &l);
-        for _ in 0..100 {
-            set_quadratic_grad(&mut l);
-            opt.step(&mut l);
-        }
-        assert!(l.w.as_slice()[0].abs() < 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_accelerates() {
-        let mut plain = quadratic_layer();
-        let mut with_mom = quadratic_layer();
-        let mut o1 = Sgd::new(0.01, 0.0, &plain);
-        let mut o2 = Sgd::new(0.01, 0.9, &with_mom);
-        for _ in 0..50 {
-            set_quadratic_grad(&mut plain);
-            o1.step(&mut plain);
-            set_quadratic_grad(&mut with_mom);
-            o2.step(&mut with_mom);
-        }
-        assert!(with_mom.w.as_slice()[0].abs() < plain.w.as_slice()[0].abs());
     }
 
     #[test]

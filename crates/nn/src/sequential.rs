@@ -189,7 +189,7 @@ impl Params for Sequential {
 mod tests {
     use super::*;
     use crate::loss::mse_loss;
-    use crate::optim::{Adam, AdamConfig, Optimizer};
+    use crate::optim::{Adam, AdamConfig};
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]

@@ -48,7 +48,7 @@ pub use cstates::{CState, CStatePlan};
 pub use dvfs::{DvfsController, FreqPlan, TransitionOutcome, MHZ_PER_GHZ};
 pub use faults::{DvfsFault, FaultPlan, FaultState, SensorReading};
 pub use governor::{CoreView, FixedFrequency, FreqCommands, Governor, RunningView, ServerView};
-pub use metrics::{LatencyStats, MetricsCollector, RequestRecord, TraceConfig, Traces};
+pub use metrics::{LatencyStats, MetricsCollector, RequestRecord, TraceConfig};
 pub use overload::{
     AdmissionController, AdmissionMode, AdmitAll, CoDelAdmission, DrlAdmission, OverloadCounters,
     OverloadPlan, OverloadState, QueuePolicy, StaticThreshold, SYNTH_ID_BASE,

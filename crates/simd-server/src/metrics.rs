@@ -1,9 +1,9 @@
-//! Measurement: per-request records, latency percentiles, and optional
-//! time-series traces (frequency, power, queue depth) for the paper's
-//! figures.
+//! Measurement: per-request records, latency percentiles, run counters,
+//! and the switch for the engine's high-volume per-core events. The
+//! paper's per-core figures read those events from a telemetry recorder
+//! (see `Server::run_recorded`); nothing here samples on a timer.
 
-use crate::clock::{Nanos, MILLISECOND};
-use deeppower_telemetry::Histogram;
+use crate::clock::Nanos;
 use serde::{Deserialize, Serialize};
 
 /// Completion record for one request.
@@ -110,43 +110,19 @@ fn nearest_rank(n: usize, q: f64) -> usize {
     ((q * n as f64).ceil() as usize).clamp(1, n)
 }
 
-/// What to trace during a run. Tracing is off by default: a 360 s run at
-/// 1 ms sampling × 20 cores is 7.2 M samples, only the figure benches
-/// need it.
+/// What the engine emits per core into an enabled recorder. Off by
+/// default: a 360 s run at 1 ms ticks × 20 cores can carry millions of
+/// frequency transitions, and only the per-core figures need them.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TraceConfig {
-    /// Sample per-core frequency every `freq_sample_ns` (0 disables).
-    pub freq_sample_ns: Nanos,
-    /// Sample socket power & queue depth every `power_sample_ns` (0 disables).
-    pub power_sample_ns: Nanos,
-    /// Record request start/end marks per core (Fig. 4's green/blue marks).
-    pub request_marks: bool,
-}
-
-impl TraceConfig {
-    /// Millisecond-resolution everything — what Figs. 4, 9, 10, 11 need.
-    pub fn millisecond() -> Self {
-        Self {
-            freq_sample_ns: MILLISECOND,
-            power_sample_ns: MILLISECOND,
-            request_marks: true,
-        }
-    }
-}
-
-/// One frequency sample: `(time, core, commanded MHz)`.
-pub type FreqSample = (Nanos, usize, u32);
-/// One power/queue sample: `(time, socket watts, queue length, busy cores)`.
-pub type PowerSample = (Nanos, f64, usize, usize);
-/// Request lifecycle mark: `(time, core, request id, is_start)`.
-pub type RequestMark = (Nanos, usize, u64, bool);
-
-/// Collected time series.
-#[derive(Clone, Debug, Default)]
-pub struct Traces {
-    pub freq: Vec<FreqSample>,
-    pub power: Vec<PowerSample>,
-    pub marks: Vec<RequestMark>,
+    /// Emit [`FreqTransition`] on every applied frequency change and
+    /// [`RequestDispatch`]/[`RequestComplete`] marks per request
+    /// (Fig. 4's green/blue marks).
+    ///
+    /// [`FreqTransition`]: deeppower_telemetry::event::FreqTransition
+    /// [`RequestDispatch`]: deeppower_telemetry::event::RequestDispatch
+    /// [`RequestComplete`]: deeppower_telemetry::event::RequestComplete
+    pub events: bool,
 }
 
 /// Accumulates per-request records and counters during a run.
@@ -163,10 +139,6 @@ pub struct MetricsCollector {
     /// unbounded, so this is the only backpressure signal a plain run
     /// surfaces).
     pub peak_queue_depth: u64,
-    /// Every completion's latency: O(1) insert, O(buckets) percentile
-    /// reads, feeding run-so-far snapshots without re-sorting `records`
-    /// (see [`quick_stats`](Self::quick_stats)).
-    pub latency: Histogram,
 }
 
 impl MetricsCollector {
@@ -188,29 +160,11 @@ impl MetricsCollector {
         if rec.timed_out {
             self.timeouts += 1;
         }
-        self.latency.record(rec.latency);
         self.records.push(rec);
     }
 
     pub fn stats(&self) -> LatencyStats {
         LatencyStats::from_records(&self.records)
-    }
-
-    /// Run-so-far stats from the latency histogram. Count, mean, max
-    /// and timeouts are exact; percentiles are histogram bucket bounds
-    /// (within one log-bucket, ≤ 6.25 % relative error). This is the
-    /// periodic-snapshot path: unlike [`stats`](Self::stats) it never
-    /// clones or re-sorts the record vector.
-    pub fn quick_stats(&self) -> LatencyStats {
-        LatencyStats {
-            count: self.completed,
-            mean_ns: self.latency.mean(),
-            p50_ns: self.latency.percentile(0.50),
-            p95_ns: self.latency.percentile(0.95),
-            p99_ns: self.latency.percentile(0.99),
-            max_ns: self.latency.max(),
-            timeouts: self.timeouts,
-        }
     }
 }
 
@@ -298,28 +252,6 @@ mod tests {
         assert!(std::panic::catch_unwind(|| percentile_sorted(&[1], -0.1)).is_err());
     }
 
-    #[test]
-    fn quick_stats_tracks_exact_stats() {
-        let mut c = MetricsCollector::new();
-        for i in 1..=500u64 {
-            c.on_completion(rec(i * 10_000, i % 100 == 0));
-        }
-        let exact = c.stats();
-        let quick = c.quick_stats();
-        assert_eq!(quick.count, exact.count);
-        assert_eq!(quick.timeouts, exact.timeouts);
-        assert_eq!(quick.max_ns, exact.max_ns);
-        assert!((quick.mean_ns - exact.mean_ns).abs() < 1e-6);
-        for (q, e) in [
-            (quick.p50_ns, exact.p50_ns),
-            (quick.p95_ns, exact.p95_ns),
-            (quick.p99_ns, exact.p99_ns),
-        ] {
-            let err = (q as f64 - e as f64).abs() / e as f64;
-            assert!(err < 0.07, "quick {q} vs exact {e} (err {err})");
-        }
-    }
-
     mod percentile_props {
         use super::*;
         use proptest::prelude::*;
@@ -368,33 +300,32 @@ mod tests {
     }
 
     mod monitor_merge_props {
-        use super::*;
         use deeppower_telemetry::{Event, FleetMonitor, Histogram, MonitorConfig, WindowRollup};
         use proptest::prelude::*;
 
         proptest! {
             /// When a single monitor window spans the whole run, the
-            /// fleet-merged window stats equal the collector's
-            /// whole-run `quick_stats` exactly: both read the same
-            /// log-bucket histogram, rebuilding from per-node bucket
-            /// (upper-bound, count) pairs preserves per-bucket counts,
-            /// and both clamp percentiles to the exact extremes.
+            /// fleet-merged window stats equal one whole-run histogram
+            /// exactly: rebuilding from per-node bucket (upper-bound,
+            /// count) pairs preserves per-bucket counts, and both clamp
+            /// percentiles to the exact extremes.
             #[test]
-            fn fleet_merged_window_matches_whole_run_quick_stats(
+            fn fleet_merged_window_matches_whole_run_histogram(
                 lats in proptest::collection::vec(1u64..50_000_000, 1..200),
                 nodes in 1u64..4,
             ) {
-                let samples: Vec<(u64, bool)> =
-                    lats.into_iter().map(|l| (l, l % 5 == 0)).collect();
-                let mut collector = MetricsCollector::new();
+                let mut whole = Histogram::new();
+                let mut whole_timeouts = 0u64;
                 let mut hists: Vec<Histogram> =
                     (0..nodes).map(|_| Histogram::new()).collect();
                 let mut timeouts = vec![0u64; nodes as usize];
-                for (i, &(lat, timed_out)) in samples.iter().enumerate() {
-                    collector.on_completion(rec(lat, timed_out));
+                for (i, &lat) in lats.iter().enumerate() {
+                    let timed_out = lat % 5 == 0;
+                    whole.record(lat);
                     let n = (i as u64 % nodes) as usize;
                     hists[n].record(lat);
                     if timed_out {
+                        whole_timeouts += 1;
                         timeouts[n] += 1;
                     }
                 }
@@ -411,15 +342,14 @@ mod tests {
                 let report = mon.finish();
                 prop_assert_eq!(report.window_series.len(), 1);
                 let w = &report.window_series[0];
-                let quick = collector.quick_stats();
-                prop_assert_eq!(w.count, quick.count);
-                prop_assert_eq!(w.timeouts, quick.timeouts);
-                prop_assert_eq!(w.max_ns, quick.max_ns);
-                prop_assert_eq!(w.p50_ns, quick.p50_ns);
-                prop_assert_eq!(w.p95_ns, quick.p95_ns);
-                prop_assert_eq!(w.p99_ns, quick.p99_ns);
+                prop_assert_eq!(w.count, whole.count());
+                prop_assert_eq!(w.timeouts, whole_timeouts);
+                prop_assert_eq!(w.max_ns, whole.max());
+                prop_assert_eq!(w.p50_ns, whole.percentile(0.50));
+                prop_assert_eq!(w.p95_ns, whole.percentile(0.95));
+                prop_assert_eq!(w.p99_ns, whole.percentile(0.99));
                 prop_assert!(
-                    (w.mean_ns - quick.mean_ns).abs() <= 1e-6 * quick.mean_ns.max(1.0));
+                    (w.mean_ns - whole.mean()).abs() <= 1e-6 * whole.mean().max(1.0));
             }
         }
     }

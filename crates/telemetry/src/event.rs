@@ -48,7 +48,9 @@ pub struct DrlStep {
 }
 
 /// A core's commanded frequency actually changed (a command equal to
-/// the current frequency is not a transition).
+/// the current frequency is not a transition). Gated on
+/// `TraceConfig::events`; [`crate::freq_series`] rebuilds a core's
+/// series from these.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FreqTransition {
     pub t: u64,
@@ -68,7 +70,7 @@ pub struct CoreResidency {
 }
 
 /// A core dequeued a request and started processing it (Fig. 4's green
-/// marks). Gated on `TraceConfig::request_marks`.
+/// marks). Gated on `TraceConfig::events`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RequestDispatch {
     pub t: u64,
@@ -77,7 +79,7 @@ pub struct RequestDispatch {
 }
 
 /// A request completed (Fig. 4's blue marks). Gated on
-/// `TraceConfig::request_marks`.
+/// `TraceConfig::events`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RequestComplete {
     pub t: u64,
@@ -88,8 +90,10 @@ pub struct RequestComplete {
 }
 
 /// Periodic snapshot of the run-so-far latency distribution, read from
-/// the server's latency [`crate::Histogram`] (percentiles are histogram
-/// upper bounds, within one log-bucket of exact).
+/// the server's closed monitor windows folded into one
+/// [`crate::Histogram`] (percentiles are histogram upper bounds, within
+/// one log-bucket of exact). Emitted just before each tick-closed
+/// [`WindowRollup`].
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LatencySnapshot {
     pub t: u64,

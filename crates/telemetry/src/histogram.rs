@@ -98,6 +98,19 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
+    /// Add every value `other` holds: bucket counts, the exact sum and
+    /// the extremes, so the result reads as if both had recorded into
+    /// one histogram.
+    pub fn merge(&mut self, other: &Histogram) {
+        for (c, &o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
     /// Clear every bucket and counter, keeping the allocation — lets
     /// periodic windowing reuse one histogram instead of reallocating
     /// `N_BUCKETS` counters per window.
@@ -299,6 +312,37 @@ mod tests {
             prop_assert_eq!(h.percentile(0.99), v);
             prop_assert_eq!(h.percentile(q), v);
             prop_assert!((h.mean() - v as f64).abs() < 1.0);
+        }
+
+        /// Folding windows into a run total (empty windows included)
+        /// reads exactly like one histogram that saw every value.
+        #[test]
+        fn merged_windows_read_like_one_histogram(
+            values in proptest::collection::vec(0u64..1_000_000_000, 0..200),
+            window in 1usize..40,
+            q in 0.0f64..1.0,
+        ) {
+            let mut whole = Histogram::new();
+            let mut total = Histogram::new();
+            let mut open = Histogram::new();
+            for (i, &v) in values.iter().enumerate() {
+                whole.record(v);
+                open.record(v);
+                if i % window == 0 {
+                    total.merge(&open);
+                    open.reset();
+                    total.merge(&open);
+                }
+            }
+            total.merge(&open);
+            prop_assert_eq!(total.count(), whole.count());
+            prop_assert_eq!(total.min(), whole.min());
+            prop_assert_eq!(total.max(), whole.max());
+            prop_assert_eq!(total.mean().to_bits(), whole.mean().to_bits());
+            prop_assert_eq!(total.nonzero_buckets(), whole.nonzero_buckets());
+            for q in [q, 0.5, 0.95, 0.99] {
+                prop_assert_eq!(total.percentile(q), whole.percentile(q));
+            }
         }
     }
 

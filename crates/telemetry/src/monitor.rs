@@ -540,9 +540,9 @@ impl MergedWindow {
     }
 
     /// Merged percentile, clamped to the exact extremes — when one
-    /// window spans a whole single-node run this reproduces the
-    /// server's `quick_stats` percentiles exactly (asserted by
-    /// proptest in `simd-server`).
+    /// window spans a whole run this reproduces one whole-run
+    /// histogram's percentiles exactly (asserted by proptest in
+    /// `simd-server`).
     fn percentile(&self, q: f64) -> u64 {
         if self.count == 0 {
             0

@@ -1,7 +1,6 @@
 //! The engine's simulated output is pinned bit for bit: per-request
-//! records (FNV-1a digest), total energy (`f64::to_bits`), the
-//! frequency-transition count and the socket power samples (digest)
-//! of five one-second runs that between them reach every per-core
+//! records (FNV-1a digest), total energy (`f64::to_bits`) and the
+//! frequency-transition count of five one-second runs that between them reach every per-core
 //! state the engine tracks: a 20-core Xapian node, idle cores asleep
 //! in C-states, a capped little core, deferred and failed DVFS writes
 //! with core stalls, and a contention-free socket. A change to how the
@@ -11,7 +10,7 @@
 use deeppower_suite::deeppower::{ControllerParams, SleepAware, SleepPolicy, ThreadController};
 use deeppower_suite::sim::{
     ContentionModel, FaultPlan, Governor, Request, RunOptions, Server, ServerConfig, SimResult,
-    TraceConfig, MILLISECOND, SECOND,
+    MILLISECOND, SECOND,
 };
 use deeppower_suite::workload::{constant_rate_arrivals, App, AppSpec};
 
@@ -42,8 +41,6 @@ struct Pin {
     records_fnv: u64,
     energy_bits: u64,
     freq_transitions: u64,
-    power_samples: usize,
-    power_fnv: u64,
 }
 
 impl Pin {
@@ -56,26 +53,16 @@ impl Pin {
                 .word(r.latency)
                 .word(r.timed_out as u64)
         });
-        let power_fnv = res
-            .traces
-            .power
-            .iter()
-            .fold(Fnv::new(), |h, &(t, w, q, b)| {
-                h.word(t).word(w.to_bits()).word(q as u64).word(b as u64)
-            });
         Self {
             records: res.records.len(),
             records_fnv: records_fnv.0,
             energy_bits: res.energy_j.to_bits(),
             freq_transitions: res.freq_transitions,
-            power_samples: res.traces.power.len(),
-            power_fnv: power_fnv.0,
         }
     }
 }
 
-/// One second of `app` at `load` of a full node's capacity, with socket
-/// power sampled every 5 ms.
+/// One second of `app` at `load` of a full node's capacity.
 fn run(
     cfg: ServerConfig,
     app: App,
@@ -87,10 +74,6 @@ fn run(
     let arrivals: Vec<Request> =
         constant_rate_arrivals(&spec, spec.rps_for_load(load), SECOND, SEED);
     let opts = RunOptions {
-        trace: TraceConfig {
-            power_sample_ns: 5 * MILLISECOND,
-            ..TraceConfig::default()
-        },
         faults,
         ..RunOptions::default()
     };
@@ -117,8 +100,6 @@ fn xapian_twenty_cores_under_the_thread_controller() {
             records_fnv: 15770313927870065882,
             energy_bits: 4636851301646729606,
             freq_transitions: 11473,
-            power_samples: 202,
-            power_fnv: 2720998887408070268,
         }
     );
 }
@@ -144,8 +125,6 @@ fn sleeping_cores_on_a_cstate_socket() {
             records_fnv: 16771488084227443672,
             energy_bits: 4630564928092566198,
             freq_transitions: 9130,
-            power_samples: 201,
-            power_fnv: 7236920029090431331,
         }
     );
 }
@@ -167,8 +146,6 @@ fn capped_little_cores_under_turbo_commands() {
             records_fnv: 10458627290867350783,
             energy_bits: 4631398089119168372,
             freq_transitions: 2631,
-            power_samples: 201,
-            power_fnv: 8770106160177263308,
         }
     );
 }
@@ -200,8 +177,6 @@ fn deferred_and_failed_dvfs_writes_with_core_stalls() {
             records_fnv: 15913778019333614074,
             energy_bits: 4633500118965779897,
             freq_transitions: 4248,
-            power_samples: 204,
-            power_fnv: 936762431969089839,
         }
     );
 }
@@ -220,8 +195,6 @@ fn contention_free_socket() {
             records_fnv: 13789232959008150632,
             energy_bits: 4634934298108239401,
             freq_transitions: 10246,
-            power_samples: 201,
-            power_fnv: 11331271086533209738,
         }
     );
 }

@@ -1,10 +1,17 @@
 //! The recorder is the one observation handle: a recorder with its
 //! event stream off and a span profiler attached changes no result on
 //! any layer, and the profiler reaches the engine and the DDPG agent
-//! through it.
+//! through it. Turning the per-core event stream on changes no result
+//! either, at any governor tick.
 
-use deeppower_suite::deeppower::{evaluate, evaluate_recorded, train, train_recorded, TrainConfig};
-use deeppower_suite::sim::{FixedFrequency, Request, RunOptions, Server, ServerConfig};
+use deeppower_suite::deeppower::{
+    evaluate, evaluate_recorded, train, train_recorded, ControllerParams, ThreadController,
+    TrainConfig,
+};
+use deeppower_suite::sim::{
+    FixedFrequency, Request, RunOptions, Server, ServerConfig, TraceConfig, MICROSECOND,
+    MILLISECOND, SECOND,
+};
 use deeppower_suite::workload::{constant_rate_arrivals, App, AppSpec};
 use deeppower_telemetry::{Profiler, Recorder, SpanRecord};
 
@@ -52,6 +59,47 @@ fn profiled_server_run_matches_plain_run() {
     );
     assert!(same(&plain, &observed), "profiling perturbed the run");
     assert!(prof.phase_table().iter().any(|r| r.name == "engine.run"));
+}
+
+#[test]
+fn per_core_events_leave_runs_bit_identical_at_any_tick() {
+    // Telemetry adds no engine event time: at ticks that are not the
+    // 1 ms grid, a run streaming every frequency transition and request
+    // mark into a ring still matches the plain run bit for bit.
+    let spec = AppSpec::get(App::Masstree);
+    let server = Server::new(ServerConfig::paper_default(8));
+    let arrivals: Vec<Request> = constant_rate_arrivals(&spec, spec.rps_for_load(0.6), SECOND, 7);
+    let controller = || ThreadController::new(ControllerParams::new(0.3, 1.0));
+    for tick_ns in [5 * MILLISECOND, 1500 * MICROSECOND] {
+        let opts = RunOptions {
+            tick_ns,
+            ..RunOptions::default()
+        };
+        let plain = server.run(&arrivals, &mut controller(), opts);
+        let rec = Recorder::ring(1 << 20);
+        let traced = server.run_recorded(
+            &arrivals,
+            &mut controller(),
+            RunOptions {
+                trace: TraceConfig { events: true },
+                ..opts
+            },
+            &rec,
+        );
+        assert_eq!(rec.dropped_events(), 0);
+        let events = rec.drain_events();
+        assert!(events.iter().any(|e| e.kind() == "FreqTransition"));
+        assert!(events.iter().any(|e| e.kind() == "RequestComplete"));
+        assert!(
+            plain.records == traced.records,
+            "tick {tick_ns} ns: events changed the records"
+        );
+        assert_eq!(
+            plain.energy_j.to_bits(),
+            traced.energy_j.to_bits(),
+            "tick {tick_ns} ns: events changed the energy"
+        );
+    }
 }
 
 #[test]

@@ -171,15 +171,24 @@ fn controller_under_overload_eventually_turbos_every_busy_core() {
         features: Default::default(),
     };
     let mut tc = ThreadController::new(ControllerParams::new(0.0, 1.5));
-    let res = srv.run(
+    let rec = deeppower_telemetry::Recorder::ring(1 << 10);
+    srv.run_recorded(
         &[req],
         &mut tc,
         RunOptions {
             tick_ns: MILLISECOND,
-            trace: deeppower_suite::sim::TraceConfig::millisecond(),
             ..Default::default()
         },
+        &rec,
     );
-    let max_f = res.traces.freq.iter().map(|&(_, _, f)| f).max().unwrap();
+    let max_f = rec
+        .drain_events()
+        .iter()
+        .filter_map(|e| match e {
+            deeppower_telemetry::Event::CoreResidency(r) => Some(r.mhz),
+            _ => None,
+        })
+        .max()
+        .unwrap();
     assert_eq!(max_f, FreqPlan::xeon_gold_5218r().turbo_mhz);
 }
