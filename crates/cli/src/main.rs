@@ -1479,14 +1479,26 @@ fn cmd_profile(flags: &Flags, log: &Logger) -> Result<(), String> {
         ));
     }
     let wall_ns = t0.elapsed().as_nanos() as u64;
-    let table = render_phase_table(&prof.phase_table(), wall_ns);
+    let rows = prof.phase_table();
+    let table = render_phase_table(&rows, wall_ns);
     println!("{table}");
-    let coverage = prof.root_total_ns() as f64 / wall_ns.max(1) as f64;
+    // Arrivals are generated on a producer thread while the engine
+    // runs: its `engine.ingest` roots overlap the calling thread's, so
+    // they count apart from the coverage of the calling thread.
+    let row = |name: &str| rows.iter().find(|r| r.name == name);
+    let ingest_ns = row("engine.ingest").map_or(0, |r| r.root_ns);
+    let wait_ns = row("engine.feed_wait").map_or(0, |r| r.total_ns);
+    let coverage = (prof.root_total_ns() - ingest_ns) as f64 / wall_ns.max(1) as f64;
     println!(
         "profiled coverage: {:.1}% of {:.2} s wall ({} requests evaluated)",
         coverage * 100.0,
         wall_ns as f64 / 1e9,
         outcome.sim.stats.count
+    );
+    println!(
+        "arrival producer: {:.1} ms generating beside the engine, which waited {:.1} ms for arrivals",
+        ingest_ns as f64 / 1e6,
+        wait_ns as f64 / 1e6
     );
     if coverage < 0.90 {
         log.warn("profiled phases cover < 90% of wall time — unprofiled work crept in");

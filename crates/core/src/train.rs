@@ -12,9 +12,11 @@ use crate::config::DeepPowerConfig;
 use crate::governor::{DeepPowerGovernor, Mode, StepLog};
 use crate::state::STATE_DIM;
 use deeppower_drl::{Ddpg, DdpgConfig};
-use deeppower_simd_server::{RunOptions, Server, ServerConfig, SimResult, TraceConfig};
+use deeppower_simd_server::{
+    arrival_feed, with_producer, Governor, RunOptions, Server, ServerConfig, SimResult, TraceConfig,
+};
 use deeppower_telemetry::{event, Event, Recorder};
-use deeppower_workload::{trace_arrivals, App, AppSpec, DiurnalConfig, DiurnalTrace};
+use deeppower_workload::{App, AppSpec, ArrivalStream, DiurnalConfig, DiurnalTrace};
 use serde::{Deserialize, Serialize};
 
 /// Training-run parameters.
@@ -160,6 +162,30 @@ pub fn trace_for(spec: &AppSpec, peak_load: f64, episode_s: u64, seed: u64) -> D
     trace
 }
 
+/// Run `gov` on `server` over the arrivals `trace` draws with `seed`,
+/// streamed from a producer thread that generates them while the engine
+/// runs (`engine.ingest` on the producer, `engine.feed_wait` where the
+/// engine waits for it). The result is that of `run_recorded` over
+/// `trace_arrivals(spec, &trace, seed)`.
+fn run_streamed(
+    server: &Server,
+    spec: &AppSpec,
+    trace: DiurnalTrace,
+    seed: u64,
+    gov: &mut dyn Governor,
+    opts: RunOptions,
+    rec: &Recorder,
+) -> SimResult {
+    let (tx, feed) = arrival_feed(rec.profiler());
+    let produce = move || tx.pump(ArrivalStream::new(spec, trace, seed));
+    let ((), sim) = with_producer(produce, || {
+        server
+            .stream_session(feed.flatten(), gov, opts, rec)
+            .finish()
+    });
+    sim
+}
+
 /// Algorithm 2: train a DDPG agent for `cfg.app` and return the policy.
 pub fn train(cfg: &TrainConfig) -> (TrainedPolicy, TrainReport) {
     train_recorded(cfg, &Recorder::disabled())
@@ -167,10 +193,12 @@ pub fn train(cfg: &TrainConfig) -> (TrainedPolicy, TrainReport) {
 
 /// [`train`] with a telemetry [`Recorder`]: per-step
 /// [`event::DrlStep`]/[`event::TrainUpdate`] events from the governor
-/// plus one [`event::EpisodeEnd`] per episode. A profiler attached to
-/// `rec` times workload generation (`engine.ingest`), the engine's
-/// `engine.*` phases and the agent's `ddpg.*` update stages (nested
-/// inside `engine.tick`). Neither perturbs training.
+/// plus one [`event::EpisodeEnd`] per episode. Each episode's arrivals
+/// stream from a producer thread while the episode runs. A profiler
+/// attached to `rec` times workload generation (`engine.ingest`, on the
+/// producer), the engine's `engine.*` phases and the agent's `ddpg.*`
+/// update stages (nested inside `engine.tick`). Neither perturbs
+/// training.
 pub fn train_recorded(cfg: &TrainConfig, rec: &Recorder) -> (TrainedPolicy, TrainReport) {
     let spec = AppSpec::get(cfg.app);
     let server = server_for(&spec);
@@ -182,14 +210,14 @@ pub fn train_recorded(cfg: &TrainConfig, rec: &Recorder) -> (TrainedPolicy, Trai
 
     for ep in 0..cfg.episodes {
         let ep_seed = cfg.seed.wrapping_add(1 + ep as u64);
-        let sp = rec.profiler().span("engine.ingest");
         let trace = trace_for(&spec, cfg.peak_load, cfg.episode_s, ep_seed);
-        let arrivals = trace_arrivals(&spec, &trace, ep_seed.wrapping_mul(31).wrapping_add(7));
-        drop(sp);
         let mut gov = DeepPowerGovernor::new(&mut agent, cfg.deeppower, Mode::Train)
             .with_recorder(rec.clone());
-        let res = server.run_recorded(
-            &arrivals,
+        let res = run_streamed(
+            &server,
+            &spec,
+            trace,
+            ep_seed.wrapping_mul(31).wrapping_add(7),
             &mut gov,
             RunOptions {
                 tick_ns: cfg.deeppower.short_time,
@@ -257,9 +285,10 @@ pub fn evaluate(
 /// decision trace: per-step [`event::DrlStep`]s from the governor plus
 /// the engine's residency/latency-snapshot/window events (and
 /// frequency transitions plus request marks when `trace_cfg.events` is
-/// set). A
-/// profiler attached to `rec` times workload generation
-/// (`engine.ingest`) and the engine (`engine.*` phases).
+/// set). The arrivals stream from a producer thread while the engine
+/// runs. A profiler attached to `rec` times workload generation
+/// (`engine.ingest`, on the producer) and the engine (`engine.*`
+/// phases).
 pub fn evaluate_recorded(
     policy: &TrainedPolicy,
     peak_load: f64,
@@ -270,15 +299,15 @@ pub fn evaluate_recorded(
 ) -> EvalOutcome {
     let spec = AppSpec::get(policy.app);
     let server = server_for(&spec);
-    let sp = rec.profiler().span("engine.ingest");
     let trace = trace_for(&spec, peak_load, duration_s, seed);
-    let arrivals = trace_arrivals(&spec, &trace, seed.wrapping_mul(131).wrapping_add(17));
-    drop(sp);
     let mut agent = policy.build_agent();
     let mut gov =
         DeepPowerGovernor::new(&mut agent, policy.deeppower, Mode::Eval).with_recorder(rec.clone());
-    let sim = server.run_recorded(
-        &arrivals,
+    let sim = run_streamed(
+        &server,
+        &spec,
+        trace,
+        seed.wrapping_mul(131).wrapping_add(17),
         &mut gov,
         RunOptions {
             tick_ns: policy.deeppower.short_time,

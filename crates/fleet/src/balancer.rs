@@ -1,7 +1,7 @@
 //! Deterministic load balancing: split one fleet-level arrival stream
 //! into per-node streams.
 //!
-//! The balancer runs *before* the simulation, as a pure function of the
+//! The balancer runs outside the simulation, as a pure function of the
 //! arrival trace — the same place a real L4 balancer sits (it routes on
 //! arrival, before the request's service time is known). The stateful
 //! policies therefore work from an *estimated* backlog model, the
@@ -11,6 +11,9 @@
 //! `work_ref_ns` into that estimate. The model never sees simulator
 //! state, so the split is reproducible from `(trace, nodes, policy)`
 //! alone — the property the determinism proptests pin down.
+//! Routing state lives in an `Assigner`: [`split_arrivals`] runs one
+//! over a whole stream, and the fleet driver's producer runs one chunk
+//! by chunk as the stream is generated.
 
 use deeppower_simd_server::Request;
 use serde::{Deserialize, Serialize};
@@ -163,31 +166,57 @@ impl BacklogModel {
 /// stateful policies; a uniform slice reproduces the historical split
 /// bit-for-bit.
 ///
-/// Routing runs first and records one target per request; the streams
-/// are then allocated at their exact final sizes and filled by copy, so
-/// the split makes O(nodes) allocations whatever the request count.
+/// This is one `Assigner::split` over the whole stream, so the split
+/// makes O(nodes) allocations whatever the request count.
 pub fn split_arrivals(
     arrivals: &[Request],
     caps: &[NodeCapacity],
     policy: BalancerPolicy,
 ) -> Vec<Vec<Request>> {
-    let nodes = caps.len();
-    assert!(nodes > 0, "fleet needs at least one node");
-    let max_drain = caps
-        .iter()
-        .map(|c| c.drain_per_ns())
-        .fold(f64::MIN, f64::max);
-    let mut models: Vec<BacklogModel> = caps
-        .iter()
-        .map(|&c| BacklogModel::new(c, max_drain))
-        .collect();
+    Assigner::new(caps, policy).split(arrivals)
+}
 
-    let mut counts = vec![0usize; nodes];
-    let mut targets: Vec<u32> = Vec::with_capacity(arrivals.len());
-    for (i, req) in arrivals.iter().enumerate() {
-        let target = match policy {
-            BalancerPolicy::RoundRobin => i % nodes,
-            BalancerPolicy::JoinShortestQueue => argmin_effective(&mut models, req.arrival, i),
+/// The balancer as a stream: routes a fleet stream's requests one
+/// chunk at a time, carrying the backlog models and the request index
+/// from chunk to chunk. Splitting a stream in chunks gives the same
+/// per-node streams as [`split_arrivals`] over the whole of it.
+pub(crate) struct Assigner {
+    policy: BalancerPolicy,
+    models: Vec<BacklogModel>,
+    /// Index of the next request in the fleet stream.
+    index: usize,
+    /// Per-chunk scratch: each request's node, and each node's count.
+    targets: Vec<u32>,
+    counts: Vec<usize>,
+}
+
+impl Assigner {
+    pub(crate) fn new(caps: &[NodeCapacity], policy: BalancerPolicy) -> Self {
+        assert!(!caps.is_empty(), "fleet needs at least one node");
+        let max_drain = caps
+            .iter()
+            .map(|c| c.drain_per_ns())
+            .fold(f64::MIN, f64::max);
+        Self {
+            policy,
+            models: caps
+                .iter()
+                .map(|&c| BacklogModel::new(c, max_drain))
+                .collect(),
+            index: 0,
+            targets: Vec::new(),
+            counts: vec![0; caps.len()],
+        }
+    }
+
+    /// Route the stream's next request.
+    fn assign(&mut self, req: &Request) -> usize {
+        let i = self.index;
+        self.index += 1;
+        let models = &mut self.models;
+        let target = match self.policy {
+            BalancerPolicy::RoundRobin => i % models.len(),
+            BalancerPolicy::JoinShortestQueue => argmin_effective(models, req.arrival, i),
             BalancerPolicy::PowerAware => {
                 // Pack onto the most loaded node that still has headroom:
                 // adding to a node already more than SLA/2 behind risks
@@ -212,19 +241,36 @@ pub fn split_arrivals(
                 }
                 match best {
                     Some((k, _)) => k,
-                    None => argmin_effective(&mut models, req.arrival, i),
+                    None => argmin_effective(models, req.arrival, i),
                 }
             }
         };
         models[target].work_ref_ns += req.work_ref_ns as f64;
-        counts[target] += 1;
-        targets.push(target as u32);
+        target
     }
-    let mut streams: Vec<Vec<Request>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-    for (req, &target) in arrivals.iter().zip(&targets) {
-        streams[target as usize].push(*req);
+
+    /// Route `chunk`, the stream's next requests, and split it into one
+    /// stream per node. Routing runs first and records one target per
+    /// request; the node streams are then allocated at their exact
+    /// sizes and filled by copy.
+    pub(crate) fn split(&mut self, chunk: &[Request]) -> Vec<Vec<Request>> {
+        let mut targets = std::mem::take(&mut self.targets);
+        targets.clear();
+        targets.reserve(chunk.len());
+        self.counts.fill(0);
+        for req in chunk {
+            let target = self.assign(req);
+            self.counts[target] += 1;
+            targets.push(target as u32);
+        }
+        let mut streams: Vec<Vec<Request>> =
+            self.counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+        for (req, &target) in chunk.iter().zip(&targets) {
+            streams[target as usize].push(*req);
+        }
+        self.targets = targets;
+        streams
     }
-    streams
 }
 
 /// Node with the least capacity-weighted outstanding work at `now`.
@@ -273,6 +319,31 @@ mod tests {
             freq_sensitivity: 1.0,
             sla: 10_000_000,
             features: Default::default(),
+        }
+    }
+
+    #[test]
+    fn chunked_splits_equal_the_whole_split() {
+        // Bursty arrivals with mixed work sizes, so the stateful
+        // policies carry backlog and tie rotation across chunk edges.
+        let arrivals: Vec<Request> = (0..500)
+            .map(|i| req(i, (i / 7) * 40_000, 50_000 + (i * 7_919) % 400_000))
+            .collect();
+        let caps = [
+            NodeCapacity::uniform(1),
+            NodeCapacity::uniform(2),
+            NodeCapacity::uniform(4),
+        ];
+        for policy in BalancerPolicy::all() {
+            let whole = split_arrivals(&arrivals, &caps, policy);
+            let mut assigner = Assigner::new(&caps, policy);
+            let mut chunked = vec![Vec::new(); caps.len()];
+            for chunk in arrivals.chunks(37) {
+                for (node, part) in chunked.iter_mut().zip(assigner.split(chunk)) {
+                    node.extend(part);
+                }
+            }
+            assert_eq!(chunked, whole, "{}", policy.label());
         }
     }
 

@@ -5,8 +5,10 @@
 //!
 //! Each node is an independent [`Server`] session (its own cores,
 //! queue, energy meter and telemetry stream); the only coupling is the
-//! pre-computed balancer split of the fleet arrival stream and the
-//! shared actor. At every epoch boundary the driver pauses all nodes
+//! balancer split of the fleet arrival stream and the shared actor.
+//! One producer thread generates and splits the stream while the nodes
+//! run, and streams each node its arrivals (see [`run_fleet_with`]).
+//! At every epoch boundary the driver pauses all nodes
 //! ([`Session::advance_until`]), stacks their 8-dimensional DeepPower
 //! states into one `N × 8` matrix, runs one matrix–matrix inference
 //! ([`Ddpg::act_batch`]) and writes each row's `(BaseFreq,
@@ -23,7 +25,7 @@
 //! loop with one worker and no spawn. The result is byte-identical at
 //! any thread count (see [`run_fleet_with`] for the protocol).
 
-use crate::balancer::{split_arrivals, BalancerPolicy, NodeCapacity};
+use crate::balancer::{Assigner, BalancerPolicy, NodeCapacity};
 use crate::coordinator::Coordinator;
 use crate::profile::{node_profile_indices, profile_groups, NodeProfile};
 use deeppower_core::{
@@ -32,19 +34,20 @@ use deeppower_core::{
 use deeppower_drl::Ddpg;
 use deeppower_nn::Matrix;
 use deeppower_simd_server::{
-    FaultPlan, FreqCommands, Governor, LatencyStats, Nanos, OverloadPlan, Request, RunOptions,
-    Server, ServerConfig, ServerView, Session, SimResult, MILLISECOND,
+    arrival_feed, with_producer, ArrivalFeed, FaultPlan, FeedArrivals, FeedSender, FreqCommands,
+    Governor, LatencyStats, Nanos, OverloadPlan, Request, RunOptions, Server, ServerConfig,
+    ServerView, Session, SimResult, FEED_CHUNK, MILLISECOND,
 };
 use deeppower_telemetry::{
     Event, FleetMonitor, HealthReport, MonitorConfig, MonitorSink, Profiler, Recorder, Span,
     TracePlan,
 };
-use deeppower_workload::{trace_arrivals, App, AppSpec, DiurnalConfig, DiurnalTrace};
+use deeppower_workload::{App, AppSpec, ArrivalStream, DiurnalConfig, DiurnalTrace};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// One fleet experiment: N nodes serving a shared diurnal trace behind
 /// a balancer, under one trained policy (or one per profile group; see
@@ -247,6 +250,11 @@ impl FleetResult {
 /// Generate the fleet-level arrival stream: the app's diurnal trace
 /// with its peak scaled to `nodes × rps_for_load(peak_load)`.
 pub fn fleet_arrivals(spec: &FleetSpec) -> Vec<Request> {
+    fleet_arrival_stream(spec).collect()
+}
+
+/// [`fleet_arrivals`], drawn on demand.
+fn fleet_arrival_stream(spec: &FleetSpec) -> ArrivalStream {
     let app_spec = AppSpec::get(spec.app);
     let cfg = DiurnalConfig {
         period_s: spec.duration_s,
@@ -254,7 +262,40 @@ pub fn fleet_arrivals(spec: &FleetSpec) -> Vec<Request> {
     };
     let mut trace = DiurnalTrace::generate(&cfg, spec.seed);
     trace.scale_peak_to(app_spec.rps_for_load(spec.peak_load) * spec.nodes as f64);
-    trace_arrivals(&app_spec, &trace, spec.seed)
+    ArrivalStream::new(&app_spec, trace, spec.seed)
+}
+
+/// The fleet's arrival producer: generate the fleet stream in
+/// [`FEED_CHUNK`]-request chunks (`engine.ingest`), split each chunk
+/// across the nodes and send every node its share, then mark each
+/// feed's end. The whole producer is one `fleet.balance` span. Returns
+/// the requests routed to each node. Sends never block, so it runs to
+/// the end whatever the nodes do; if a node's reader is gone (its
+/// session unwound), it stops without end markers.
+fn produce_arrivals(spec: &FleetSpec, feeds: Vec<FeedSender>, prof: &Profiler) -> Vec<u64> {
+    let _sp = prof.span("fleet.balance");
+    let mut stream = fleet_arrival_stream(spec);
+    let mut assigner = Assigner::new(&spec.capacities(), spec.balancer);
+    let mut assigned = vec![0u64; feeds.len()];
+    let mut chunk = Vec::with_capacity(FEED_CHUNK);
+    loop {
+        let sp = prof.span("engine.ingest");
+        chunk.clear();
+        chunk.extend(stream.by_ref().take(FEED_CHUNK));
+        drop(sp);
+        let streams = assigner.split(&chunk);
+        for ((node, feed), count) in streams.into_iter().zip(&feeds).zip(&mut assigned) {
+            *count += node.len() as u64;
+            if !feed.send(node) {
+                return assigned;
+            }
+        }
+        if chunk.len() < FEED_CHUNK {
+            break;
+        }
+    }
+    feeds.into_iter().for_each(FeedSender::end);
+    assigned
 }
 
 /// A policy with freshly initialized (untrained) actor weights, for
@@ -328,8 +369,10 @@ pub struct FleetRun {
     pub per_node_act: bool,
     /// What the run records besides the result.
     pub observe: FleetObserve,
-    /// Span profiler. `fleet.balance` (the arrival split) and
-    /// `fleet.merge` (finish and percentile merge) open once;
+    /// Span profiler. `fleet.balance` (the arrival producer, with one
+    /// `engine.ingest` per generated chunk inside) and `fleet.merge`
+    /// (finish and percentile merge) open once; a node engine that
+    /// waits for its next arrival opens `engine.feed_wait`;
     /// `fleet.batch_act` opens once per epoch on worker 0 and covers its
     /// own observe pass plus the act; each worker opens one
     /// `fleet.advance` per epoch, and its nodes' `engine.*` spans nest
@@ -418,7 +461,15 @@ pub fn run_fleet_monitored(
 /// the monitor are byte-identical at any thread count. Per-worker monitors
 /// fold into worker 0's through [`FleetMonitor::merge`]; monitor state
 /// is keyed by `(window, node)` and workers own disjoint nodes, so the
-/// fold equals the one-worker monitor.
+/// fold equals the one-worker monitor. A worker that panics poisons the
+/// barriers, so the others panic out instead of waiting for it.
+///
+/// Arrivals come from one more thread, the producer
+/// (`produce_arrivals`): it generates the fleet stream, splits it
+/// and sends each node its requests over the node's own unbounded
+/// channel while the workers simulate. Each session pulls its node's
+/// arrivals in order, so its events are those of the pre-split stream
+/// whenever each chunk arrives. A producer panic re-raises here.
 pub fn run_fleet_with(
     spec: &FleetSpec,
     policies: &[&TrainedPolicy],
@@ -427,10 +478,13 @@ pub fn run_fleet_with(
     let policies = group_policies(spec, policies);
     let n = spec.nodes;
     let threads = resolve_threads(run.threads, n);
-    let sp = run.profiler.span("fleet.balance");
-    let streams = split_arrivals(&fleet_arrivals(spec), &spec.capacities(), spec.balancer);
-    let assigned: Vec<u64> = streams.iter().map(|s| s.len() as u64).collect();
-    drop(sp);
+    let (senders, feeds): (Vec<FeedSender>, Vec<ArrivalFeed>) =
+        (0..n).map(|_| arrival_feed(&run.profiler)).unzip();
+    // Node `i` lives on worker `i % threads`.
+    let mut shares: Vec<Vec<(usize, ArrivalFeed)>> = (0..threads).map(|_| Vec::new()).collect();
+    for (i, feed) in feeds.into_iter().enumerate() {
+        shares[i % threads].push((i, feed));
+    }
 
     let mut coordinator = Coordinator::new(spec.groups(), &policies);
     let lead = policies[0].deeppower;
@@ -440,7 +494,6 @@ pub fn run_fleet_with(
         group_of: spec.group_of(),
         policies,
         servers: spec.group_configs().into_iter().map(Server::new).collect(),
-        streams,
         opts: RunOptions {
             tick_ns: lead.short_time,
             ..Default::default()
@@ -449,22 +502,28 @@ pub fn run_fleet_with(
         threads,
         states: Mutex::new(Matrix::zeros(n, STATE_DIM)),
         actions: Mutex::new(vec![ControllerParams::default(); n]),
-        barrier: Barrier::new(threads),
+        barrier: EpochBarrier::new(threads),
         done: AtomicUsize::new(0),
     };
-    let (leader, others) = std::thread::scope(|scope| {
-        let others: Vec<_> = (1..threads)
-            .map(|w| {
-                let lockstep = &lockstep;
-                scope.spawn(move || lockstep.worker(w, None))
-            })
-            .collect();
-        let leader = lockstep.worker(0, Some(&mut coordinator));
-        let others: Vec<WorkerOut> = others
-            .into_iter()
-            .map(|h| h.join().expect("fleet worker panicked"))
-            .collect();
-        (leader, others)
+    let produce = || produce_arrivals(spec, senders, &run.profiler);
+    let (assigned, (leader, others)) = with_producer(produce, || {
+        std::thread::scope(|scope| {
+            let mut shares = shares.into_iter();
+            let lead = shares.next().expect("at least one worker");
+            let others: Vec<_> = shares
+                .enumerate()
+                .map(|(k, share)| {
+                    let lockstep = &lockstep;
+                    scope.spawn(move || lockstep.worker(k + 1, share, None))
+                })
+                .collect();
+            let leader = lockstep.worker(0, lead, Some(&mut coordinator));
+            let others: Vec<WorkerOut> = others
+                .into_iter()
+                .map(|h| h.join().expect("fleet worker panicked"))
+                .collect();
+            (leader, others)
+        })
     });
 
     let WorkerOut {
@@ -530,13 +589,12 @@ struct Lockstep<'a> {
     group_of: Vec<usize>,
     policies: Vec<&'a TrainedPolicy>,
     servers: Vec<Server>,
-    streams: Vec<Vec<Request>>,
     opts: RunOptions,
     long: u64,
     threads: usize,
     states: Mutex<Matrix>,
     actions: Mutex<Vec<ControllerParams>>,
-    barrier: Barrier,
+    barrier: EpochBarrier,
     /// Nodes finished so far. Each node is counted once, by its owner,
     /// in the epoch it finishes, so the count is monotone and never
     /// reset, and every worker reads the same value after barrier C.
@@ -555,13 +613,20 @@ struct WorkerOut {
 }
 
 impl Lockstep<'_> {
-    /// Drive worker `w`'s nodes through the epoch loop. Worker 0 passes
-    /// the coordinator and acts for the whole fleet between barriers A
-    /// and B.
-    fn worker(&self, w: usize, mut leader: Option<&mut Coordinator>) -> WorkerOut {
+    /// Drive worker `w`'s nodes, `share` (each node with its arrival
+    /// feed), through the epoch loop. Worker 0 passes the coordinator
+    /// and acts for the whole fleet between barriers A and B.
+    fn worker(
+        &self,
+        w: usize,
+        share: Vec<(usize, ArrivalFeed)>,
+        mut leader: Option<&mut Coordinator>,
+    ) -> WorkerOut {
+        debug_assert!(share.iter().all(|&(i, _)| i % self.threads == w));
+        let _poison = PoisonOnUnwind(&self.barrier);
         let n = self.spec.nodes;
         let prof = &self.run.profiler;
-        let owned: Vec<usize> = (w..n).step_by(self.threads).collect();
+        let (owned, feeds): (Vec<usize>, Vec<ArrivalFeed>) = share.into_iter().unzip();
         // Worker-local monitor: its nodes feed it inline through their
         // sinks.
         let monitor = match &self.run.observe {
@@ -592,13 +657,14 @@ impl Lockstep<'_> {
                 params: Rc::clone(c),
             })
             .collect();
-        let mut sessions: Vec<Session<'_>> = govs
+        let mut sessions: Vec<Session<'_, FeedArrivals>> = govs
             .iter_mut()
             .zip(&owned)
             .zip(&recs)
-            .map(|((gov, &i), rec)| {
-                self.servers[self.group_of[i]].session(
-                    &self.streams[i],
+            .zip(feeds)
+            .map(|(((gov, &i), rec), feed)| {
+                self.servers[self.group_of[i]].stream_session(
+                    feed.flatten(),
                     gov as &mut dyn Governor,
                     node_opts(self.opts, self.spec, i),
                     rec,
@@ -680,6 +746,70 @@ impl Lockstep<'_> {
             nodes,
             monitor,
             merge_span,
+        }
+    }
+}
+
+/// The lockstep barrier: a reusable barrier that a panicking worker
+/// poisons, so the other workers panic out of their next wait instead
+/// of waiting forever for it.
+struct EpochBarrier {
+    parties: usize,
+    state: Mutex<BarrierState>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct BarrierState {
+    arrived: usize,
+    generation: u64,
+    poisoned: bool,
+}
+
+impl EpochBarrier {
+    fn new(parties: usize) -> Self {
+        Self {
+            parties,
+            state: Mutex::default(),
+            cv: Condvar::new(),
+        }
+    }
+
+    // The lock is taken through poison: no update of the state can be
+    // left half done, and the poisoned path must still wake everyone.
+    fn wait(&self) {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let generation = st.generation;
+        st.arrived += 1;
+        if st.arrived == self.parties {
+            st.arrived = 0;
+            st.generation += 1;
+            self.cv.notify_all();
+        }
+        while st.generation == generation && !st.poisoned {
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        let poisoned = st.poisoned;
+        drop(st);
+        assert!(!poisoned, "another fleet worker panicked");
+    }
+
+    fn poison(&self) {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .poisoned = true;
+        self.cv.notify_all();
+    }
+}
+
+/// Poisons the barrier if its worker unwinds.
+struct PoisonOnUnwind<'a>(&'a EpochBarrier);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison();
         }
     }
 }

@@ -35,6 +35,7 @@ pub mod contention;
 pub mod cstates;
 pub mod dvfs;
 pub mod faults;
+pub mod feed;
 pub mod governor;
 pub mod metrics;
 pub mod overload;
@@ -47,6 +48,7 @@ pub use contention::ContentionModel;
 pub use cstates::{CState, CStatePlan};
 pub use dvfs::{DvfsController, FreqPlan, TransitionOutcome, MHZ_PER_GHZ};
 pub use faults::{DvfsFault, FaultPlan, FaultState, SensorReading};
+pub use feed::{arrival_feed, with_producer, ArrivalFeed, FeedArrivals, FeedSender, FEED_CHUNK};
 pub use governor::{CoreView, FixedFrequency, FreqCommands, Governor, RunningView, ServerView};
 pub use metrics::{LatencyStats, MetricsCollector, RequestRecord, TraceConfig};
 pub use overload::{
@@ -55,4 +57,4 @@ pub use overload::{
 };
 pub use power::{EnergyMeter, PowerModel};
 pub use request::{Features, Request, MAX_FEATURES};
-pub use server::{RunOptions, Server, ServerConfig, Session, SimResult};
+pub use server::{RunOptions, Server, ServerConfig, Session, SimResult, SliceArrivals};

@@ -553,7 +553,8 @@ impl Server {
         self.session(arrivals, governor, opts, rec).finish()
     }
 
-    /// Start a resumable simulation [`Session`] over `arrivals`.
+    /// Start a resumable simulation [`Session`] over `arrivals`: the
+    /// slice case of [`stream_session`](Self::stream_session).
     ///
     /// The session processes exactly the same event sequence as
     /// [`run_recorded`](Self::run_recorded) — that method is literally
@@ -569,17 +570,29 @@ impl Server {
         opts: RunOptions,
         rec: &'a Recorder,
     ) -> Session<'a> {
+        self.stream_session(arrivals.iter().copied(), governor, opts, rec)
+    }
+
+    /// Start a [`Session`] over any arrival iterator (sorted by arrival
+    /// time), e.g. the flattened [`ArrivalFeed`](crate::ArrivalFeed) of
+    /// a producer thread. The session pulls one arrival ahead of the
+    /// clock, so its events and termination instant are those of the
+    /// same requests given as a slice.
+    pub fn stream_session<'a, I: Iterator<Item = Request>>(
+        &'a self,
+        mut arrivals: I,
+        governor: &'a mut dyn Governor,
+        opts: RunOptions,
+        rec: &'a Recorder,
+    ) -> Session<'a, I> {
         assert!(opts.tick_ns > 0, "tick period must be positive");
-        debug_assert!(
-            arrivals.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-            "arrivals must be sorted by time"
-        );
         let n = self.cfg.n_cores;
         let mut metrics = MetricsCollector::new();
-        // Open loop, every arrival completes exactly once: one
-        // exact-size record buffer instead of doubling growth.
+        // Open loop, every arrival completes exactly once: when the
+        // iterator knows its length (a slice does), one exact-size
+        // record buffer instead of doubling growth.
         if !opts.overload.is_active() {
-            metrics.records.reserve_exact(arrivals.len());
+            metrics.records.reserve_exact(arrivals.size_hint().0);
         }
         Session {
             cores: Cores::new(&self.cfg),
@@ -592,7 +605,7 @@ impl Server {
             overload: OverloadState::new(opts.overload, n),
             dvfs: DvfsController::new(n),
             now: 0,
-            arr_idx: 0,
+            next_arrival: arrivals.next(),
             next_tick: 0,
             window: WindowTelemetry::new(rec.enabled()),
             rtrace: RequestTracer::new(opts.rtrace, rec.enabled()),
@@ -608,12 +621,20 @@ impl Server {
     }
 }
 
+/// What a session over a slice iterates.
+pub type SliceArrivals<'a> = std::iter::Copied<std::slice::Iter<'a, Request>>;
+
 /// A paused-or-running simulation: the full state of one engine event
 /// loop, advanceable in bounded time slices. Created by
-/// [`Server::session`]; consumed by [`Session::finish`].
-pub struct Session<'a> {
+/// [`Server::session`] (over a slice) or [`Server::stream_session`]
+/// (over any arrival iterator `I`); consumed by [`Session::finish`].
+pub struct Session<'a, I = SliceArrivals<'a>> {
     cfg: &'a ServerConfig,
-    arrivals: &'a [Request],
+    /// Workload arrivals not yet pulled.
+    arrivals: I,
+    /// The earliest workload arrival not yet offered, pulled one ahead
+    /// so event selection and termination can read it.
+    next_arrival: Option<Request>,
     governor: &'a mut dyn Governor,
     opts: RunOptions,
     rec: &'a Recorder,
@@ -637,7 +658,6 @@ pub struct Session<'a> {
     overload: OverloadState,
     dvfs: DvfsController,
     now: Nanos,
-    arr_idx: usize,
     next_tick: Nanos,
     window: WindowTelemetry,
     /// Request-lifecycle tracer (inactive plan = one branch per hook).
@@ -647,7 +667,7 @@ pub struct Session<'a> {
     finished: bool,
 }
 
-impl Session<'_> {
+impl<I: Iterator<Item = Request>> Session<'_, I> {
     /// Simulated time of the last processed event.
     pub fn now(&self) -> Nanos {
         self.now
@@ -837,9 +857,12 @@ impl Session<'_> {
         // window is open); due client retries are offered last, in
         // (due-time, schedule-order) order.
         let sp = self.prof.span("engine.arrivals");
-        while self.arr_idx < self.arrivals.len() && self.arrivals[self.arr_idx].arrival <= now {
-            let req = self.arrivals[self.arr_idx];
-            self.arr_idx += 1;
+        while let Some(req) = self.next_arrival.filter(|r| r.arrival <= now) {
+            self.next_arrival = self.arrivals.next();
+            debug_assert!(
+                self.next_arrival.is_none_or(|r| r.arrival >= req.arrival),
+                "arrivals must be sorted by time"
+            );
             let clones = self.overload.burst_clones(req.arrival);
             self.offer(now, req);
             for _ in 0..clones {
@@ -977,7 +1000,7 @@ impl Session<'_> {
         }
 
         // ---- 5. Termination ----
-        if self.arr_idx == self.arrivals.len()
+        if self.next_arrival.is_none()
             && self.queue.is_empty()
             && self.cores.busy == 0
             && !self.overload.retries_pending()
@@ -1046,8 +1069,8 @@ impl Session<'_> {
     /// governor tick never stops).
     fn next_event_time(&self) -> Nanos {
         let mut t_next = self.next_tick;
-        if self.arr_idx < self.arrivals.len() {
-            t_next = t_next.min(self.arrivals[self.arr_idx].arrival);
+        if let Some(r) = &self.next_arrival {
+            t_next = t_next.min(r.arrival);
         }
         if let Some(t) = self.dvfs.next_ready() {
             t_next = t_next.min(t);

@@ -181,15 +181,43 @@ impl AppSpec {
     /// the normalized input size (`body / E[body]`); the true work also
     /// carries the hidden multiplicative noise.
     pub fn sample_request<R: Rng>(&self, rng: &mut R, id: u64, arrival: Nanos) -> Request {
-        let body_dist = LogNormal::from_mean(self.body_mean_ns(), self.sigma);
-        let body = body_dist.sample(rng);
-        let noise = if self.noise_sigma > 0.0 {
-            LogNormal::from_mean(1.0, self.noise_sigma).sample(rng)
-        } else {
-            1.0
-        };
-        let work = self.intercept_ns() + body * noise;
-        let size_feature = (body / self.body_mean_ns()) as f32;
+        self.sampler().sample(rng, id, arrival)
+    }
+
+    /// [`sample_request`](Self::sample_request)'s per-app constants,
+    /// computed once for a stream of requests.
+    pub(crate) fn sampler(&self) -> RequestSampler {
+        RequestSampler {
+            body: LogNormal::from_mean(self.body_mean_ns(), self.sigma),
+            noise: (self.noise_sigma > 0.0).then(|| LogNormal::from_mean(1.0, self.noise_sigma)),
+            body_mean_ns: self.body_mean_ns(),
+            intercept_ns: self.intercept_ns(),
+            freq_sensitivity: self.freq_sensitivity,
+            sla: self.sla,
+        }
+    }
+}
+
+/// One app's request distribution with its two log-normals built: the
+/// same expressions `sample_request` once evaluated per request, so a
+/// stream drawn from one sampler is bit-identical to per-request calls.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RequestSampler {
+    body: LogNormal,
+    /// `None` when the app has no hidden noise (`noise_sigma == 0`).
+    noise: Option<LogNormal>,
+    body_mean_ns: f64,
+    intercept_ns: f64,
+    freq_sensitivity: f32,
+    sla: Nanos,
+}
+
+impl RequestSampler {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R, id: u64, arrival: Nanos) -> Request {
+        let body = self.body.sample(rng);
+        let noise = self.noise.map_or(1.0, |n| n.sample(rng));
+        let work = self.intercept_ns + body * noise;
+        let size_feature = (body / self.body_mean_ns) as f32;
         Request {
             id,
             client_id: id,

@@ -16,6 +16,7 @@
 //! * **Arrivals** — [`arrivals`] turns a rate function into a concrete
 //!   request sequence via non-homogeneous Poisson thinning, or a constant
 //!   rate for the fixed-load experiments (Table 3, Fig. 2).
+//!   [`ArrivalStream`] draws the trace-driven process on demand.
 //!
 //! Requests expose only *observable* features (input size, request class)
 //! to control planes; the intrinsic service time stays hidden, exactly as
@@ -28,7 +29,7 @@ pub mod diurnal;
 pub mod trace_io;
 
 pub use apps::{App, AppSpec};
-pub use arrivals::{constant_rate_arrivals, trace_arrivals};
+pub use arrivals::{constant_rate_arrivals, trace_arrivals, ArrivalStream};
 pub use distributions::{Exponential, LogNormal, Pareto};
 pub use diurnal::{DiurnalConfig, DiurnalTrace};
 pub use trace_io::{load_trace_csv, save_trace_csv};
