@@ -1,16 +1,17 @@
 //! The engine's simulated output is pinned bit for bit: per-request
 //! records (FNV-1a digest), total energy (`f64::to_bits`) and the
-//! frequency-transition count of five one-second runs that between them reach every per-core
+//! frequency-transition count of six one-second runs that between them reach every per-core
 //! state the engine tracks: a 20-core Xapian node, idle cores asleep
 //! in C-states, a capped little core, deferred and failed DVFS writes
-//! with core stalls, and a contention-free socket. A change to how the
-//! engine caches or recomputes per-core state cannot change a bit of
-//! what it simulates.
+//! with core stalls, a contention-free socket, and C-state wake latency,
+//! core stalls and an overloaded closed loop together. A change to how
+//! the engine caches or recomputes per-core state cannot change a bit
+//! of what it simulates.
 
 use deeppower_suite::deeppower::{ControllerParams, SleepAware, SleepPolicy, ThreadController};
 use deeppower_suite::sim::{
-    ContentionModel, FaultPlan, Governor, Request, RunOptions, Server, ServerConfig, SimResult,
-    MILLISECOND, SECOND,
+    ContentionModel, FaultPlan, Governor, OverloadPlan, QueuePolicy, Request, RunOptions, Server,
+    ServerConfig, SimResult, MILLISECOND, SECOND,
 };
 use deeppower_suite::workload::{constant_rate_arrivals, App, AppSpec};
 
@@ -196,5 +197,72 @@ fn contention_free_socket() {
             energy_bits: 4634934298108239401,
             freq_transitions: 10246,
         }
+    );
+}
+
+#[test]
+fn waking_cores_stall_under_an_overloaded_closed_loop() {
+    // Idle cores sleep between a light load's requests, so dispatches
+    // pay C1/C6 wake latency; a short stall period parks a core every
+    // few milliseconds, some of them mid-wake. A flash crowd overflows
+    // the bounded queue: drop-oldest sheds, clients time out and retry.
+    let mut gov = SleepAware::new(
+        ThreadController::new(ControllerParams::new(0.2, 1.0)),
+        20,
+        SleepPolicy::default(),
+    );
+    let spec = AppSpec::get(App::Xapian);
+    let arrivals: Vec<Request> =
+        constant_rate_arrivals(&spec, spec.rps_for_load(0.35), SECOND, SEED);
+    let opts = RunOptions {
+        faults: FaultPlan {
+            seed: SEED,
+            stall_period_ns: 3 * MILLISECOND,
+            stall_duration_ns: MILLISECOND,
+            ..FaultPlan::none()
+        },
+        overload: OverloadPlan {
+            seed: SEED,
+            queue_capacity: 256,
+            queue_policy: QueuePolicy::DropOldest,
+            client_timeout_ns: spec.sla,
+            retry_prob: 0.9,
+            max_attempts: 4,
+            retry_backoff_ns: spec.sla / 2,
+            retry_jitter_ns: spec.sla / 4,
+            burst_start_ns: 300 * MILLISECOND,
+            burst_duration_ns: 300 * MILLISECOND,
+            burst_factor: 3,
+            ..OverloadPlan::none()
+        },
+        ..RunOptions::default()
+    };
+    let res = Server::new(ServerConfig::paper_with_cstates(20)).run(&arrivals, &mut gov, opts);
+    assert!(
+        res.shed > 0 && res.abandoned > 0 && res.retries > 0,
+        "the closed loop never overloaded: {} shed, {} abandoned, {} retries",
+        res.shed,
+        res.abandoned,
+        res.retries
+    );
+    assert_eq!(
+        Pin::of(&res),
+        Pin {
+            records: 15863,
+            records_fnv: 5997315620597192987,
+            energy_bits: 4639374764897686089,
+            freq_transitions: 9164,
+        }
+    );
+    assert_eq!(
+        [
+            res.faults_injected,
+            res.goodput,
+            res.wasted,
+            res.shed,
+            res.abandoned,
+            res.retries
+        ],
+        [351, 6830, 9033, 22181, 10582, 23265]
     );
 }
