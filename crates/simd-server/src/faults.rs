@@ -282,6 +282,12 @@ impl FaultState {
         }
     }
 
+    /// The currently stalled core (retires no work, accepts no
+    /// dispatches), if a stall window is open.
+    pub fn stalled_core(&self) -> Option<usize> {
+        self.stalled.map(|(core, _)| core)
+    }
+
     /// Whether `core` is currently stalled (retires no work, accepts no
     /// dispatches).
     pub fn is_stalled(&self, core: usize) -> bool {
