@@ -284,7 +284,7 @@ impl Ddpg {
         self.scratch.next_states.reshape(n, self.cfg.state_dim);
         self.scratch.targets.reshape(n, 1);
         let sampled = self.replay.sample(&mut self.rng, n);
-        for (i, t) in sampled.iter().enumerate() {
+        for (i, t) in sampled.clone().enumerate() {
             self.scratch.states.row_mut(i).copy_from_slice(&t.state);
             self.scratch.actions.row_mut(i).copy_from_slice(&t.action);
             self.scratch
@@ -303,13 +303,12 @@ impl Ddpg {
         let q_next = self
             .critic_target
             .forward_inference(&self.scratch.next_states, &next_actions);
-        for (i, t) in sampled.iter().enumerate() {
+        for (i, t) in sampled.enumerate() {
             let cont = if t.done { 0.0 } else { 1.0 };
             self.scratch
                 .targets
                 .set(i, 0, t.reward + self.cfg.gamma * cont * q_next.get(i, 0));
         }
-        drop(sampled);
         if self.cfg.inject_nan_update != 0 && self.updates + 1 == self.cfg.inject_nan_update {
             self.scratch.targets.as_mut_slice().fill(f32::NAN);
         }
@@ -357,21 +356,19 @@ impl Ddpg {
         // to the last-good snapshot (the optimizers' moment estimates
         // are poisoned too, so they are rebuilt from scratch) rather
         // than letting NaNs propagate into the targets and the policy.
-        let actor_snap = self.actor.snapshot();
-        let critic_snap = self.critic.snapshot();
         let finite = critic_loss.is_finite()
             && actor_q.is_finite()
             && actor_grad_norm.is_finite()
             && critic_grad_norm.is_finite()
-            && actor_snap.iter().all(|w| w.is_finite())
-            && critic_snap.iter().all(|w| w.is_finite());
+            && self.actor.all_finite()
+            && self.critic.all_finite();
         self.updates += 1;
         if !finite {
-            let (good_actor, good_critic) = (self.last_good.0.clone(), self.last_good.1.clone());
-            self.actor.load_snapshot(&good_actor);
-            self.actor_target.load_snapshot(&good_actor);
-            self.critic.load_snapshot(&good_critic);
-            self.critic_target.load_snapshot(&good_critic);
+            let (good_actor, good_critic) = &self.last_good;
+            self.actor.load_snapshot(good_actor);
+            self.actor_target.load_snapshot(good_actor);
+            self.critic.load_snapshot(good_critic);
+            self.critic_target.load_snapshot(good_critic);
             self.actor_opt = Adam::new(
                 AdamConfig {
                     lr: self.cfg.actor_lr,
@@ -398,11 +395,12 @@ impl Ddpg {
 
         // Soft target updates.
         let sp = self.prof.span("ddpg.soft_update");
-        self.actor_target
-            .soft_update_from(&actor_snap, self.cfg.tau);
+        let (good_actor, good_critic) = &mut self.last_good;
+        self.actor.snapshot_into(good_actor);
+        self.critic.snapshot_into(good_critic);
+        self.actor_target.soft_update_from(good_actor, self.cfg.tau);
         self.critic_target
-            .soft_update_from(&critic_snap, self.cfg.tau);
-        self.last_good = (actor_snap, critic_snap);
+            .soft_update_from(good_critic, self.cfg.tau);
         drop(sp);
 
         self.noise.sigma = (self.noise.sigma * self.cfg.noise_decay).max(self.cfg.noise_sigma_min);

@@ -44,6 +44,12 @@ pub struct ReplayBuffer {
     /// Non-finite transitions rejected by [`ReplayBuffer::push`].
     #[serde(skip)]
     rejected: u64,
+    /// [`sample`](Self::sample)'s displaced-index map and the indices of
+    /// its last batch, kept so that sampling allocates nothing once warm.
+    #[serde(skip)]
+    displaced: HashMap<usize, usize>,
+    #[serde(skip)]
+    batch: Vec<usize>,
 }
 
 impl ReplayBuffer {
@@ -56,6 +62,8 @@ impl ReplayBuffer {
             head: 0,
             pushed: 0,
             rejected: 0,
+            displaced: HashMap::new(),
+            batch: Vec::new(),
         }
     }
 
@@ -111,28 +119,34 @@ impl ReplayBuffer {
     /// a warm pool (diagnostics, tests) still get a full batch. Panics
     /// when empty; callers gate on warm-up length first (Algorithm 2
     /// line 13).
-    pub fn sample<'a, R: Rng>(&'a self, rng: &mut R, batch: usize) -> Vec<&'a Transition> {
+    pub fn sample<R: Rng>(
+        &mut self,
+        rng: &mut R,
+        batch: usize,
+    ) -> impl ExactSizeIterator<Item = &Transition> + Clone + '_ {
         assert!(!self.data.is_empty(), "sampling from empty replay buffer");
         let n = self.data.len();
+        self.batch.clear();
         if n < batch {
-            return (0..batch)
-                .map(|_| &self.data[rng.random_range(0..n)])
-                .collect();
+            self.batch
+                .extend((0..batch).map(|_| rng.random_range(0..n)));
+        } else {
+            // Partial Fisher–Yates over 0..n, materialized sparsely: only
+            // the displaced entries of the virtual index array live in the
+            // map, so the cost is O(batch), not O(pool) — the pool can
+            // hold 100k transitions and this runs inside every gradient
+            // step.
+            self.displaced.clear();
+            for i in 0..batch {
+                let j = rng.random_range(i..n);
+                let vj = self.displaced.get(&j).copied().unwrap_or(j);
+                let vi = self.displaced.get(&i).copied().unwrap_or(i);
+                self.displaced.insert(j, vi);
+                self.batch.push(vj);
+            }
         }
-        // Partial Fisher–Yates over 0..n, materialized sparsely: only the
-        // displaced entries of the virtual index array live in the map, so
-        // the cost is O(batch), not O(pool) — the pool can hold 100k
-        // transitions and this runs inside every gradient step.
-        let mut displaced: std::collections::HashMap<usize, usize> = HashMap::new();
-        let mut out = Vec::with_capacity(batch);
-        for i in 0..batch {
-            let j = rng.random_range(i..n);
-            let vj = displaced.get(&j).copied().unwrap_or(j);
-            let vi = displaced.get(&i).copied().unwrap_or(i);
-            displaced.insert(j, vi);
-            out.push(&self.data[vj]);
-        }
-        out
+        let data = &self.data;
+        self.batch.iter().map(move |&i| &data[i])
     }
 
     /// Iterate over the stored transitions (unspecified order).
@@ -179,9 +193,9 @@ mod tests {
             b.push(t(i as f32));
         }
         let mut rng = StdRng::seed_from_u64(1);
-        let batch = b.sample(&mut rng, 64);
+        let mut batch = b.sample(&mut rng, 64);
         assert_eq!(batch.len(), 64);
-        assert!(batch.iter().all(|x| x.reward < 4.0));
+        assert!(batch.all(|x| x.reward < 4.0));
     }
 
     #[test]
@@ -197,13 +211,13 @@ mod tests {
             for batch in [1usize, 7, 32, 64] {
                 let s = b.sample(&mut rng, batch);
                 let mut seen = std::collections::HashSet::new();
-                for x in &s {
+                assert_eq!(s.len(), batch);
+                for x in s {
                     assert!(
                         seen.insert(x.reward.to_bits()),
                         "duplicate transition in batch {batch} (seed {seed})"
                     );
                 }
-                assert_eq!(s.len(), batch);
             }
         }
     }
@@ -216,7 +230,7 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(3);
         let s = b.sample(&mut rng, 8);
-        let mut rewards: Vec<i64> = s.iter().map(|x| x.reward as i64).collect();
+        let mut rewards: Vec<i64> = s.map(|x| x.reward as i64).collect();
         rewards.sort_unstable();
         assert_eq!(rewards, (0..8).collect::<Vec<i64>>());
     }
@@ -232,11 +246,7 @@ mod tests {
         }
         for seed in 0..10u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let got: Vec<i64> = b
-                .sample(&mut rng, 12)
-                .iter()
-                .map(|x| x.reward as i64)
-                .collect();
+            let got: Vec<i64> = b.sample(&mut rng, 12).map(|x| x.reward as i64).collect();
             let mut rng = StdRng::seed_from_u64(seed);
             let mut idx: Vec<usize> = (0..32).collect();
             for i in 0..12 {
@@ -295,7 +305,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "sampling from empty")]
     fn sampling_empty_panics() {
-        let b = ReplayBuffer::new(4);
+        let mut b = ReplayBuffer::new(4);
         let mut rng = StdRng::seed_from_u64(0);
         let _ = b.sample(&mut rng, 1);
     }
