@@ -24,7 +24,7 @@ use deeppower_simd_server::{FreqCommands, FreqPlan, Governor, Nanos, Request, Se
 use rand::{rngs::StdRng, SeedableRng};
 
 /// Small-MLP service-time predictor (Gemini's neural network).
-pub struct NnPredictor {
+pub(crate) struct NnPredictor {
     net: Sequential,
     /// Feature/target scales for stable training.
     y_scale: f64,
@@ -86,7 +86,7 @@ impl NnPredictor {
     }
 
     /// Predicted service time at the reference frequency, ns.
-    pub fn predict_ns(&self, features: &[f32]) -> f64 {
+    pub(crate) fn predict_ns(&self, features: &[f32]) -> f64 {
         let y = self.net.forward_inference(&Matrix::from_row(features));
         (y.as_slice()[0] as f64 * self.y_scale).max(0.0)
     }
@@ -133,7 +133,12 @@ pub struct GeminiGovernor {
 }
 
 impl GeminiGovernor {
-    pub fn new(predictor: NnPredictor, plan: FreqPlan, n_cores: usize, cfg: GeminiConfig) -> Self {
+    pub(crate) fn new(
+        predictor: NnPredictor,
+        plan: FreqPlan,
+        n_cores: usize,
+        cfg: GeminiConfig,
+    ) -> Self {
         Self {
             predictor,
             plan,

@@ -22,13 +22,13 @@
 //! fixed-load run ([`profile::collect_profile`]) — exactly the static-load
 //! modeling assumption §3.1 shows breaks under dynamic load (Fig. 2).
 
-pub mod gemini;
-pub mod linreg;
-pub mod profile;
-pub mod retail;
-pub mod rubik;
+mod gemini;
+mod linreg;
+mod profile;
+mod retail;
+mod rubik;
 
-pub use gemini::{GeminiConfig, GeminiGovernor, NnPredictor};
+pub use gemini::{GeminiConfig, GeminiGovernor};
 pub use linreg::LinReg;
 pub use profile::{collect_profile, ProfileSample};
 pub use retail::{RetailConfig, RetailGovernor};

@@ -49,7 +49,7 @@ impl LinReg {
     }
 
     /// Predict one target.
-    pub fn predict(&self, x: &[f32]) -> f64 {
+    pub(crate) fn predict(&self, x: &[f32]) -> f64 {
         assert_eq!(x.len() + 1, self.weights.len(), "feature width mismatch");
         self.weights[0]
             + self.weights[1..]

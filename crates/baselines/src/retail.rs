@@ -68,7 +68,7 @@ impl RetailGovernor {
     }
 
     /// Predicted service time of a request at the reference frequency.
-    pub fn predict_ns(&self, features: &[f32]) -> f64 {
+    pub(crate) fn predict_ns(&self, features: &[f32]) -> f64 {
         self.model.predict(features).max(0.0)
     }
 

@@ -73,11 +73,6 @@ impl RubikGovernor {
         }
     }
 
-    /// The tail estimate used for every request.
-    pub fn tail_prediction_ns(&self) -> f64 {
-        self.tail_pred_ns
-    }
-
     fn select_freq(&self, view: &ServerView<'_>, req: &Request) -> u32 {
         let budget = (req.arrival + req.sla).saturating_sub(view.now) as f64;
         let n_cores = view.cores.len().max(1) as f64;
@@ -141,7 +136,7 @@ mod tests {
         let mean = samples.iter().map(|s| s.service_ns).sum::<f64>() / samples.len() as f64;
         // "the prediction is overestimated" — tail over mean by the
         // long-tail factor (~3x for Xapian).
-        assert!(gov.tail_prediction_ns() > 2.0 * mean);
+        assert!(gov.tail_pred_ns > 2.0 * mean);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use serde_json::Value;
 
 /// How a metric is judged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
+pub(crate) enum Direction {
     LowerBetter,
     HigherBetter,
     Exact,
@@ -50,7 +50,7 @@ pub enum Direction {
 
 /// Outcome for one numeric leaf.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Status {
+pub(crate) enum Status {
     Ok,
     Regression,
     /// Leaf exists on only one side (schema drift) — reported, not gated.
@@ -66,11 +66,10 @@ pub struct MetricDiff {
     pub path: String,
     pub baseline: Option<f64>,
     pub candidate: Option<f64>,
-    pub direction: Direction,
     /// Signed relative change `(candidate - baseline) / |baseline|`
     /// (0 when the baseline is 0 and they match exactly).
     pub rel_change: f64,
-    pub status: Status,
+    pub(crate) status: Status,
 }
 
 /// A full comparison run.
@@ -86,10 +85,6 @@ pub struct DiffReport {
 impl DiffReport {
     pub fn regressions(&self) -> impl Iterator<Item = &MetricDiff> {
         self.rows.iter().filter(|r| r.status == Status::Regression)
-    }
-
-    pub fn has_regressions(&self) -> bool {
-        self.regressions().next().is_some()
     }
 
     /// Plain-text table, regressions flagged with `REGRESSION`.
@@ -127,7 +122,7 @@ impl DiffReport {
 }
 
 /// Classify a leaf by its key name.
-pub fn classify(key: &str) -> Direction {
+pub(crate) fn classify(key: &str) -> Direction {
     match key {
         "speedup" => Direction::HigherBetter,
         "requests" | "epochs" | "seed" | "nodes" | "n" => Direction::Exact,
@@ -238,7 +233,6 @@ fn leaf(
         path,
         baseline: b,
         candidate: c,
-        direction,
         rel_change,
         status,
     });
@@ -340,6 +334,11 @@ fn last_key(path: &str) -> &str {
 mod tests {
     use super::*;
 
+    /// The leaf key a row was classified by: its path's last segment.
+    fn key(path: &str) -> &str {
+        path.rsplit('.').next().unwrap()
+    }
+
     const BASE: &str = r#"{
         "smoke": false,
         "inference": [{"n": 2, "loop_us": 1.5, "batch_us": 1.1, "speedup": 1.35},
@@ -353,7 +352,11 @@ mod tests {
     #[test]
     fn identical_artifacts_pass() {
         let report = diff_str(BASE, BASE, 0.35).unwrap();
-        assert!(!report.has_regressions(), "{}", report.render_table());
+        assert!(
+            report.regressions().next().is_none(),
+            "{}",
+            report.render_table()
+        );
         assert!(report
             .rows
             .iter()
@@ -368,7 +371,7 @@ mod tests {
         let bad: Vec<_> = report.regressions().collect();
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].path, "fleet[nodes=8].wall_s");
-        assert_eq!(bad[0].direction, Direction::LowerBetter);
+        assert_eq!(classify(key(&bad[0].path)), Direction::LowerBetter);
         assert!(report.render_table().contains("REGRESSION"));
     }
 
@@ -381,7 +384,11 @@ mod tests {
             .any(|r| r.path == "inference[n=8].speedup"));
         // A higher speedup is never a regression.
         let better = BASE.replace("\"speedup\": 1.72", "\"speedup\": 3.00");
-        assert!(!diff_str(BASE, &better, 0.35).unwrap().has_regressions());
+        assert!(diff_str(BASE, &better, 0.35)
+            .unwrap()
+            .regressions()
+            .next()
+            .is_none());
     }
 
     #[test]
@@ -391,13 +398,17 @@ mod tests {
         let bad: Vec<_> = report.regressions().collect();
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].path, "fleet[nodes=1].requests");
-        assert_eq!(bad[0].direction, Direction::Exact);
+        assert_eq!(classify(key(&bad[0].path)), Direction::Exact);
     }
 
     #[test]
     fn drift_within_tolerance_passes() {
         let cand = BASE.replace("\"wall_s\": 2.14", "\"wall_s\": 2.60"); // +21 %
-        assert!(!diff_str(BASE, &cand, 0.35).unwrap().has_regressions());
+        assert!(diff_str(BASE, &cand, 0.35)
+            .unwrap()
+            .regressions()
+            .next()
+            .is_none());
     }
 
     #[test]
@@ -450,7 +461,7 @@ mod tests {
             bad[0].path,
             "end_to_end_8_nodes.batched_over_reference_ratio"
         );
-        assert_eq!(bad[0].direction, Direction::Ratio);
+        assert_eq!(classify(key(&bad[0].path)), Direction::Ratio);
 
         // Near-unity noise passes: the gate is tolerance-padded so a
         // statistical tie between the two drivers cannot flake CI.
@@ -458,7 +469,11 @@ mod tests {
             "\"batched_over_reference_ratio\": 0.979",
             "\"batched_over_reference_ratio\": 1.02",
         );
-        assert!(!diff_str(BASE, &cand, 0.35).unwrap().has_regressions());
+        assert!(diff_str(BASE, &cand, 0.35)
+            .unwrap()
+            .regressions()
+            .next()
+            .is_none());
     }
 
     #[test]
@@ -480,7 +495,7 @@ mod tests {
     fn missing_key_reports_but_does_not_gate() {
         let cand = BASE.replace("\"batched_s\": 1.88, ", "");
         let report = diff_str(BASE, &cand, 0.35).unwrap();
-        assert!(!report.has_regressions());
+        assert!(report.regressions().next().is_none());
         let row = report
             .rows
             .iter()
@@ -528,10 +543,14 @@ mod tests {
         let bad: Vec<_> = report.regressions().collect();
         assert_eq!(bad.len(), 1, "{}", report.render_table());
         assert_eq!(bad[0].path, "collapse.goodput_ratio");
-        assert_eq!(bad[0].direction, Direction::HigherBetter);
+        assert_eq!(classify(key(&bad[0].path)), Direction::HigherBetter);
         // Improvement never gates, even far above the baseline (a plain
         // Ratio leaf would flag > 1.0 + tolerance).
-        assert!(!diff_str(base, better, 0.35).unwrap().has_regressions());
+        assert!(diff_str(base, better, 0.35)
+            .unwrap()
+            .regressions()
+            .next()
+            .is_none());
     }
 
     #[test]
@@ -541,15 +560,18 @@ mod tests {
         // shape, this test catches it before CI's perf-gate does.
         let text = include_str!("../../../BENCH_fleet.json");
         let report = diff_str(text, text, 0.35).unwrap();
-        assert!(!report.has_regressions());
+        assert!(report.regressions().next().is_none());
         assert!(report
             .rows
             .iter()
-            .any(|r| r.direction == Direction::LowerBetter));
+            .any(|r| classify(key(&r.path)) == Direction::LowerBetter));
         assert!(report
             .rows
             .iter()
-            .any(|r| r.direction == Direction::HigherBetter));
-        assert!(report.rows.iter().any(|r| r.direction == Direction::Exact));
+            .any(|r| classify(key(&r.path)) == Direction::HigherBetter));
+        assert!(report
+            .rows
+            .iter()
+            .any(|r| classify(key(&r.path)) == Direction::Exact));
     }
 }

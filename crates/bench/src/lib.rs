@@ -64,7 +64,7 @@ impl Scale {
 /// collapse). The calibrated values live with the experiment engine
 /// (`deeppower_harness::calibrated_train_seed`, see EXPERIMENTS.md);
 /// the paper does not report its training seeds.
-pub fn policy_seed(app: App) -> u64 {
+pub(crate) fn policy_seed(app: App) -> u64 {
     deeppower_harness::calibrated_train_seed(app)
 }
 
@@ -77,7 +77,7 @@ pub fn default_trained_policy(app: App, scale: Scale) -> TrainedPolicy {
 ///
 /// Caching lives under `target/deeppower-policies/` keyed by app, scale
 /// and seed, so the per-figure benches don't retrain the same agent.
-pub fn trained_policy(app: App, scale: Scale, seed: u64) -> TrainedPolicy {
+pub(crate) fn trained_policy(app: App, scale: Scale, seed: u64) -> TrainedPolicy {
     let dir = cache_dir();
     std::fs::create_dir_all(&dir).ok();
     let key = format!(

@@ -89,7 +89,7 @@ impl DeepPowerConfig {
     }
 
     /// Ticks of the thread controller per DRL step.
-    pub fn ticks_per_long(&self) -> u64 {
+    pub(crate) fn ticks_per_long(&self) -> u64 {
         (self.long_time / self.short_time).max(1)
     }
 

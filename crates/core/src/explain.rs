@@ -32,7 +32,7 @@ pub const STATE_DIM_NAMES: [&str; STATE_DIM] = [
 
 /// Both action heads, as the actor emits them (normalized to `[0, 1]`).
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
-pub struct ActionOut {
+pub(crate) struct ActionOut {
     pub base_freq: f32,
     pub scaling_coef: f32,
 }
@@ -84,7 +84,11 @@ pub fn action_surface(agent: &Ddpg, base: &[f32; STATE_DIM], points: usize) -> V
 /// so the probe never leaves the region the network was trained on;
 /// the divisor uses the *actual* probe distance, keeping the estimate
 /// unbiased at the domain edges).
-pub fn saliency_at(agent: &Ddpg, state: &[f32; STATE_DIM], eps: f32) -> [[f32; 2]; STATE_DIM] {
+pub(crate) fn saliency_at(
+    agent: &Ddpg,
+    state: &[f32; STATE_DIM],
+    eps: f32,
+) -> [[f32; 2]; STATE_DIM] {
     assert!(eps > 0.0, "saliency needs a positive probe step");
     let mut out = [[0.0f32; 2]; STATE_DIM];
     for (d, slot) in out.iter_mut().enumerate() {
@@ -114,7 +118,7 @@ pub struct DecisionExplanation {
     /// The deterministic action replayed from `state` (matches the
     /// logged action on eval rows; training rows carry exploration
     /// noise the replay strips away).
-    pub action: ActionOut,
+    pub(crate) action: ActionOut,
     /// `Q(state, action)` under the agent's critic.
     pub q_value: f32,
     /// Per-dimension action sensitivity at `state` (see [`saliency_at`]).
@@ -159,7 +163,7 @@ pub fn mean_abs_saliency(decisions: &[DecisionExplanation]) -> [f32; STATE_DIM] 
 }
 
 /// CSV header for [`decisions_to_csv`].
-pub fn decision_csv_header() -> String {
+pub(crate) fn decision_csv_header() -> String {
     let mut h = String::from("t");
     for name in STATE_DIM_NAMES {
         h.push_str(&format!(",{name}"));

@@ -57,7 +57,7 @@ pub struct StepLog {
     pub timeouts: u64,
     /// Reward granted for the elapsed step.
     pub reward: f64,
-    pub terms: RewardTerms,
+    pub(crate) terms: RewardTerms,
 }
 
 /// Hierarchical DeepPower governor. Borrows the DDPG agent so training

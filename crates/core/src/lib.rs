@@ -35,25 +35,25 @@
 //! * [`train::train`] — Algorithm 2's training driver over simulated
 //!   workloads; produces a serializable [`TrainedPolicy`].
 
-pub mod ablation;
-pub mod config;
-pub mod explain;
-pub mod governor;
-pub mod reward;
-pub mod safety;
-pub mod sleep;
-pub mod state;
-pub mod thread_controller;
+mod ablation;
+mod config;
+mod explain;
+mod governor;
+mod reward;
+mod safety;
+mod sleep;
+mod state;
+mod thread_controller;
 pub mod train;
 
 pub use ablation::FlatDrlGovernor;
 pub use config::{DeepPowerConfig, StateNorm};
 pub use explain::{
     action_surface, decisions_to_csv, decisions_to_jsonl, explain_decisions, mean_abs_saliency,
-    saliency_at, surface_to_csv, ActionOut, DecisionExplanation, SurfacePoint, STATE_DIM_NAMES,
+    surface_to_csv, DecisionExplanation, SurfacePoint, STATE_DIM_NAMES,
 };
 pub use governor::{DeepPowerGovernor, Mode, StepLog};
-pub use reward::{scale_func, RewardCalculator, RewardTerms};
+pub use reward::scale_func;
 pub use safety::{SafetyConfig, SafetyGovernor};
 pub use sleep::{SleepAware, SleepPolicy};
 pub use state::{StateObserver, STATE_DIM};

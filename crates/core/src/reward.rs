@@ -31,7 +31,7 @@ pub fn scale_func(x: f64, eta: f64) -> f64 {
 /// extension's term — service effort spent on requests whose client had
 /// already abandoned — and stays 0 unless an overload plan is active.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct RewardTerms {
+pub(crate) struct RewardTerms {
     pub energy: f64,
     pub timeout: f64,
     pub queue: f64,
@@ -55,7 +55,7 @@ impl RewardTerms {
 /// Stateful reward calculator: tracks the previous energy counter, timeout
 /// counter, arrival counter and queue length across DRL steps.
 #[derive(Clone, Copy, Debug)]
-pub struct RewardCalculator {
+pub(crate) struct RewardCalculator {
     pub alpha: f64,
     pub beta: f64,
     pub gamma_q: f64,
@@ -109,7 +109,7 @@ impl RewardCalculator {
     /// calculator mid-run — the monotone RAPL/request counters keep
     /// counting across episodes — latch to the *current* counters so the
     /// next `step` measures a real delta instead of the entire history.
-    pub fn latch(
+    pub(crate) fn latch(
         &mut self,
         energy_uj: u64,
         timeouts: u64,

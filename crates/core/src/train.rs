@@ -71,7 +71,7 @@ impl TrainConfig {
 /// predictable enough (Moses' observable body, Img-dnn's near-determinism)
 /// that the agent would otherwise sit too far on the safe side of the
 /// power/QoS frontier.
-pub fn default_reward_weights(app: App) -> (f64, f64, f64) {
+pub(crate) fn default_reward_weights(app: App) -> (f64, f64, f64) {
     match app {
         App::Moses | App::ImgDnn => (3.0, 4.0, 1.0),
         _ => (1.0, 4.0, 1.0),

@@ -264,11 +264,6 @@ impl Ddpg {
         self.rollbacks
     }
 
-    /// Non-finite transitions rejected by the replay pool.
-    pub fn rejected_transitions(&self) -> u64 {
-        self.replay.total_rejected()
-    }
-
     /// One gradient step on a sampled mini-batch (Algorithm 2 lines 14–18):
     /// critic MSE regression to the bootstrap target, actor ascent on
     /// `Q(s, π(s))`, then soft target updates.
@@ -753,7 +748,6 @@ mod tests {
             done: false,
         });
         assert!(!ok);
-        assert_eq!(agent.rejected_transitions(), 1);
         assert_eq!(agent.replay.len(), 0);
     }
 

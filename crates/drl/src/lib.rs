@@ -23,18 +23,18 @@
 //!
 //! All agents are seed-deterministic.
 
-pub mod actor;
-pub mod critic;
-pub mod ddpg;
-pub mod dqn;
-pub mod noise;
-pub mod replay;
-pub mod sac;
+mod actor;
+mod critic;
+mod ddpg;
+mod dqn;
+mod noise;
+mod replay;
+mod sac;
 
 pub use actor::{ActorScratch, TwoHeadActor};
 pub use critic::Critic;
 pub use ddpg::{Ddpg, DdpgConfig, UpdateStats};
 pub use dqn::{Dqn, DqnConfig};
-pub use noise::{sample_standard_normal, GaussianNoise};
+
 pub use replay::{ReplayBuffer, Transition};
 pub use sac::{Sac, SacConfig};

@@ -12,7 +12,7 @@ use rand::Rng;
 /// `rand` 0.9 ships only uniform primitives (the distributions live in the
 /// separate `rand_distr` crate, which is outside the sanctioned dependency
 /// set) — so the transform is inlined here.
-pub fn sample_standard_normal<R: Rng>(rng: &mut R) -> f32 {
+pub(crate) fn sample_standard_normal<R: Rng>(rng: &mut R) -> f32 {
     // Avoid ln(0) by sampling u1 from (0, 1].
     let u1: f32 = 1.0 - rng.random::<f32>();
     let u2: f32 = rng.random();
@@ -21,7 +21,7 @@ pub fn sample_standard_normal<R: Rng>(rng: &mut R) -> f32 {
 
 /// IID Gaussian noise `N(mu, sigma)` per action dimension.
 #[derive(Clone, Copy, Debug)]
-pub struct GaussianNoise {
+pub(crate) struct GaussianNoise {
     pub mu: f32,
     pub sigma: f32,
 }
@@ -30,11 +30,6 @@ impl GaussianNoise {
     pub fn new(mu: f32, sigma: f32) -> Self {
         assert!(sigma >= 0.0, "sigma must be non-negative");
         Self { mu, sigma }
-    }
-
-    /// The paper's default training noise: `N(0.3, 1.0)` (§4.6).
-    pub fn paper_default() -> Self {
-        Self::new(0.3, 1.0)
     }
 
     /// Sample one noise value.
@@ -52,7 +47,7 @@ impl GaussianNoise {
 
 /// Clamp every action component to `[lo, hi]` — applied after noise so the
 /// thread-controller parameters stay within their admissible range.
-pub fn clamp_action(action: &mut [f32], lo: f32, hi: f32) {
+pub(crate) fn clamp_action(action: &mut [f32], lo: f32, hi: f32) {
     for a in action {
         *a = a.clamp(lo, hi);
     }
@@ -77,7 +72,7 @@ mod tests {
     #[test]
     fn gaussian_noise_respects_mu_sigma() {
         let mut rng = StdRng::seed_from_u64(11);
-        let noise = GaussianNoise::paper_default();
+        let noise = GaussianNoise::new(0.3, 1.0);
         let n = 50_000;
         let mean = (0..n).map(|_| noise.sample(&mut rng)).sum::<f32>() / n as f32;
         assert!((mean - 0.3).abs() < 0.03, "mean {mean}");

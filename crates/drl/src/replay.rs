@@ -41,9 +41,6 @@ pub struct ReplayBuffer {
     head: usize,
     /// Total number of pushes ever (for diagnostics).
     pushed: u64,
-    /// Non-finite transitions rejected by [`ReplayBuffer::push`].
-    #[serde(skip)]
-    rejected: u64,
     /// [`sample`](Self::sample)'s displaced-index map and the indices of
     /// its last batch, kept so that sampling allocates nothing once warm.
     #[serde(skip)]
@@ -61,7 +58,6 @@ impl ReplayBuffer {
             data: Vec::with_capacity(capacity.min(1 << 20)),
             head: 0,
             pushed: 0,
-            rejected: 0,
             displaced: HashMap::new(),
             batch: Vec::new(),
         }
@@ -80,22 +76,16 @@ impl ReplayBuffer {
     }
 
     /// Total transitions pushed over the buffer's lifetime (≥ `len`).
-    pub fn total_pushed(&self) -> u64 {
+    pub(crate) fn total_pushed(&self) -> u64 {
         self.pushed
-    }
-
-    /// Non-finite transitions rejected over the buffer's lifetime.
-    pub fn total_rejected(&self) -> u64 {
-        self.rejected
     }
 
     /// Insert a transition, evicting the oldest once at capacity.
     /// Non-finite transitions (any NaN/∞ in state, action, reward or
-    /// next state) are rejected and counted instead of stored; returns
+    /// next state) are rejected instead of stored; returns
     /// whether the transition was accepted.
     pub fn push(&mut self, t: Transition) -> bool {
         if !t.is_finite() {
-            self.rejected += 1;
             return false;
         }
         if self.data.len() < self.capacity {
@@ -298,7 +288,6 @@ mod tests {
         }
         assert_eq!(b.len(), 1);
         assert_eq!(b.total_pushed(), 1);
-        assert_eq!(b.total_rejected(), 4);
         assert!(b.iter().all(|x| x.is_finite()));
     }
 

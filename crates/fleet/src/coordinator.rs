@@ -81,7 +81,7 @@ impl Coordinator {
     /// its group's agent. Bit-identical to [`Coordinator::act`]; exists
     /// so the bench can time grouped against per-node inference and the
     /// tests can assert the identity.
-    pub fn act_per_node(&self, states: &Matrix, actions: &mut [ControllerParams]) {
+    pub(crate) fn act_per_node(&self, states: &Matrix, actions: &mut [ControllerParams]) {
         for g in &self.groups {
             for &node in &g.members {
                 let action = g.agent.act(states.row(node));

@@ -20,16 +20,14 @@
 //! is bit-identical to per-node inference — so a fleet run reproduces
 //! byte-for-byte at any harness thread count.
 
-pub mod balancer;
-pub mod coordinator;
-pub mod profile;
-pub mod sim;
+mod balancer;
+mod coordinator;
+mod profile;
+mod sim;
 
 pub use balancer::{split_arrivals, BalancerPolicy, NodeCapacity};
 pub use coordinator::Coordinator;
-pub use profile::{
-    node_profile_indices, profile_groups, profiles_from_json, NodeProfile, FLEET_REFERENCE_MHZ,
-};
+pub use profile::{node_profile_indices, profiles_from_json, NodeProfile};
 pub use sim::{
     fleet_arrivals, run_fleet, run_fleet_monitored, run_fleet_with, untrained_policy, FleetObserve,
     FleetOutput, FleetResult, FleetRun, FleetSpec, NodeSummary,

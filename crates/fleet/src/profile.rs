@@ -24,7 +24,7 @@ use crate::balancer::NodeCapacity;
 /// Fleet-wide calibration frequency: the paper testbed's max nominal
 /// level. Every profile's plan uses it as `reference_mhz`, even plans
 /// topping out below it.
-pub const FLEET_REFERENCE_MHZ: u32 = 2100;
+pub(crate) const FLEET_REFERENCE_MHZ: u32 = 2100;
 
 fn default_count() -> usize {
     1
@@ -163,7 +163,7 @@ impl NodeProfile {
     /// The engine config for one node of this profile. For the default
     /// profile this is `ServerConfig::paper_default(cores)`
     /// field-for-field — the single-profile bit-identity hinges on it.
-    pub fn server_config(&self) -> ServerConfig {
+    pub(crate) fn server_config(&self) -> ServerConfig {
         let freq_plan = self.freq_plan();
         let initial_mhz = freq_plan.max_mhz();
         let core_max_mhz = if self.little_cores == 0 {
@@ -217,7 +217,7 @@ pub fn node_profile_indices(profiles: &[NodeProfile]) -> Vec<usize> {
 /// Group fleet node indices by profile: `groups[k]` lists the nodes
 /// running profile `k`, ascending. The grouped-inference coordinator
 /// batches each group in one forward pass.
-pub fn profile_groups(profiles: &[NodeProfile]) -> Vec<Vec<usize>> {
+pub(crate) fn profile_groups(profiles: &[NodeProfile]) -> Vec<Vec<usize>> {
     let idx = node_profile_indices(profiles);
     let mut groups = vec![Vec::new(); profiles.len()];
     for (node, &k) in idx.iter().enumerate() {

@@ -55,7 +55,7 @@ const PROFILE_SEED: u64 = 77;
 /// snapshots (≈ 3 events per simulated second) plus the bounded
 /// residency/lifecycle records — 64 Ki events covers hours of simulated
 /// time per job.
-pub const GRID_EVENT_CAPACITY: usize = 1 << 16;
+pub(crate) const GRID_EVENT_CAPACITY: usize = 1 << 16;
 
 /// Which workload drives a job.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -139,7 +139,7 @@ pub struct JobSpec {
 impl JobSpec {
     /// Reporting label: the governor's own label, `+safe`-suffixed when
     /// the job wraps it in the safety layer.
-    pub fn governor_label(&self) -> String {
+    pub(crate) fn governor_label(&self) -> String {
         let mut label = self.governor.label();
         if self.safety {
             label.push_str("+safe");
@@ -326,7 +326,7 @@ fn arrivals_for(spec: &JobSpec, app_spec: &AppSpec) -> Vec<Request> {
 /// and DDPG spans; it is `Send + Sync`, so one profiler can aggregate
 /// the recorders of every grid worker, and spans are wall-clock-only,
 /// so they cannot perturb the [`JobResult`] or the event stream.
-pub fn run_job(spec: &JobSpec, job: u64, rec: &Recorder) -> JobResult {
+pub(crate) fn run_job(spec: &JobSpec, job: u64, rec: &Recorder) -> JobResult {
     let app_spec = AppSpec::get(spec.app);
     let server = Server::new(ServerConfig::paper_default(app_spec.n_threads));
     let arrivals = arrivals_for(spec, &app_spec);
@@ -869,7 +869,7 @@ pub fn select_scenarios(
 /// Row-major: scenarios vary fastest, then the safety axis, then
 /// governors — matching [`robustness_matrix`]'s row order.
 #[allow(clippy::too_many_arguments)]
-pub fn robustness_jobs(
+pub(crate) fn robustness_jobs(
     scenarios: &[(&'static str, FaultPlan, OverloadPlan)],
     app: App,
     governors: &[GovernorSpec],

@@ -9,14 +9,14 @@ use rand::Rng;
 /// Xavier/Glorot uniform initialization: `U(-l, l)` with
 /// `l = sqrt(6 / (fan_in + fan_out))`. Appropriate before sigmoid/tanh
 /// outputs (the DeepPower actor's final layer).
-pub fn xavier_init<R: Rng>(rng: &mut R, fan_in: usize, fan_out: usize) -> Matrix {
+pub(crate) fn xavier_init<R: Rng>(rng: &mut R, fan_in: usize, fan_out: usize) -> Matrix {
     let limit = (6.0 / (fan_in + fan_out) as f32).sqrt();
     sample_uniform(rng, fan_in, fan_out, limit)
 }
 
 /// He/Kaiming uniform initialization: `U(-l, l)` with `l = sqrt(6 / fan_in)`.
 /// Appropriate before ReLU layers (all hidden layers here).
-pub fn he_init<R: Rng>(rng: &mut R, fan_in: usize, fan_out: usize) -> Matrix {
+pub(crate) fn he_init<R: Rng>(rng: &mut R, fan_in: usize, fan_out: usize) -> Matrix {
     let limit = (6.0 / fan_in as f32).sqrt();
     sample_uniform(rng, fan_in, fan_out, limit)
 }

@@ -57,7 +57,7 @@ impl Linear {
         self.w.rows()
     }
 
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.w.cols()
     }
 
@@ -85,7 +85,12 @@ impl Linear {
     /// Fused inference of this layer followed by an element-wise
     /// activation, into a caller-provided scratch matrix: one kernel, no
     /// intermediate pre-activation matrix.
-    pub fn forward_inference_act_into(&self, x: &Matrix, act: ActivationKind, out: &mut Matrix) {
+    pub(crate) fn forward_inference_act_into(
+        &self,
+        x: &Matrix,
+        act: ActivationKind,
+        out: &mut Matrix,
+    ) {
         assert_eq!(x.cols(), self.in_dim(), "Linear input width mismatch");
         x.matmul_bias_act_into(&self.w, &self.b, out, |v| act.apply(v));
     }
@@ -149,7 +154,7 @@ impl ActivationKind {
     /// supported activations admit this form, which lets the backward pass
     /// cache only the output.
     #[inline]
-    pub fn derivative_from_output(self, y: f32) -> f32 {
+    pub(crate) fn derivative_from_output(self, y: f32) -> f32 {
         match self {
             ActivationKind::Relu => {
                 if y > 0.0 {

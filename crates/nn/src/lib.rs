@@ -26,15 +26,14 @@
 //! The crate is deterministic: all initialization takes an explicit
 //! [`rand::rngs::StdRng`].
 
-pub mod init;
-pub mod layers;
-pub mod loss;
-pub mod matrix;
-pub mod optim;
-pub mod params;
-pub mod sequential;
+mod init;
+mod layers;
+mod loss;
+mod matrix;
+mod optim;
+mod params;
+mod sequential;
 
-pub use init::{he_init, xavier_init};
 pub use layers::{Activation, ActivationKind, Linear};
 pub use loss::mse_loss;
 pub use matrix::Matrix;

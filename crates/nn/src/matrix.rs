@@ -211,7 +211,7 @@ impl Matrix {
     /// [`Matrix::K_BLOCK`] rows so each panel is reused across all LHS
     /// rows. Per output element the accumulation still runs in ascending
     /// K order, so the result is bit-identical to the naive ikj loop.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+    pub(crate) fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         out.reshape(self.rows, other.cols);
         out.data.fill(0.0);
@@ -219,7 +219,7 @@ impl Matrix {
     }
 
     /// `out += self · other` (blocked; `out` must already be `n×m`).
-    pub fn matmul_acc(&self, other: &Matrix, out: &mut Matrix) {
+    pub(crate) fn matmul_acc(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         assert_eq!(
             (out.rows, out.cols),
@@ -245,7 +245,7 @@ impl Matrix {
     /// Each output row is *initialized* with the bias and then accumulated
     /// in the same blocked ikj order — one pass instead of a matmul
     /// followed by a separate broadcast sweep.
-    pub fn matmul_bias_into(&self, other: &Matrix, bias: &[f32], out: &mut Matrix) {
+    pub(crate) fn matmul_bias_into(&self, other: &Matrix, bias: &[f32], out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         assert_eq!(bias.len(), other.cols, "bias width mismatch");
         let (n, m) = (self.rows, other.cols);
@@ -259,7 +259,7 @@ impl Matrix {
     /// Fused `f(self · other + bias)` into `out` — the whole inference
     /// path of a `Linear → Activation` pair in one kernel, with no
     /// intermediate allocation or extra pass for the element-wise map.
-    pub fn matmul_bias_act_into(
+    pub(crate) fn matmul_bias_act_into(
         &self,
         other: &Matrix,
         bias: &[f32],
@@ -283,7 +283,7 @@ impl Matrix {
     /// `out += selfᵀ · other` (`out` must already be `k×m`). Lets gradient
     /// accumulators take `gw += xᵀ·dy` directly instead of materializing
     /// the product and `axpy`-ing it in.
-    pub fn t_matmul_acc(&self, other: &Matrix, out: &mut Matrix) {
+    pub(crate) fn t_matmul_acc(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
         assert_eq!(
             (out.rows, out.cols),
@@ -303,7 +303,7 @@ impl Matrix {
 
     /// `self (n×k) · otherᵀ (m×k)ᵀ → n×m` without materializing the
     /// transpose. Used for input gradients (`dy · Wᵀ`).
-    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
+    pub(crate) fn matmul_t(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, other.rows);
         self.matmul_t_into(other, &mut out);
         out
@@ -318,7 +318,7 @@ impl Matrix {
     /// plain ascending-K scalar chain — bit-identical to the naive loop,
     /// but with instruction-level parallelism the single-chain version
     /// cannot reach (a lone FMA chain is latency-bound).
-    pub fn matmul_t_into(&self, other: &Matrix, out: &mut Matrix) {
+    pub(crate) fn matmul_t_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_t dimension mismatch");
         let (n, k, m) = (self.rows, self.cols, other.rows);
         out.reshape(n, m);
@@ -353,19 +353,8 @@ impl Matrix {
         }
     }
 
-    /// Add a row vector (broadcast over rows), e.g. bias addition.
-    pub fn add_row_broadcast(&mut self, bias: &[f32]) {
-        assert_eq!(bias.len(), self.cols, "bias width mismatch");
-        for r in 0..self.rows {
-            let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for (x, &b) in row.iter_mut().zip(bias) {
-                *x += b;
-            }
-        }
-    }
-
     /// Column sums (used to reduce bias gradients over the batch).
-    pub fn col_sums(&self) -> Vec<f32> {
+    pub(crate) fn col_sums(&self) -> Vec<f32> {
         let mut out = vec![0.0; self.cols];
         for r in 0..self.rows {
             let row = &self.data[r * self.cols..(r + 1) * self.cols];
@@ -384,7 +373,7 @@ impl Matrix {
     }
 
     /// Element-wise product into a new matrix (Hadamard).
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
+    pub(crate) fn hadamard(&self, other: &Matrix) -> Matrix {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         let data = self
             .data
@@ -400,7 +389,7 @@ impl Matrix {
     }
 
     /// Apply `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
+    pub(crate) fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
         for x in &mut self.data {
             *x = f(*x);
         }
@@ -530,8 +519,7 @@ mod tests {
 
     #[test]
     fn bias_broadcast_and_col_sums() {
-        let mut m = Matrix::zeros(3, 2);
-        m.add_row_broadcast(&[1.0, -2.0]);
+        let m = Matrix::from_vec(3, 2, [1.0, -2.0].repeat(3));
         assert_eq!(m.col_sums(), vec![3.0, -6.0]);
     }
 
@@ -573,8 +561,10 @@ mod tests {
         assert_eq!(out, a.matmul(&b));
         // Reuse the same scratch for a fused bias and bias+activation pass.
         a.matmul_bias_into(&b, &[0.5, -0.5], &mut out);
-        let mut expected = a.matmul(&b);
-        expected.add_row_broadcast(&[0.5, -0.5]);
+        let bias = [0.5, -0.5].repeat(2);
+        let plain = a.matmul(&b);
+        let sum = plain.as_slice().iter().zip(&bias).map(|(x, b)| x + b);
+        let expected = Matrix::from_vec(2, 2, sum.collect());
         assert_eq!(out, expected);
         a.matmul_bias_act_into(&b, &[0.5, -0.5], &mut out, |x| x.max(0.0));
         assert_eq!(out, expected.map(|x| x.max(0.0)));

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 /// A single stage in a [`Sequential`] stack.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub enum Stage {
+pub(crate) enum Stage {
     Linear(Linear),
     Activation(Activation),
 }

@@ -14,21 +14,6 @@ pub const MILLISECOND: Nanos = 1_000_000;
 /// One second in [`Nanos`].
 pub const SECOND: Nanos = 1_000_000_000;
 
-/// Convert nanoseconds to fractional milliseconds (reporting only).
-pub fn ns_to_ms(ns: Nanos) -> f64 {
-    ns as f64 / MILLISECOND as f64
-}
-
-/// Convert nanoseconds to fractional seconds (reporting only).
-pub fn ns_to_s(ns: Nanos) -> f64 {
-    ns as f64 / SECOND as f64
-}
-
-/// Convert fractional milliseconds to nanoseconds (rounding to nearest).
-pub fn ms_to_ns(ms: f64) -> Nanos {
-    (ms * MILLISECOND as f64).round() as Nanos
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -37,13 +22,5 @@ mod tests {
     fn unit_relationships() {
         assert_eq!(MILLISECOND, 1_000 * MICROSECOND);
         assert_eq!(SECOND, 1_000 * MILLISECOND);
-    }
-
-    #[test]
-    fn conversions_roundtrip() {
-        assert_eq!(ns_to_ms(1_500_000), 1.5);
-        assert_eq!(ms_to_ns(1.5), 1_500_000);
-        assert_eq!(ns_to_s(2 * SECOND), 2.0);
-        assert_eq!(ms_to_ns(ns_to_ms(123_456_789)), 123_456_789);
     }
 }

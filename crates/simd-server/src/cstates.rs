@@ -15,7 +15,7 @@
 
 /// One idle state.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CState {
+pub(crate) struct CState {
     pub name: &'static str,
     /// Residual core power while in this state, watts.
     pub power_w: f64,
@@ -27,7 +27,7 @@ pub struct CState {
 /// increasing savings, increasing wake latency).
 #[derive(Clone, Debug, PartialEq)]
 pub struct CStatePlan {
-    pub states: Vec<CState>,
+    pub(crate) states: Vec<CState>,
 }
 
 impl CStatePlan {
@@ -80,7 +80,7 @@ impl CStatePlan {
         Ok(())
     }
 
-    pub fn get(&self, idx: usize) -> Option<&CState> {
+    pub(crate) fn get(&self, idx: usize) -> Option<&CState> {
         self.states.get(idx)
     }
 

@@ -13,7 +13,7 @@ use crate::faults::DvfsFault;
 use serde::{Deserialize, Serialize};
 
 /// MHz per GHz, for conversions in power/reporting code.
-pub const MHZ_PER_GHZ: f64 = 1000.0;
+pub(crate) const MHZ_PER_GHZ: f64 = 1000.0;
 
 /// The set of frequencies a core can be driven at.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -111,26 +111,14 @@ impl FreqPlan {
 
     /// Whether `mhz` is a legal commanded frequency (a nominal level or
     /// turbo).
-    pub fn is_valid(&self, mhz: u32) -> bool {
+    pub(crate) fn is_valid(&self, mhz: u32) -> bool {
         mhz == self.turbo_mhz || self.levels_mhz.contains(&mhz)
-    }
-
-    /// The next level strictly above `mhz`, or turbo if already at max
-    /// nominal, or `None` at turbo.
-    pub fn step_up(&self, mhz: u32) -> Option<u32> {
-        if mhz == self.turbo_mhz {
-            return None;
-        }
-        match self.levels_mhz.iter().find(|&&l| l > mhz) {
-            Some(&l) => Some(l),
-            None => Some(self.turbo_mhz),
-        }
     }
 }
 
 /// What happened to one requested frequency transition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TransitionOutcome {
+pub(crate) enum TransitionOutcome {
     /// The write landed instantly (the fault-free path).
     Applied,
     /// The write was accepted but takes effect only at `ready_at`
@@ -162,7 +150,7 @@ struct PendingTransition {
 /// ([`TransitionOutcome::Deferred`]), during which further writes are
 /// [`TransitionOutcome::Rejected`].
 #[derive(Clone, Debug)]
-pub struct DvfsController {
+pub(crate) struct DvfsController {
     pending: Vec<Option<PendingTransition>>,
     /// How many entries of `pending` are `Some`, so the engine's
     /// per-event [`poll`](Self::poll) and [`next_ready`](Self::next_ready)
@@ -180,12 +168,12 @@ impl DvfsController {
     }
 
     /// Whether any core has a transition in flight.
-    pub fn any_in_flight(&self) -> bool {
+    pub(crate) fn any_in_flight(&self) -> bool {
         self.in_flight > 0
     }
 
     /// Whether `core` has a transition in flight.
-    pub fn in_transition(&self, core: usize) -> bool {
+    pub(crate) fn in_transition(&self, core: usize) -> bool {
         self.pending[core].is_some()
     }
 
@@ -225,7 +213,7 @@ impl DvfsController {
 
     /// Complete `core`'s pending transition if it is due at `now`,
     /// returning the frequency that just took effect.
-    pub fn poll(&mut self, core: usize, now: Nanos) -> Option<u32> {
+    pub(crate) fn poll(&mut self, core: usize, now: Nanos) -> Option<u32> {
         match &self.pending[core] {
             Some(p) if now >= p.ready_at => {
                 let target = p.target_mhz;
@@ -239,7 +227,7 @@ impl DvfsController {
 
     /// Earliest pending-transition completion time across all cores
     /// (feeds the engine's next-event computation).
-    pub fn next_ready(&self) -> Option<Nanos> {
+    pub(crate) fn next_ready(&self) -> Option<Nanos> {
         if !self.any_in_flight() {
             return None;
         }
@@ -292,14 +280,6 @@ mod tests {
             assert!(f >= prev);
             prev = f;
         }
-    }
-
-    #[test]
-    fn step_up_walks_levels_then_turbo() {
-        let p = FreqPlan::test_plan();
-        assert_eq!(p.step_up(1000), Some(1500));
-        assert_eq!(p.step_up(2000), Some(2500));
-        assert_eq!(p.step_up(2500), None);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 
 /// Outcome drawn for one attempted DVFS transition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DvfsFault {
+pub(crate) enum DvfsFault {
     /// The write lands instantly (the fault-free behaviour).
     None,
     /// The write is silently dropped: the core keeps its frequency.
@@ -135,7 +135,7 @@ impl Default for FaultPlan {
 /// With sensor faults on, these may be stale or carry a noisy energy
 /// reading; the engine's own accounting always uses the true values.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SensorReading {
+pub(crate) struct SensorReading {
     pub arrived: u64,
     pub completed: u64,
     pub timeouts: u64,
@@ -148,7 +148,7 @@ pub struct SensorReading {
 
 /// Per-run fault machinery: the seeded streams plus stall/sensor state.
 #[derive(Clone, Debug)]
-pub struct FaultState {
+pub(crate) struct FaultState {
     plan: FaultPlan,
     n_cores: usize,
     dvfs_rng: StdRng,
@@ -189,10 +189,6 @@ impl FaultState {
         }
     }
 
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Record one discrete injected fault: count + typed event.
     pub fn record(&mut self, rec: &Recorder, t: Nanos, kind: FaultKind, core: i64, magnitude: f64) {
         self.injected += 1;
@@ -209,7 +205,7 @@ impl FaultState {
     // ---- DVFS faults ----
 
     /// Draw the fate of one attempted DVFS transition.
-    pub fn draw_dvfs(&mut self) -> DvfsFault {
+    pub(crate) fn draw_dvfs(&mut self) -> DvfsFault {
         let (pf, ps) = (self.plan.dvfs_fail_prob, self.plan.dvfs_spike_prob);
         if pf <= 0.0 && ps <= 0.0 {
             return DvfsFault::None;
@@ -234,7 +230,7 @@ impl FaultState {
 
     /// The next time the stall state machine changes (window opens or
     /// closes), if stalls are enabled.
-    pub fn next_stall_change(&self) -> Option<Nanos> {
+    pub(crate) fn next_stall_change(&self) -> Option<Nanos> {
         if self.plan.stall_period_ns == 0 {
             return None;
         }
@@ -246,7 +242,7 @@ impl FaultState {
 
     /// Advance the stall state machine to `now`, emitting begin/end
     /// events. Call at the top of every engine iteration.
-    pub fn poll_stalls(&mut self, now: Nanos, rec: &Recorder) {
+    pub(crate) fn poll_stalls(&mut self, now: Nanos, rec: &Recorder) {
         if self.plan.stall_period_ns == 0 {
             return;
         }
@@ -284,13 +280,13 @@ impl FaultState {
 
     /// The currently stalled core (retires no work, accepts no
     /// dispatches), if a stall window is open.
-    pub fn stalled_core(&self) -> Option<usize> {
+    pub(crate) fn stalled_core(&self) -> Option<usize> {
         self.stalled.map(|(core, _)| core)
     }
 
     /// Whether `core` is currently stalled (retires no work, accepts no
     /// dispatches).
-    pub fn is_stalled(&self, core: usize) -> bool {
+    pub(crate) fn is_stalled(&self, core: usize) -> bool {
         matches!(self.stalled, Some((c, _)) if c == core)
     }
 

@@ -71,11 +71,6 @@ pub struct ServerView<'a> {
 }
 
 impl ServerView<'_> {
-    /// Number of currently busy cores.
-    pub fn busy_cores(&self) -> usize {
-        self.cores.iter().filter(|c| c.busy()).count()
-    }
-
     /// Queue length (requests waiting, not counting in-service).
     pub fn queue_len(&self) -> usize {
         self.queue.len()
@@ -188,11 +183,6 @@ impl FreqCommands {
         let frac = if frac.is_finite() { frac } else { 1.0 };
         self.admission = Some(frac.clamp(0.0, 1.0));
         self.issued = true;
-    }
-
-    /// Peek the pending admission command without consuming it.
-    pub fn get_admission(&self) -> Option<f32> {
-        self.admission
     }
 
     pub(crate) fn take_admission(&mut self) -> Option<f32> {
@@ -345,15 +335,15 @@ mod tests {
         let plan = FreqPlan::test_plan();
         let mut cmds = FreqCommands::new(1, &plan);
         cmds.set_admission(0.42);
-        assert_eq!(cmds.get_admission(), Some(0.42));
+        assert_eq!(cmds.take_admission(), Some(0.42));
         cmds.set_admission(7.0);
-        assert_eq!(cmds.get_admission(), Some(1.0));
+        assert_eq!(cmds.take_admission(), Some(1.0));
         cmds.set_admission(-3.0);
-        assert_eq!(cmds.get_admission(), Some(0.0));
+        assert_eq!(cmds.take_admission(), Some(0.0));
         cmds.set_admission(f32::NAN);
-        assert_eq!(cmds.get_admission(), Some(1.0));
+        assert_eq!(cmds.take_admission(), Some(1.0));
         cmds.set_admission(f32::NEG_INFINITY);
-        assert_eq!(cmds.get_admission(), Some(1.0));
+        assert_eq!(cmds.take_admission(), Some(1.0));
     }
 
     #[test]
@@ -388,7 +378,7 @@ mod tests {
             total_wasted: 0,
             energy_uj: 0,
         };
-        assert_eq!(view.busy_cores(), 1);
+        assert_eq!(view.cores.iter().filter(|c| c.busy()).count(), 1);
         assert_eq!(view.queue_len(), 0);
     }
 }

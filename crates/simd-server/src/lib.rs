@@ -30,31 +30,28 @@
 //! The engine is fully deterministic: identical inputs produce identical
 //! traces, energies and latencies.
 
-pub mod clock;
-pub mod contention;
-pub mod cstates;
-pub mod dvfs;
-pub mod faults;
-pub mod feed;
-pub mod governor;
+mod clock;
+mod contention;
+mod cstates;
+mod dvfs;
+mod faults;
+mod feed;
+mod governor;
 pub mod metrics;
-pub mod overload;
-pub mod power;
-pub mod request;
-pub mod server;
+mod overload;
+mod power;
+mod request;
+mod server;
 
 pub use clock::{Nanos, MICROSECOND, MILLISECOND, SECOND};
 pub use contention::ContentionModel;
-pub use cstates::{CState, CStatePlan};
-pub use dvfs::{DvfsController, FreqPlan, TransitionOutcome, MHZ_PER_GHZ};
-pub use faults::{DvfsFault, FaultPlan, FaultState, SensorReading};
+pub use cstates::CStatePlan;
+pub use dvfs::FreqPlan;
+pub use faults::FaultPlan;
 pub use feed::{arrival_feed, with_producer, ArrivalFeed, FeedArrivals, FeedSender, FEED_CHUNK};
 pub use governor::{CoreView, FixedFrequency, FreqCommands, Governor, RunningView, ServerView};
-pub use metrics::{LatencyStats, MetricsCollector, RequestRecord, TraceConfig};
-pub use overload::{
-    AdmissionController, AdmissionMode, AdmitAll, CoDelAdmission, DrlAdmission, OverloadCounters,
-    OverloadPlan, OverloadState, QueuePolicy, StaticThreshold, SYNTH_ID_BASE,
-};
-pub use power::{EnergyMeter, PowerModel};
+pub use metrics::{LatencyStats, RequestRecord, TraceConfig};
+pub use overload::{AdmissionMode, OverloadPlan, QueuePolicy};
+pub use power::PowerModel;
 pub use request::{Features, Request, MAX_FEATURES};
-pub use server::{RunOptions, Server, ServerConfig, Session, SimResult, SliceArrivals};
+pub use server::{RunOptions, Server, ServerConfig, Session, SimResult};

@@ -127,7 +127,7 @@ pub struct TraceConfig {
 
 /// Accumulates per-request records and counters during a run.
 #[derive(Clone, Debug, Default)]
-pub struct MetricsCollector {
+pub(crate) struct MetricsCollector {
     pub records: Vec<RequestRecord>,
     pub arrived: u64,
     pub completed: u64,
@@ -146,16 +146,16 @@ impl MetricsCollector {
         Self::default()
     }
 
-    pub fn on_arrival(&mut self) {
+    pub(crate) fn on_arrival(&mut self) {
         self.arrived += 1;
     }
 
     /// Track the queue's high-water mark after a push.
-    pub fn observe_queue_depth(&mut self, depth: usize) {
+    pub(crate) fn observe_queue_depth(&mut self, depth: usize) {
         self.peak_queue_depth = self.peak_queue_depth.max(depth as u64);
     }
 
-    pub fn on_completion(&mut self, rec: RequestRecord) {
+    pub(crate) fn on_completion(&mut self, rec: RequestRecord) {
         self.completed += 1;
         if rec.timed_out {
             self.timeouts += 1;

@@ -42,7 +42,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 /// Server ids of synthetic attempts (retries, flash-crowd clones) start
 /// here so they can never collide with workload-generator ids.
-pub const SYNTH_ID_BASE: u64 = 1 << 48;
+pub(crate) const SYNTH_ID_BASE: u64 = 1 << 48;
 
 /// How a bounded queue orders service and handles overflow.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -85,7 +85,7 @@ impl QueuePolicy {
     }
 
     /// Whether dispatch serves the newest queued request first.
-    pub fn serves_newest_first(&self) -> bool {
+    pub(crate) fn serves_newest_first(&self) -> bool {
         matches!(self, QueuePolicy::Lifo)
     }
 }
@@ -228,7 +228,7 @@ pub enum Admit {
 /// A pluggable pre-capacity admission policy. Implementations must be
 /// deterministic functions of their inputs and internal state — the
 /// engine consults them in event order.
-pub trait AdmissionController {
+pub(crate) trait AdmissionController {
     /// Decide whether a request arriving at `now` may join a queue of
     /// `queue_len` entries whose oldest member has waited
     /// `oldest_wait_ns`.
@@ -244,36 +244,25 @@ pub trait AdmissionController {
     fn admit_frac(&self) -> f64 {
         1.0
     }
-
-    /// Stable reporting name.
-    fn name(&self) -> &'static str;
 }
 
 /// Admit everything (the default; capacity bounds still apply).
-pub struct AdmitAll;
+pub(crate) struct AdmitAll;
 
 impl AdmissionController for AdmitAll {
     fn admit(&mut self, _now: Nanos, _queue_len: usize, _oldest_wait_ns: Nanos) -> bool {
         true
     }
-
-    fn name(&self) -> &'static str {
-        "admit-all"
-    }
 }
 
 /// Reject while the queue is at least `max_queue` deep.
-pub struct StaticThreshold {
+pub(crate) struct StaticThreshold {
     pub max_queue: usize,
 }
 
 impl AdmissionController for StaticThreshold {
     fn admit(&mut self, _now: Nanos, queue_len: usize, _oldest_wait_ns: Nanos) -> bool {
         queue_len < self.max_queue
-    }
-
-    fn name(&self) -> &'static str {
-        "static-threshold"
     }
 }
 
@@ -283,7 +272,7 @@ impl AdmissionController for StaticThreshold {
 /// sojourn as the standing-queue signal exactly like CoDel's
 /// minimum-delay tracker, but applied at admission (deterministic — no
 /// square-root pacing draw).
-pub struct CoDelAdmission {
+pub(crate) struct CoDelAdmission {
     pub target_ns: Nanos,
     pub interval_ns: Nanos,
     /// When the sojourn first exceeded target, if it still does.
@@ -309,17 +298,13 @@ impl AdmissionController for CoDelAdmission {
         let since = *self.above_since.get_or_insert(now);
         now.saturating_sub(since) < self.interval_ns
     }
-
-    fn name(&self) -> &'static str {
-        "codel"
-    }
 }
 
 /// Governor-commanded threshold: admit while `queue_len <
 /// max(1, frac · scale)`. `scale` is the queue capacity when bounded,
 /// else a cores-proportional default; `frac` comes from the DRL
 /// policy's third action head each control tick.
-pub struct DrlAdmission {
+pub(crate) struct DrlAdmission {
     pub scale: usize,
     frac: f32,
 }
@@ -343,10 +328,6 @@ impl AdmissionController for DrlAdmission {
 
     fn admit_frac(&self) -> f64 {
         self.frac as f64
-    }
-
-    fn name(&self) -> &'static str {
-        "drl"
     }
 }
 
@@ -413,7 +394,7 @@ impl Ord for RetryEntry {
 
 /// Cumulative overload counters, surfaced through `SimResult`.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct OverloadCounters {
+pub(crate) struct OverloadCounters {
     /// Completions whose client was still waiting.
     pub good: u64,
     /// Completions after the client abandoned (wasted work).
@@ -429,7 +410,7 @@ pub struct OverloadCounters {
 }
 
 /// Per-run overload machinery: the retry stream plus client state.
-pub struct OverloadState {
+pub(crate) struct OverloadState {
     plan: OverloadPlan,
     rng: StdRng,
     admission: Box<dyn AdmissionController>,
@@ -483,16 +464,12 @@ impl OverloadState {
         }
     }
 
-    pub fn plan(&self) -> &OverloadPlan {
-        &self.plan
-    }
-
     pub fn is_active(&self) -> bool {
         self.plan.is_active()
     }
 
     /// Forward a governor-commanded admission threshold.
-    pub fn set_threshold(&mut self, frac: f32) {
+    pub(crate) fn set_threshold(&mut self, frac: f32) {
         self.admission.set_threshold(frac);
     }
 
@@ -505,7 +482,7 @@ impl OverloadState {
     /// Earliest pending client event (deadline expiry or retry
     /// arrival). The front deadline may belong to an already-answered
     /// attempt — the resulting wakeup is a deterministic no-op.
-    pub fn next_event_time(&self) -> Option<Nanos> {
+    pub(crate) fn next_event_time(&self) -> Option<Nanos> {
         let d = self.deadlines.front().map(|d| d.at);
         let r = self.retries.peek().map(|Reverse(e)| e.at);
         match (d, r) {
@@ -516,13 +493,13 @@ impl OverloadState {
 
     /// Whether retries are still in flight (termination must wait for
     /// them).
-    pub fn retries_pending(&self) -> bool {
+    pub(crate) fn retries_pending(&self) -> bool {
         !self.retries.is_empty()
     }
 
     /// How many extra cloned clients a workload arrival at `t` brings
     /// (the flash-crowd burst).
-    pub fn burst_clones(&self, t: Nanos) -> u32 {
+    pub(crate) fn burst_clones(&self, t: Nanos) -> u32 {
         if self.plan.burst_duration_ns == 0 || self.plan.burst_factor == 0 {
             return 0;
         }
@@ -535,7 +512,7 @@ impl OverloadState {
     }
 
     /// Allocate a fresh synthetic server id (flash-crowd clones).
-    pub fn alloc_synth_id(&mut self) -> u64 {
+    pub(crate) fn alloc_synth_id(&mut self) -> u64 {
         let id = self.next_synth_id;
         self.next_synth_id += 1;
         id
@@ -544,7 +521,7 @@ impl OverloadState {
     /// Expire every client deadline at or before `now`: mark the
     /// attempt abandoned, emit the event, maybe schedule a retry.
     /// Deadlines of already-answered attempts pop silently.
-    pub fn expire(&mut self, now: Nanos, rec: &Recorder, tracer: &mut RequestTracer) {
+    pub(crate) fn expire(&mut self, now: Nanos, rec: &Recorder, tracer: &mut RequestTracer) {
         while self.deadlines.front().is_some_and(|d| d.at <= now) {
             let d = self.deadlines.pop_front().expect("front checked");
             if !self.open.remove(&d.id) {
@@ -590,7 +567,7 @@ impl OverloadState {
 
     /// Register an admitted attempt: track it as open and arm its
     /// client deadline.
-    pub fn on_admitted(&mut self, now: Nanos, req: &Request) {
+    pub(crate) fn on_admitted(&mut self, now: Nanos, req: &Request) {
         if self.plan.client_timeout_ns == 0 {
             return;
         }
@@ -636,7 +613,7 @@ impl OverloadState {
 
     /// Classify a completion: `true` if the work was wasted (client
     /// already abandoned).
-    pub fn on_completion(&mut self, id: u64, service_ns: Nanos) -> bool {
+    pub(crate) fn on_completion(&mut self, id: u64, service_ns: Nanos) -> bool {
         // Without client deadlines (every open-loop run) both sets stay
         // empty: skip hashing the id into them.
         if !self.abandoned.is_empty() && self.abandoned.remove(&id) {
@@ -654,7 +631,7 @@ impl OverloadState {
 
     /// Pop the next retry due at or before `now`, materialized as a
     /// fresh [`Request`] arriving now under a new server id.
-    pub fn pop_due_retry(&mut self, now: Nanos) -> Option<Request> {
+    pub(crate) fn pop_due_retry(&mut self, now: Nanos) -> Option<Request> {
         if self.retries.peek().is_none_or(|Reverse(e)| e.at > now) {
             return None;
         }

@@ -67,7 +67,7 @@ impl PowerModel {
 
 /// Monotone energy accumulator with a RAPL-like microjoule counter.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct EnergyMeter {
+pub(crate) struct EnergyMeter {
     joules: f64,
     /// Time over which energy was integrated (for average-power reporting).
     elapsed_ns: Nanos,
@@ -79,33 +79,29 @@ impl EnergyMeter {
     }
 
     /// Integrate `power_w` over `dt` nanoseconds.
-    pub fn accumulate(&mut self, power_w: f64, dt: Nanos) {
+    pub(crate) fn accumulate(&mut self, power_w: f64, dt: Nanos) {
         debug_assert!(power_w >= 0.0, "negative power");
         self.joules += power_w * dt as f64 * 1e-9;
         self.elapsed_ns += dt;
     }
 
     /// Total energy in joules.
-    pub fn joules(&self) -> f64 {
+    pub(crate) fn joules(&self) -> f64 {
         self.joules
     }
 
     /// RAPL-style monotone counter in microjoules.
-    pub fn read_energy_uj(&self) -> u64 {
+    pub(crate) fn read_energy_uj(&self) -> u64 {
         (self.joules * 1e6) as u64
     }
 
     /// Average power over everything integrated so far.
-    pub fn average_power_w(&self) -> f64 {
+    pub(crate) fn average_power_w(&self) -> f64 {
         if self.elapsed_ns == 0 {
             0.0
         } else {
             self.joules / (self.elapsed_ns as f64 * 1e-9)
         }
-    }
-
-    pub fn elapsed_ns(&self) -> Nanos {
-        self.elapsed_ns
     }
 }
 

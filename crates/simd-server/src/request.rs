@@ -125,7 +125,7 @@ impl Request {
     /// work relative to the reference frequency, given the request's
     /// `freq_sensitivity` `s`: `s · f_ref/f + (1 − s)`. The engine keeps this per running core
     /// and refreshes it only when the core's frequency changes.
-    pub fn freq_scale(freq_sensitivity: f32, freq_mhz: u32, reference_mhz: u32) -> f64 {
+    pub(crate) fn freq_scale(freq_sensitivity: f32, freq_mhz: u32, reference_mhz: u32) -> f64 {
         debug_assert!(freq_mhz > 0);
         let s = freq_sensitivity as f64;
         s * reference_mhz as f64 / freq_mhz as f64 + (1.0 - s)
@@ -134,13 +134,13 @@ impl Request {
     /// Wall-clock time `remaining_ref_ns` of intrinsic work takes at a
     /// frequency [`scale`](Self::freq_scale) and a contention inflation
     /// factor: `time = remaining_ref · scale · inflation`.
-    pub fn scaled_time(remaining_ref_ns: f64, scale: f64, inflation: f64) -> f64 {
+    pub(crate) fn scaled_time(remaining_ref_ns: f64, scale: f64, inflation: f64) -> f64 {
         remaining_ref_ns * scale * inflation
     }
 
     /// Inverse of [`Request::scaled_time`]: how much intrinsic work is
     /// retired by running `dt` nanoseconds at the given conditions.
-    pub fn retired_work(dt: f64, scale: f64, inflation: f64) -> f64 {
+    pub(crate) fn retired_work(dt: f64, scale: f64, inflation: f64) -> f64 {
         dt / (scale * inflation)
     }
 }

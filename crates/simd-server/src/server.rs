@@ -785,7 +785,7 @@ impl Server {
 }
 
 /// What a session over a slice iterates.
-pub type SliceArrivals<'a> = std::iter::Copied<std::slice::Iter<'a, Request>>;
+pub(crate) type SliceArrivals<'a> = std::iter::Copied<std::slice::Iter<'a, Request>>;
 
 /// A paused-or-running simulation: the full state of one engine event
 /// loop, advanceable in bounded time slices. Created by
@@ -2289,7 +2289,7 @@ mod tests {
         let retry_rec = res
             .records
             .iter()
-            .find(|r| r.id >= crate::SYNTH_ID_BASE)
+            .find(|r| r.id >= crate::overload::SYNTH_ID_BASE)
             .expect("retry attempt completed");
         // Retry submitted at ~3 ms, served after the original drains at
         // ~5 ms, completes at ~10 ms: client-perceived latency spans

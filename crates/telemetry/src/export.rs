@@ -33,7 +33,7 @@ pub fn from_jsonl(text: &str) -> Result<Vec<Event>, String> {
 }
 
 /// Column order of [`steps_to_csv`] (documented in EXPERIMENTS.md).
-pub const STEP_CSV_HEADER: &str =
+pub(crate) const STEP_CSV_HEADER: &str =
     "t_ns,num_req,power_w,base_freq,scaling_coef,admit_frac,avg_freq_mhz,queue_len,timeouts,reward,r_energy,r_timeout,r_queue,r_wasted";
 
 /// Project the `DrlStep` events out of a stream as a CSV table, one
@@ -106,36 +106,36 @@ pub fn freq_series(
     out
 }
 
-/// Slice one training episode out of a concatenated multi-episode
-/// stream: everything after the previous `EpisodeEnd` (or the stream
-/// start, for the first episode) up to and *including* the `EpisodeEnd`
-/// whose `episode` field equals `episode`. `None` when the stream holds
-/// no such episode.
-///
-/// Training artifacts concatenate per-episode engine runs, and each
-/// run's event timestamps restart at `t = 0`. Time-series
-/// reconstructions ([`freq_series`], or plotting [`steps_to_csv`]'s `t`
-/// column) assume monotone time, so they must be fed one episode slice
-/// at a time — on a raw multi-episode stream the `t`-reset at each
-/// boundary silently corrupts them (see
-/// `freq_series_on_concatenated_episodes_is_wrong_use_slices`).
-pub fn episode_events(events: &[Event], episode: u64) -> Option<&[Event]> {
-    let mut start = 0;
-    for (i, ev) in events.iter().enumerate() {
-        if let Event::EpisodeEnd(e) = ev {
-            if e.episode == episode {
-                return Some(&events[start..=i]);
-            }
-            start = i + 1;
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{EpisodeEnd, FreqTransition, JobEnd, JobStart};
+
+    /// Slice one training episode out of a concatenated multi-episode
+    /// stream: everything after the previous `EpisodeEnd` (or the stream
+    /// start, for the first episode) up to and *including* the `EpisodeEnd`
+    /// whose `episode` field equals `episode`. `None` when the stream holds
+    /// no such episode.
+    ///
+    /// Training artifacts concatenate per-episode engine runs, and each
+    /// run's event timestamps restart at `t = 0`. Time-series
+    /// reconstructions ([`freq_series`], or plotting [`steps_to_csv`]'s `t`
+    /// column) assume monotone time, so they must be fed one episode slice
+    /// at a time — on a raw multi-episode stream the `t`-reset at each
+    /// boundary silently corrupts them (see
+    /// `freq_series_on_concatenated_episodes_is_wrong_use_slices`).
+    fn episode_events(events: &[Event], episode: u64) -> Option<&[Event]> {
+        let mut start = 0;
+        for (i, ev) in events.iter().enumerate() {
+            if let Event::EpisodeEnd(e) = ev {
+                if e.episode == episode {
+                    return Some(&events[start..=i]);
+                }
+                start = i + 1;
+            }
+        }
+        None
+    }
 
     fn sample_events() -> Vec<Event> {
         vec![

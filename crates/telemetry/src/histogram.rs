@@ -18,7 +18,7 @@ const N_BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) << SUB_BITS;
 
 /// Bucket index of `v` (monotone non-decreasing in `v`).
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v < SUB {
         v as usize
     } else {
@@ -31,7 +31,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// Largest value mapping into bucket `i` (monotone increasing in `i`,
 /// and `bucket_upper_bound(bucket_index(v)) >= v` for all `v`).
-pub fn bucket_upper_bound(i: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
     let group = i >> SUB_BITS;
     let sub = (i & (SUB as usize - 1)) as u64;
     if group == 0 {
@@ -87,7 +87,7 @@ impl Histogram {
     /// [`Histogram::nonzero_buckets`] pairs (`v` is then a bucket upper
     /// bound, which maps back into the same bucket).
     #[inline]
-    pub fn record_n(&mut self, v: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, v: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -183,7 +183,7 @@ impl Histogram {
     /// O(buckets), conservative by at most one bucket (values sharing
     /// `v`'s bucket but above it are not counted unless the whole
     /// bucket fits).
-    pub fn count_at_or_below(&self, v: u64) -> u64 {
+    pub(crate) fn count_at_or_below(&self, v: u64) -> u64 {
         self.counts
             .iter()
             .enumerate()
@@ -194,7 +194,7 @@ impl Histogram {
     }
 
     /// Non-empty buckets as `(upper_bound, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.counts
             .iter()
             .enumerate()

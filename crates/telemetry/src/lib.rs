@@ -39,24 +39,22 @@
 //! (phase tables, Chrome traces) that never feeds back into results.
 
 pub mod event;
-pub mod export;
-pub mod fs;
-pub mod histogram;
-pub mod logger;
-pub mod monitor;
-pub mod profile;
-pub mod recorder;
-pub mod slo;
-pub mod trace;
+mod export;
+mod fs;
+mod histogram;
+mod logger;
+mod monitor;
+mod profile;
+mod recorder;
+mod slo;
+mod trace;
 
 pub use event::{
     Alert, AlertResolved, CoreResidency, DrlStep, EpisodeEnd, Event, FaultInjected, FaultKind,
     FreqTransition, IncidentEntry, JobEnd, JobStart, LatencySnapshot, RequestComplete,
     RequestDispatch, SafetyAction, SafetyKind, ShedReason, SloViolation, TrainUpdate, WindowRollup,
 };
-pub use export::{
-    episode_events, freq_series, from_jsonl, steps_to_csv, to_jsonl, STEP_CSV_HEADER,
-};
+pub use export::{freq_series, from_jsonl, steps_to_csv, to_jsonl};
 pub use fs::atomic_write;
 pub use histogram::Histogram;
 pub use logger::{LogLevel, Logger};
@@ -64,17 +62,10 @@ pub use monitor::{
     AlertRecord, AnomalyRecord, FleetMonitor, HealthReport, MonitorConfig, MonitorSink, SloOutcome,
     WindowSummary,
 };
-pub use profile::{
-    from_chrome_trace, render_phase_table, ChromeEvent, PhaseRow, Profiler, Span, SpanRecord,
-    DEFAULT_MAX_SPANS,
-};
-pub use recorder::{NoopSink, Recorder, RingSink, TelemetrySink};
-pub use slo::{
-    default_rules, BurnRateRule, EwmaConfig, EwmaDetector, SloSpec, LATENCY_BUDGET, METRIC_GOODPUT,
-    METRIC_P99, METRIC_POWER, METRIC_TIMEOUT,
-};
+pub use profile::{render_phase_table, PhaseRow, Profiler, Span, SpanRecord};
+pub use recorder::{NoopSink, Recorder, TelemetrySink};
+pub use slo::{BurnRateRule, SloSpec, METRIC_GOODPUT};
 pub use trace::{
-    traces_to_chrome, AttemptTrace, FlightRecorder, IdHasher, IdMap, IdSet, RequestTrace,
-    RequestTracer, TracePlan, TraceSpan, SAMPLED_EXEMPLAR, SAMPLED_HEAD, SPAN_ABANDON,
-    SPAN_BACKOFF, SPAN_QUEUE, SPAN_SERVICE, SPAN_SHED,
+    traces_to_chrome, AttemptTrace, FlightRecorder, IdHasher, IdSet, RequestTrace, RequestTracer,
+    TracePlan, TraceSpan, SPAN_ABANDON, SPAN_BACKOFF, SPAN_QUEUE, SPAN_SERVICE, SPAN_SHED,
 };

@@ -43,7 +43,7 @@ use crate::slo::{
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MonitorConfig {
     pub slo: SloSpec,
-    pub anomaly: EwmaConfig,
+    pub(crate) anomaly: EwmaConfig,
     /// Max incident-timeline entries attached to one alert.
     pub timeline_cap: usize,
     /// Windows of context (ending at the tripping window) a timeline

@@ -34,7 +34,7 @@ use std::time::Instant;
 use serde_json::{Number, Value};
 
 /// Default cap on stored [`SpanRecord`]s (aggregates are never capped).
-pub const DEFAULT_MAX_SPANS: usize = 1 << 18;
+pub(crate) const DEFAULT_MAX_SPANS: usize = 1 << 18;
 
 /// Process-wide thread-id allocator: ids are small, dense and stable
 /// for the life of each thread (assigned on the thread's first span).
@@ -350,67 +350,6 @@ fn record_to_chrome(r: &SpanRecord) -> Value {
     ])
 }
 
-/// One event parsed back out of a Chrome trace (times restored to
-/// nanoseconds; exact for spans below ~3 days).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChromeEvent {
-    pub name: String,
-    pub tid: u64,
-    pub start_ns: u64,
-    pub dur_ns: u64,
-}
-
-impl ChromeEvent {
-    /// Projection of a [`SpanRecord`] for round-trip comparisons.
-    pub fn from_record(r: &SpanRecord) -> Self {
-        Self {
-            name: r.name.to_string(),
-            tid: r.tid,
-            start_ns: r.start_ns,
-            dur_ns: r.dur_ns,
-        }
-    }
-}
-
-/// Parse Chrome trace-event JSON produced by
-/// [`Profiler::to_chrome_trace`] (or any trace using complete events
-/// with numeric `ts`/`dur`/`tid`).
-pub fn from_chrome_trace(text: &str) -> Result<Vec<ChromeEvent>, String> {
-    let root: Value = serde_json::from_str(text).map_err(|e| format!("bad JSON: {e:?}"))?;
-    let Some(Value::Array(events)) = root.get("traceEvents") else {
-        return Err("missing traceEvents array".to_string());
-    };
-    let ns = |v: &Value| -> Option<u64> {
-        match v {
-            Value::Number(n) => Some((n.as_f64() * 1000.0).round() as u64),
-            _ => None,
-        }
-    };
-    events
-        .iter()
-        .enumerate()
-        .map(|(i, ev)| {
-            let field = |k: &str| ev.get(k).ok_or_else(|| format!("event {i}: missing {k}"));
-            let name = match field("name")? {
-                Value::String(s) => s.clone(),
-                _ => return Err(format!("event {i}: name is not a string")),
-            };
-            let tid = match field("tid")? {
-                Value::Number(n) => n.as_f64() as u64,
-                _ => return Err(format!("event {i}: tid is not a number")),
-            };
-            let start_ns = ns(field("ts")?).ok_or_else(|| format!("event {i}: bad ts"))?;
-            let dur_ns = ns(field("dur")?).ok_or_else(|| format!("event {i}: bad dur"))?;
-            Ok(ChromeEvent {
-                name,
-                tid,
-                start_ns,
-                dur_ns,
-            })
-        })
-        .collect()
-}
-
 /// Render phase rows as an aligned text table. `wall_ns > 0` adds a
 /// `%wall` column from each row's root (non-overlapping) time.
 pub fn render_phase_table(rows: &[PhaseRow], wall_ns: u64) -> String {
@@ -446,8 +385,69 @@ pub fn render_phase_table(rows: &[PhaseRow], wall_ns: u64) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// One event parsed back out of a Chrome trace (times restored to
+    /// nanoseconds; exact for spans below ~3 days).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub(crate) struct ChromeEvent {
+        pub name: String,
+        pub tid: u64,
+        pub start_ns: u64,
+        pub dur_ns: u64,
+    }
+
+    impl ChromeEvent {
+        /// Projection of a [`SpanRecord`] for round-trip comparisons.
+        fn from_record(r: &SpanRecord) -> Self {
+            Self {
+                name: r.name.to_string(),
+                tid: r.tid,
+                start_ns: r.start_ns,
+                dur_ns: r.dur_ns,
+            }
+        }
+    }
+
+    /// Parse Chrome trace-event JSON produced by
+    /// [`Profiler::to_chrome_trace`] (or any trace using complete events
+    /// with numeric `ts`/`dur`/`tid`).
+    pub(crate) fn from_chrome_trace(text: &str) -> Result<Vec<ChromeEvent>, String> {
+        let root: Value = serde_json::from_str(text).map_err(|e| format!("bad JSON: {e:?}"))?;
+        let Some(Value::Array(events)) = root.get("traceEvents") else {
+            return Err("missing traceEvents array".to_string());
+        };
+        let ns = |v: &Value| -> Option<u64> {
+            match v {
+                Value::Number(n) => Some((n.as_f64() * 1000.0).round() as u64),
+                _ => None,
+            }
+        };
+        events
+            .iter()
+            .enumerate()
+            .map(|(i, ev)| {
+                let field = |k: &str| ev.get(k).ok_or_else(|| format!("event {i}: missing {k}"));
+                let name = match field("name")? {
+                    Value::String(s) => s.clone(),
+                    _ => return Err(format!("event {i}: name is not a string")),
+                };
+                let tid = match field("tid")? {
+                    Value::Number(n) => n.as_f64() as u64,
+                    _ => return Err(format!("event {i}: tid is not a number")),
+                };
+                let start_ns = ns(field("ts")?).ok_or_else(|| format!("event {i}: bad ts"))?;
+                let dur_ns = ns(field("dur")?).ok_or_else(|| format!("event {i}: bad dur"))?;
+                Ok(ChromeEvent {
+                    name,
+                    tid,
+                    start_ns,
+                    dur_ns,
+                })
+            })
+            .collect()
+    }
 
     #[test]
     fn disabled_profiler_is_inert() {

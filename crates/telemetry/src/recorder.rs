@@ -57,7 +57,7 @@ impl TelemetrySink for NoopSink {
 /// Preallocated ring buffer: keeps the most recent `capacity` events,
 /// overwriting the oldest and counting what it dropped.
 #[derive(Clone, Debug)]
-pub struct RingSink {
+pub(crate) struct RingSink {
     buf: Vec<Event>,
     capacity: usize,
     /// Index of the oldest event once the ring has wrapped.
@@ -74,14 +74,6 @@ impl RingSink {
             head: 0,
             dropped: 0,
         }
-    }
-
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 }
 

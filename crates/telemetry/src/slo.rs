@@ -22,9 +22,9 @@
 use serde::{Deserialize, Serialize};
 
 /// Stable metric tags used in `SloViolation`/`Alert` events.
-pub const METRIC_P99: &str = "p99-latency";
-pub const METRIC_TIMEOUT: &str = "timeout-rate";
-pub const METRIC_POWER: &str = "power";
+pub(crate) const METRIC_P99: &str = "p99-latency";
+pub(crate) const METRIC_TIMEOUT: &str = "timeout-rate";
+pub(crate) const METRIC_POWER: &str = "power";
 pub const METRIC_GOODPUT: &str = "goodput";
 
 /// One multi-window burn-rate rule: fire when the trailing mean burn
@@ -70,7 +70,7 @@ impl BurnRateRule {
 
 /// The default rule pair: a fast page (high burn sustained briefly)
 /// and a slow one (any above-budget burn sustained long).
-pub fn default_rules() -> Vec<BurnRateRule> {
+pub(crate) fn default_rules() -> Vec<BurnRateRule> {
     vec![
         BurnRateRule {
             long_windows: 5,
@@ -87,7 +87,7 @@ pub fn default_rules() -> Vec<BurnRateRule> {
 
 /// Fraction of windowed requests allowed above the p99 latency target
 /// (the "error budget" a latency burn rate is measured against).
-pub const LATENCY_BUDGET: f64 = 0.01;
+pub(crate) const LATENCY_BUDGET: f64 = 0.01;
 
 /// A declarative SLO specification. A target of 0 disables that
 /// objective; an empty `rules` list means [`default_rules`].
@@ -217,7 +217,7 @@ impl SloSpec {
 /// |mean|) keeps a near-constant series from flagging microscopic
 /// jitter as anomalous.
 #[derive(Clone, Debug)]
-pub struct EwmaDetector {
+pub(crate) struct EwmaDetector {
     alpha: f64,
     z_threshold: f64,
     warmup: u64,
@@ -228,7 +228,7 @@ pub struct EwmaDetector {
 
 /// EWMA configuration shared by the monitor's anomaly detectors.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct EwmaConfig {
+pub(crate) struct EwmaConfig {
     /// Smoothing factor in (0, 1]; higher tracks faster.
     pub alpha: f64,
     /// |z| at or above which a point is anomalous.
@@ -264,10 +264,6 @@ impl EwmaDetector {
         }
     }
 
-    pub fn z_threshold(&self) -> f64 {
-        self.z_threshold
-    }
-
     /// Fold in one point; returns its z-score against the pre-update
     /// estimate once warm-up is over.
     pub fn observe(&mut self, v: f64) -> Option<f64> {
@@ -297,7 +293,7 @@ impl EwmaDetector {
     }
 
     /// `observe` + threshold: `Some(z)` only when `|z|` trips.
-    pub fn observe_anomalous(&mut self, v: f64) -> Option<f64> {
+    pub(crate) fn observe_anomalous(&mut self, v: f64) -> Option<f64> {
         let z = self.observe(v)?;
         (z.abs() >= self.z_threshold).then_some(z)
     }

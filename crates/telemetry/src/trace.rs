@@ -68,8 +68,8 @@ pub const SPAN_ABANDON: &str = "abandon";
 pub const SPAN_BACKOFF: &str = "backoff";
 
 /// Why a trace was emitted.
-pub const SAMPLED_HEAD: &str = "head";
-pub const SAMPLED_EXEMPLAR: &str = "exemplar";
+pub(crate) const SAMPLED_HEAD: &str = "head";
+pub(crate) const SAMPLED_EXEMPLAR: &str = "exemplar";
 
 /// Deterministic request-tracing knobs. Inactive by default.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -262,7 +262,7 @@ impl Hasher for IdHasher {
 }
 
 /// `u64`-keyed map hashed with [`IdHasher`].
-pub type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+pub(crate) type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 /// `u64` set hashed with [`IdHasher`].
 pub type IdSet = HashSet<u64, BuildHasherDefault<IdHasher>>;
 
@@ -708,7 +708,7 @@ impl FlightRecorder {
 
     /// The node's rollup for `index` arrived: advance its open window
     /// and prune windows older than the last `keep_windows`.
-    pub fn seal(&mut self, node: u64, index: u64, keep_windows: u64) {
+    pub(crate) fn seal(&mut self, node: u64, index: u64, keep_windows: u64) {
         self.cur.insert(node, index + 1);
         let lo = (index + 1).saturating_sub(keep_windows);
         self.traces.retain(|&(w, n), _| n != node || w >= lo);
@@ -968,7 +968,7 @@ mod tests {
         let traces = drain_traces(&rec);
         let refs: Vec<(u64, u64, &RequestTrace)> = traces.iter().map(|t| (0u64, 3u64, t)).collect();
         let json = traces_to_chrome(&refs);
-        let events = crate::profile::from_chrome_trace(&json).unwrap();
+        let events = crate::profile::tests::from_chrome_trace(&json).unwrap();
         assert_eq!(events.len(), 2);
         assert!(events
             .iter()

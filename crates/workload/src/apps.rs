@@ -143,26 +143,13 @@ impl AppSpec {
     }
 
     /// Mean of the variable (log-normal) body component.
-    pub fn body_mean_ns(&self) -> f64 {
+    pub(crate) fn body_mean_ns(&self) -> f64 {
         self.mean_service_ns * (1.0 - self.intercept_frac)
     }
 
     /// Fixed per-request overhead component.
-    pub fn intercept_ns(&self) -> f64 {
+    pub(crate) fn intercept_ns(&self) -> f64 {
         self.mean_service_ns * self.intercept_frac
-    }
-
-    /// Combined log-normal shape of `body · noise` (independent log-normals
-    /// multiply: variances of the underlying normals add).
-    pub fn combined_sigma(&self) -> f64 {
-        (self.sigma * self.sigma + self.noise_sigma * self.noise_sigma).sqrt()
-    }
-
-    /// Analytic p99 of the intrinsic service-time distribution — the
-    /// Table 3 calibration anchor.
-    pub fn intrinsic_p99_ns(&self) -> f64 {
-        let total = LogNormal::from_mean(self.body_mean_ns(), self.combined_sigma());
-        self.intercept_ns() + total.quantile(0.99)
     }
 
     /// Maximum sustainable request rate at the reference frequency with
@@ -236,6 +223,22 @@ impl RequestSampler {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// The Table 3 calibration anchor, computed analytically.
+    impl AppSpec {
+        /// Combined log-normal shape of `body · noise` (independent log-normals
+        /// multiply: variances of the underlying normals add).
+        fn combined_sigma(&self) -> f64 {
+            (self.sigma * self.sigma + self.noise_sigma * self.noise_sigma).sqrt()
+        }
+
+        /// Analytic p99 of the intrinsic service-time distribution — the
+        /// Table 3 calibration anchor.
+        fn intrinsic_p99_ns(&self) -> f64 {
+            let total = LogNormal::from_mean(self.body_mean_ns(), self.combined_sigma());
+            self.intercept_ns() + total.quantile(0.99)
+        }
+    }
 
     #[test]
     fn table3_slas() {

@@ -7,7 +7,7 @@
 use rand::Rng;
 
 /// Draw one standard-normal sample (Box–Muller).
-pub fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
@@ -20,13 +20,13 @@ pub fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
 /// The heavier `sigma`, the longer the tail — Moses-like workloads use
 /// σ ≈ 1, Img-dnn-like nearly deterministic ones σ ≈ 0.1.
 #[derive(Clone, Copy, Debug)]
-pub struct LogNormal {
+pub(crate) struct LogNormal {
     mu: f64,
     pub sigma: f64,
 }
 
 impl LogNormal {
-    pub fn from_mean(mean: f64, sigma: f64) -> Self {
+    pub(crate) fn from_mean(mean: f64, sigma: f64) -> Self {
         assert!(mean > 0.0, "log-normal mean must be positive");
         assert!(sigma >= 0.0, "sigma must be non-negative");
         Self {
@@ -35,57 +35,15 @@ impl LogNormal {
         }
     }
 
-    pub fn mean(&self) -> f64 {
-        (self.mu + self.sigma * self.sigma / 2.0).exp()
-    }
-
-    /// Median `exp(mu)` — useful to sanity-check skew.
-    pub fn median(&self) -> f64 {
-        self.mu.exp()
-    }
-
-    /// Analytic quantile: `exp(mu + σ · Φ⁻¹(q))`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        (self.mu + self.sigma * probit(q)).exp()
-    }
-
     pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
         (self.mu + self.sigma * standard_normal(rng)).exp()
-    }
-}
-
-/// Pareto (type I) distribution with scale `x_min` and shape `alpha`.
-/// Used for optional extra-heavy tails in stress workloads.
-#[derive(Clone, Copy, Debug)]
-pub struct Pareto {
-    pub x_min: f64,
-    pub alpha: f64,
-}
-
-impl Pareto {
-    pub fn new(x_min: f64, alpha: f64) -> Self {
-        assert!(
-            x_min > 0.0 && alpha > 0.0,
-            "Pareto parameters must be positive"
-        );
-        Self { x_min, alpha }
-    }
-
-    /// Mean is finite only for `alpha > 1`.
-    pub fn mean(&self) -> Option<f64> {
-        (self.alpha > 1.0).then(|| self.alpha * self.x_min / (self.alpha - 1.0))
-    }
-
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
-        let u: f64 = 1.0 - rng.random::<f64>(); // (0, 1]
-        self.x_min / u.powf(1.0 / self.alpha)
     }
 }
 
 /// Exponential distribution with rate `lambda` (mean `1/lambda`).
 /// Inter-arrival times of a Poisson process.
 #[derive(Clone, Copy, Debug)]
-pub struct Exponential {
+pub(crate) struct Exponential {
     pub lambda: f64,
 }
 
@@ -101,61 +59,79 @@ impl Exponential {
     }
 }
 
-/// Inverse standard-normal CDF (Acklam's rational approximation,
-/// |ε| < 1.15e-9 — far below anything the calibration tests need).
-pub fn probit(q: f64) -> f64 {
-    assert!(
-        (0.0..1.0).contains(&q) && q > 0.0,
-        "quantile must be in (0,1)"
-    );
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.38357751867269e+02,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    let p_low = 0.02425;
-    if q < p_low {
-        let r = (-2.0 * q.ln()).sqrt();
-        (((((C[0] * r + C[1]) * r + C[2]) * r + C[3]) * r + C[4]) * r + C[5])
-            / ((((D[0] * r + D[1]) * r + D[2]) * r + D[3]) * r + 1.0)
-    } else if q <= 1.0 - p_low {
-        let r = q - 0.5;
-        let s = r * r;
-        (((((A[0] * s + A[1]) * s + A[2]) * s + A[3]) * s + A[4]) * s + A[5]) * r
-            / (((((B[0] * s + B[1]) * s + B[2]) * s + B[3]) * s + B[4]) * s + 1.0)
-    } else {
-        -probit(1.0 - q)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// Analytic moments and quantiles, the oracles the calibration tests
+    /// check sampled and modelled latencies against.
+    impl LogNormal {
+        pub(crate) fn mean(&self) -> f64 {
+            (self.mu + self.sigma * self.sigma / 2.0).exp()
+        }
+
+        /// Median `exp(mu)` — useful to sanity-check skew.
+        pub(crate) fn median(&self) -> f64 {
+            self.mu.exp()
+        }
+
+        /// Analytic quantile: `exp(mu + σ · Φ⁻¹(q))`.
+        pub(crate) fn quantile(&self, q: f64) -> f64 {
+            (self.mu + self.sigma * probit(q)).exp()
+        }
+    }
+
+    /// Inverse standard-normal CDF (Acklam's rational approximation,
+    /// |ε| < 1.15e-9 — far below anything the calibration tests need).
+    fn probit(q: f64) -> f64 {
+        assert!(
+            (0.0..1.0).contains(&q) && q > 0.0,
+            "quantile must be in (0,1)"
+        );
+        const A: [f64; 6] = [
+            -3.969683028665376e+01,
+            2.209460984245205e+02,
+            -2.759285104469687e+02,
+            1.38357751867269e+02,
+            -3.066479806614716e+01,
+            2.506628277459239e+00,
+        ];
+        const B: [f64; 5] = [
+            -5.447609879822406e+01,
+            1.615858368580409e+02,
+            -1.556989798598866e+02,
+            6.680131188771972e+01,
+            -1.328068155288572e+01,
+        ];
+        const C: [f64; 6] = [
+            -7.784894002430293e-03,
+            -3.223964580411365e-01,
+            -2.400758277161838e+00,
+            -2.549732539343734e+00,
+            4.374664141464968e+00,
+            2.938163982698783e+00,
+        ];
+        const D: [f64; 4] = [
+            7.784695709041462e-03,
+            3.224671290700398e-01,
+            2.445134137142996e+00,
+            3.754408661907416e+00,
+        ];
+        let p_low = 0.02425;
+        if q < p_low {
+            let r = (-2.0 * q.ln()).sqrt();
+            (((((C[0] * r + C[1]) * r + C[2]) * r + C[3]) * r + C[4]) * r + C[5])
+                / ((((D[0] * r + D[1]) * r + D[2]) * r + D[3]) * r + 1.0)
+        } else if q <= 1.0 - p_low {
+            let r = q - 0.5;
+            let s = r * r;
+            (((((A[0] * s + A[1]) * s + A[2]) * s + A[3]) * s + A[4]) * s + A[5]) * r
+                / (((((B[0] * s + B[1]) * s + B[2]) * s + B[3]) * s + B[4]) * s + 1.0)
+        } else {
+            -probit(1.0 - q)
+        }
+    }
 
     #[test]
     fn lognormal_empirical_mean_matches_target() {
@@ -188,22 +164,6 @@ mod tests {
         assert!(wide.quantile(0.99) / wide.mean() > narrow.quantile(0.99) / narrow.mean());
         // Median below mean for skewed distribution.
         assert!(wide.median() < wide.mean());
-    }
-
-    #[test]
-    fn pareto_tail_and_mean() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let d = Pareto::new(1.0, 2.5);
-        let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| d.sample(&mut rng)).collect();
-        assert!(samples.iter().all(|&x| x >= 1.0));
-        let mean: f64 = samples.iter().sum::<f64>() / n as f64;
-        let expected = d.mean().unwrap();
-        assert!(
-            (mean - expected).abs() / expected < 0.05,
-            "{mean} vs {expected}"
-        );
-        assert!(Pareto::new(1.0, 0.9).mean().is_none());
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl DiurnalTrace {
         self.rps.len()
     }
 
-    pub fn slot_ns(&self) -> Nanos {
+    pub(crate) fn slot_ns(&self) -> Nanos {
         self.slot_ns
     }
 

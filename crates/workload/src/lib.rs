@@ -22,14 +22,14 @@
 //! to control planes; the intrinsic service time stays hidden, exactly as
 //! on the real system.
 
-pub mod apps;
-pub mod arrivals;
-pub mod distributions;
-pub mod diurnal;
-pub mod trace_io;
+mod apps;
+mod arrivals;
+mod distributions;
+mod diurnal;
+mod trace_io;
 
 pub use apps::{App, AppSpec};
 pub use arrivals::{constant_rate_arrivals, trace_arrivals, ArrivalStream};
-pub use distributions::{Exponential, LogNormal, Pareto};
+
 pub use diurnal::{DiurnalConfig, DiurnalTrace};
-pub use trace_io::{load_trace_csv, save_trace_csv};
+pub use trace_io::save_trace_csv;

@@ -1,14 +1,10 @@
-//! Trace persistence: save and load RPS traces as CSV.
-//!
-//! The paper drives its evaluation with a *recorded* trace (the Alibaba
-//! e-commerce search benchmark). This module lets users replay recorded
-//! traces of their own — one `seconds,rps` row per slot — and round-trip
-//! the synthetic generator's output for archival alongside experiment
-//! results.
+//! Trace persistence: write an RPS trace as CSV, one `time_s,rps` row
+//! per slot, so the synthetic generator's output can be archived and
+//! plotted alongside experiment results.
 
 use crate::diurnal::DiurnalTrace;
-use deeppower_simd_server::{Nanos, SECOND};
-use std::io::{BufRead, BufReader, Write};
+use deeppower_simd_server::SECOND;
+use std::io::Write;
 use std::path::Path;
 
 /// Write a trace as `time_s,rps` CSV (with header).
@@ -20,75 +16,6 @@ pub fn save_trace_csv(trace: &DiurnalTrace, path: &Path) -> std::io::Result<()> 
         writeln!(f, "{},{}", i as f64 * slot_s, rps)?;
     }
     Ok(())
-}
-
-/// Load a trace from `time_s,rps` CSV. Slots must be uniformly spaced;
-/// the slot width is inferred from the first two rows (a single-row file
-/// gets a 1 s slot).
-pub fn load_trace_csv(path: &Path) -> std::io::Result<DiurnalTrace> {
-    let f = std::fs::File::open(path)?;
-    let reader = BufReader::new(f);
-    let mut times = Vec::new();
-    let mut rps = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || (lineno == 0 && line.starts_with("time")) {
-            continue;
-        }
-        let mut parts = line.split(',');
-        let parse_err = |what: &str| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("line {}: bad {what}: {line}", lineno + 1),
-            )
-        };
-        let t: f64 = parts
-            .next()
-            .ok_or_else(|| parse_err("row"))?
-            .trim()
-            .parse()
-            .map_err(|_| parse_err("time"))?;
-        let r: f64 = parts
-            .next()
-            .ok_or_else(|| parse_err("row"))?
-            .trim()
-            .parse()
-            .map_err(|_| parse_err("rps"))?;
-        if r < 0.0 {
-            return Err(parse_err("rps (negative)"));
-        }
-        times.push(t);
-        rps.push(r);
-    }
-    if rps.is_empty() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "trace file has no data rows",
-        ));
-    }
-    let slot_ns: Nanos = if times.len() >= 2 {
-        let dt = times[1] - times[0];
-        if dt <= 0.0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "non-increasing timestamps",
-            ));
-        }
-        // Verify uniform spacing within 1 %.
-        for w in times.windows(2) {
-            if ((w[1] - w[0]) - dt).abs() > dt * 0.01 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "non-uniform slot spacing",
-                ));
-            }
-        }
-        (dt * SECOND as f64).round() as Nanos
-    } else {
-        SECOND
-    };
-    Ok(DiurnalTrace::from_samples(slot_ns, rps))
 }
 
 #[cfg(test)]
@@ -105,40 +32,21 @@ mod tests {
         let trace = DiurnalTrace::generate(&DiurnalConfig::default(), 5);
         let path = tmp("roundtrip");
         save_trace_csv(&trace, &path).unwrap();
-        let loaded = load_trace_csv(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.n_slots(), trace.n_slots());
-        assert_eq!(loaded.slot_ns(), trace.slot_ns());
-        for (a, b) in trace.samples().iter().zip(loaded.samples()) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        let mut lines = text.lines();
+        assert_eq!(lines.next(), Some("time_s,rps"));
+        let rows: Vec<(f64, f64)> = lines
+            .map(|l| {
+                let (t, rps) = l.split_once(',').unwrap();
+                (t.parse().unwrap(), rps.parse().unwrap())
+            })
+            .collect();
+        assert_eq!(rows.len(), trace.n_slots());
+        let slot_s = trace.slot_ns() as f64 / SECOND as f64;
+        for (i, (&want, &(t, rps))) in trace.samples().iter().zip(&rows).enumerate() {
+            assert_eq!(t, i as f64 * slot_s);
+            assert_eq!(rps, want, "slot {i}");
         }
-    }
-
-    #[test]
-    fn rejects_malformed_files() {
-        let path = tmp("bad");
-        std::fs::write(&path, "time_s,rps\n0,100\n1,not-a-number\n").unwrap();
-        assert!(load_trace_csv(&path).is_err());
-        std::fs::write(&path, "time_s,rps\n").unwrap();
-        assert!(load_trace_csv(&path).is_err());
-        std::fs::write(&path, "time_s,rps\n0,100\n1,200\n5,300\n").unwrap();
-        assert!(
-            load_trace_csv(&path).is_err(),
-            "non-uniform spacing must fail"
-        );
-        std::fs::write(&path, "time_s,rps\n0,100\n1,-5\n").unwrap();
-        assert!(load_trace_csv(&path).is_err(), "negative rps must fail");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn single_row_defaults_to_one_second_slots() {
-        let path = tmp("single");
-        std::fs::write(&path, "time_s,rps\n0,250\n").unwrap();
-        let t = load_trace_csv(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(t.n_slots(), 1);
-        assert_eq!(t.slot_ns(), SECOND);
-        assert_eq!(t.rps_at(0), 250.0);
     }
 }
