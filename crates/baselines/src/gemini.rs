@@ -32,7 +32,7 @@ pub(crate) struct NnPredictor {
 
 impl NnPredictor {
     /// Train on profiling samples: features → service time (ns).
-    pub fn train(samples: &[ProfileSample], epochs: usize, seed: u64) -> Self {
+    pub(crate) fn train(samples: &[ProfileSample], epochs: usize, seed: u64) -> Self {
         assert!(
             !samples.is_empty(),
             "cannot train predictor on empty profile"

@@ -76,7 +76,7 @@ impl DeepPowerConfig {
     /// service time of different applications" (§4.6). Long-service apps
     /// (Sphinx) use a coarser controller tick; caps follow the app's
     /// capacity.
-    pub fn for_app(n_threads: usize, capacity_rps: f64, mean_service_ns: f64) -> Self {
+    pub(crate) fn for_app(n_threads: usize, capacity_rps: f64, mean_service_ns: f64) -> Self {
         let mut cfg = Self::default();
         cfg.state_norm.core_cap = n_threads as f32;
         cfg.state_norm.num_req_cap = (capacity_rps * cfg.long_time as f64 / SECOND as f64) as f32;
@@ -93,7 +93,7 @@ impl DeepPowerConfig {
         (self.long_time / self.short_time).max(1)
     }
 
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.short_time == 0 || self.long_time == 0 {
             return Err("control periods must be positive".into());
         }

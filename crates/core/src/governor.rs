@@ -144,11 +144,6 @@ impl<'a> DeepPowerGovernor<'a> {
         self
     }
 
-    /// Current thread-controller parameters (the last action).
-    pub fn params(&self) -> ControllerParams {
-        self.controller.params
-    }
-
     /// Record an internal fault the governor detected (socket-wide).
     fn emit_fault(&self, t: Nanos, kind: FaultKind, magnitude: f64) {
         self.recorder.emit(|| {

@@ -45,7 +45,7 @@ impl RewardTerms {
     /// DDPG critic (its targets compound by 1/(1−γ)). With `kappa = 0` the
     /// weight sum and the total are bit-identical to the paper's
     /// three-term reward.
-    pub fn total(&self, alpha: f64, beta: f64, gamma_q: f64, kappa: f64) -> f64 {
+    pub(crate) fn total(&self, alpha: f64, beta: f64, gamma_q: f64, kappa: f64) -> f64 {
         let wsum = (alpha + beta + gamma_q + kappa).max(1e-9);
         -(alpha * self.energy + beta * self.timeout + gamma_q * self.queue + kappa * self.wasted)
             / wsum
@@ -75,7 +75,7 @@ pub(crate) struct RewardCalculator {
 }
 
 impl RewardCalculator {
-    pub fn new(alpha: f64, beta: f64, gamma_q: f64, eta: f64) -> Self {
+    pub(crate) fn new(alpha: f64, beta: f64, gamma_q: f64, eta: f64) -> Self {
         Self {
             alpha,
             beta,
@@ -93,7 +93,7 @@ impl RewardCalculator {
     }
 
     /// Reset counters at an episode boundary.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.prev_energy_uj = 0;
         self.prev_timeouts = 0;
         self.prev_arrived = 0;
@@ -132,7 +132,7 @@ impl RewardCalculator {
     ///   abandoned; 0 unless an overload plan is active),
     /// * `queue_len` — current queue length,
     /// * `step_ns` — length of the DRL step (to convert energy to power).
-    pub fn step(
+    pub(crate) fn step(
         &mut self,
         energy_uj: u64,
         timeouts: u64,

@@ -36,11 +36,6 @@ impl StateObserver {
         }
     }
 
-    /// Reset the arrival baseline (episode boundary).
-    pub fn reset(&mut self) {
-        self.prev_arrived = 0;
-    }
-
     /// Produce the normalized state vector for the current view and
     /// advance the arrival baseline.
     pub fn observe(&mut self, view: &ServerView<'_>) -> [f32; STATE_DIM] {
@@ -241,16 +236,5 @@ mod tests {
         let cores: [CoreView; 0] = [];
         let s = obs.observe(&view(2 * MILLISECOND, &q, &cores, 1_000_000));
         assert!(s.iter().all(|&x| x <= 2.0));
-    }
-
-    #[test]
-    fn reset_restores_arrival_baseline() {
-        let mut obs = StateObserver::new(StateNorm::default());
-        let q = VecDeque::new();
-        let cores: [CoreView; 0] = [];
-        let _ = obs.observe(&view(0, &q, &cores, 500));
-        obs.reset();
-        let s = obs.observe(&view(0, &q, &cores, 500));
-        assert!(s[0] > 0.0, "after reset the full counter counts again");
     }
 }

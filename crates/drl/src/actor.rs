@@ -38,7 +38,7 @@ impl TwoHeadActor {
     /// General constructor. `trunk_dims` are the shared hidden widths,
     /// `head_dims` the per-head hidden widths; every head ends in a single
     /// sigmoid unit.
-    pub fn new<R: Rng>(
+    pub(crate) fn new<R: Rng>(
         rng: &mut R,
         state_dim: usize,
         trunk_dims: &[usize],
@@ -70,17 +70,9 @@ impl TwoHeadActor {
         }
     }
 
-    pub fn state_dim(&self) -> usize {
-        self.state_dim
-    }
-
-    pub fn action_dim(&self) -> usize {
-        self.heads.len()
-    }
-
     /// Training forward pass: `states (n × state_dim) → actions (n × action_dim)`,
     /// every component in `[0, 1]`.
-    pub fn forward(&mut self, states: &Matrix) -> Matrix {
+    pub(crate) fn forward(&mut self, states: &Matrix) -> Matrix {
         let h = self.trunk.forward(states);
         self.cached_trunk_out = Some(h.clone());
         let outs: Vec<Matrix> = self.heads.iter_mut().map(|head| head.forward(&h)).collect();
@@ -89,7 +81,7 @@ impl TwoHeadActor {
 
     /// Inference forward pass (no caching). This is the sub-millisecond
     /// action-generation path measured in §5.5.
-    pub fn forward_inference(&self, states: &Matrix) -> Matrix {
+    pub(crate) fn forward_inference(&self, states: &Matrix) -> Matrix {
         let h = self.trunk.forward_inference(states);
         let outs: Vec<Matrix> = self
             .heads
@@ -115,7 +107,7 @@ impl TwoHeadActor {
     /// passes) but not a single float. The fleet layer leans on both
     /// properties: the speed for N-node lockstep steps, the equality for
     /// determinism against single-node runs.
-    pub fn act_batch(&self, states: &Matrix) -> Matrix {
+    pub(crate) fn act_batch(&self, states: &Matrix) -> Matrix {
         assert_eq!(
             states.cols(),
             self.state_dim,
@@ -130,7 +122,12 @@ impl TwoHeadActor {
     /// run the same fused kernels in the same order, only the storage is
     /// caller-owned — so hot callers (the fleet lockstep loop calls this
     /// once per LongTime epoch) amortize all buffers to zero.
-    pub fn act_batch_into(&self, states: &Matrix, out: &mut Matrix, scratch: &mut ActorScratch) {
+    pub(crate) fn act_batch_into(
+        &self,
+        states: &Matrix,
+        out: &mut Matrix,
+        scratch: &mut ActorScratch,
+    ) {
         assert_eq!(
             states.cols(),
             self.state_dim,
@@ -158,7 +155,7 @@ impl TwoHeadActor {
     /// the fleet's state matrix stays a single `N × state_dim` stack.
     ///
     /// [`act_batch_into`]: Self::act_batch_into
-    pub fn act_batch_rows_into(
+    pub(crate) fn act_batch_rows_into(
         &self,
         states: &Matrix,
         rows: &[usize],
@@ -180,7 +177,7 @@ impl TwoHeadActor {
 
     /// Backward pass given `d_actions (n × action_dim)`; accumulates
     /// gradients and returns the gradient w.r.t. the input states.
-    pub fn backward(&mut self, d_actions: &Matrix) -> Matrix {
+    pub(crate) fn backward(&mut self, d_actions: &Matrix) -> Matrix {
         assert_eq!(
             d_actions.cols(),
             self.heads.len(),
@@ -202,15 +199,11 @@ impl TwoHeadActor {
         self.trunk.backward(&d_h)
     }
 
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.trunk.zero_grad();
         for h in &mut self.heads {
             h.zero_grad();
         }
-    }
-
-    pub fn param_count(&self) -> usize {
-        self.num_params()
     }
 }
 
@@ -291,10 +284,10 @@ mod tests {
     fn paper_default_shapes_and_param_count() {
         let mut rng = StdRng::seed_from_u64(1);
         let actor = TwoHeadActor::paper_default(&mut rng, 8, 2);
-        assert_eq!(actor.state_dim(), 8);
-        assert_eq!(actor.action_dim(), 2);
+        assert_eq!(actor.state_dim, 8);
+        assert_eq!(actor.heads.len(), 2);
         // trunk: 8*32+32 + 32*24+24 = 1080; heads: 2*(24*16+16 + 16*1+1) = 834.
-        assert_eq!(actor.param_count(), 1080 + 834);
+        assert_eq!(actor.num_params(), 1080 + 834);
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl Critic {
         Self::new(rng, state_dim, action_dim, 32, 24, 16)
     }
 
-    pub fn new<R: Rng>(
+    pub(crate) fn new<R: Rng>(
         rng: &mut R,
         state_dim: usize,
         action_dim: usize,
@@ -57,16 +57,8 @@ impl Critic {
         }
     }
 
-    pub fn state_dim(&self) -> usize {
-        self.state_dim
-    }
-
-    pub fn action_dim(&self) -> usize {
-        self.action_dim
-    }
-
     /// Training forward: `Q(s, a)` as an `n × 1` matrix.
-    pub fn forward(&mut self, states: &Matrix, actions: &Matrix) -> Matrix {
+    pub(crate) fn forward(&mut self, states: &Matrix, actions: &Matrix) -> Matrix {
         assert_eq!(states.cols(), self.state_dim, "critic state width mismatch");
         assert_eq!(
             actions.cols(),
@@ -82,7 +74,7 @@ impl Critic {
     }
 
     /// Inference forward (no caching).
-    pub fn forward_inference(&self, states: &Matrix, actions: &Matrix) -> Matrix {
+    pub(crate) fn forward_inference(&self, states: &Matrix, actions: &Matrix) -> Matrix {
         let h = self
             .state_act
             .forward_inference(&self.state_layer.forward_inference(states));
@@ -104,7 +96,7 @@ impl Critic {
 
     /// Backward pass given `d_q (n × 1)`; accumulates parameter gradients
     /// and returns `(d_states, d_actions)`.
-    pub fn backward(&mut self, d_q: &Matrix) -> (Matrix, Matrix) {
+    pub(crate) fn backward(&mut self, d_q: &Matrix) -> (Matrix, Matrix) {
         let d_z2 = self.joint2_act.backward(&self.out.backward(d_q));
         let d_z1 = self.joint1_act.backward(&self.joint2.backward(&d_z2));
         let d_joined = self.joint1.backward(&d_z1);
@@ -113,15 +105,11 @@ impl Critic {
         (d_states, d_actions)
     }
 
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.state_layer.zero_grad();
         self.joint1.zero_grad();
         self.joint2.zero_grad();
         self.out.zero_grad();
-    }
-
-    pub fn param_count(&self) -> usize {
-        self.num_params()
     }
 }
 
@@ -151,7 +139,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let critic = Critic::paper_default(&mut rng, 8, 2);
         // 8*32+32 + 34*24+24 + 24*16+16 + 16*1+1
-        assert_eq!(critic.param_count(), 288 + 840 + 400 + 17);
+        assert_eq!(critic.num_params(), 288 + 840 + 400 + 17);
     }
 
     #[test]

@@ -255,10 +255,6 @@ impl Ddpg {
             && self.replay.total_pushed() as usize >= self.cfg.warmup
     }
 
-    pub fn updates(&self) -> u64 {
-        self.updates
-    }
-
     /// Diverged updates rolled back to the last-good snapshot.
     pub fn rollbacks(&self) -> u64 {
         self.rollbacks

@@ -27,18 +27,18 @@ pub(crate) struct GaussianNoise {
 }
 
 impl GaussianNoise {
-    pub fn new(mu: f32, sigma: f32) -> Self {
+    pub(crate) fn new(mu: f32, sigma: f32) -> Self {
         assert!(sigma >= 0.0, "sigma must be non-negative");
         Self { mu, sigma }
     }
 
     /// Sample one noise value.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> f32 {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> f32 {
         self.mu + self.sigma * sample_standard_normal(rng)
     }
 
     /// Add noise to every element of `action` in place.
-    pub fn perturb<R: Rng>(&self, rng: &mut R, action: &mut [f32]) {
+    pub(crate) fn perturb<R: Rng>(&self, rng: &mut R, action: &mut [f32]) {
         for a in action {
             *a += self.sample(rng);
         }

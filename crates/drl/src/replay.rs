@@ -24,7 +24,7 @@ impl Transition {
     /// the pool would eventually be sampled into a mini-batch and poison
     /// the networks, so [`ReplayBuffer::push`] rejects non-finite
     /// transitions outright.
-    pub fn is_finite(&self) -> bool {
+    pub(crate) fn is_finite(&self) -> bool {
         self.reward.is_finite()
             && self.state.iter().all(|x| x.is_finite())
             && self.action.iter().all(|x| x.is_finite())
@@ -51,7 +51,7 @@ pub struct ReplayBuffer {
 
 impl ReplayBuffer {
     /// Create a buffer holding at most `capacity` transitions.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "replay capacity must be positive");
         Self {
             capacity,
@@ -84,7 +84,7 @@ impl ReplayBuffer {
     /// Non-finite transitions (any NaN/∞ in state, action, reward or
     /// next state) are rejected instead of stored; returns
     /// whether the transition was accepted.
-    pub fn push(&mut self, t: Transition) -> bool {
+    pub(crate) fn push(&mut self, t: Transition) -> bool {
         if !t.is_finite() {
             return false;
         }
@@ -109,7 +109,7 @@ impl ReplayBuffer {
     /// a warm pool (diagnostics, tests) still get a full batch. Panics
     /// when empty; callers gate on warm-up length first (Algorithm 2
     /// line 13).
-    pub fn sample<R: Rng>(
+    pub(crate) fn sample<R: Rng>(
         &mut self,
         rng: &mut R,
         batch: usize,

@@ -58,14 +58,6 @@ impl Sac {
         Self { cfg, policy, rng }
     }
 
-    /// Deterministic evaluation action: `tanh(mean)`.
-    pub fn act(&self, state: &[f32]) -> Vec<f32> {
-        let out = self.policy.forward_inference(&Matrix::from_row(state));
-        (0..self.cfg.action_dim)
-            .map(|j| out.get(0, j).tanh())
-            .collect()
-    }
-
     /// Stochastic action and its log-probability `log π(a|s)`.
     pub fn act_explore(&mut self, state: &[f32]) -> (Vec<f32>, f32) {
         let out = self.policy.forward_inference(&Matrix::from_row(state));
@@ -99,11 +91,11 @@ mod tests {
 
     #[test]
     fn action_bounded_in_unit_ball() {
-        let agent = Sac::new(SacConfig {
+        let mut agent = Sac::new(SacConfig {
             seed: 1,
             ..Default::default()
         });
-        let a = agent.act(&[0.5; 8]);
+        let (a, _) = agent.act_explore(&[0.5; 8]);
         assert_eq!(a.len(), 2);
         assert!(a.iter().all(|&x| (-1.0..=1.0).contains(&x)));
     }

@@ -96,15 +96,6 @@ pub struct NodeCapacity {
 }
 
 impl NodeCapacity {
-    /// The historical homogeneous-node capacity: `cores` at the Xeon
-    /// 800 MHz floor.
-    pub fn uniform(cores: usize) -> Self {
-        Self {
-            cores,
-            floor_mhz: REFERENCE_FLOOR_MHZ,
-        }
-    }
-
     /// Reference-time work retired per nanosecond: the satellite bugfix
     /// — previously every node drained at one fleet-wide `cores ×
     /// DRAIN_FRACTION`, so a 2-core node next to 1-core nodes was
@@ -307,6 +298,17 @@ fn argmin_effective(models: &mut [BacklogModel], now: u64, req_index: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl NodeCapacity {
+        /// The historical homogeneous-node capacity: `cores` at the Xeon
+        /// 800 MHz floor.
+        pub(crate) fn uniform(cores: usize) -> Self {
+            Self {
+                cores,
+                floor_mhz: REFERENCE_FLOOR_MHZ,
+            }
+        }
+    }
 
     fn req(id: u64, arrival: u64, work: u64) -> Request {
         Request {

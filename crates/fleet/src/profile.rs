@@ -108,7 +108,7 @@ impl NodeProfile {
     }
 
     /// Validate invariants; call after deserializing a profile file.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let ctx = |msg: String| format!("profile `{}`: {msg}", self.name);
         if self.count == 0 {
             return Err(ctx("count must be at least 1".into()));
@@ -195,7 +195,7 @@ impl NodeProfile {
     /// What the balancer's fluid model needs to know about one node of
     /// this profile. Little cores drain at their cap relative to the
     /// node's own floor, counted fractionally against the big cores.
-    pub fn capacity(&self) -> NodeCapacity {
+    pub(crate) fn capacity(&self) -> NodeCapacity {
         NodeCapacity {
             cores: self.cores,
             floor_mhz: self.min_mhz,

@@ -93,7 +93,7 @@ pub enum GovernorSpec {
 
 impl GovernorSpec {
     /// Stable label used for grouping and reporting.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             GovernorSpec::MaxFreq => "baseline".into(),
             GovernorSpec::FixedMhz(mhz) => format!("fixed-{mhz}"),
@@ -225,17 +225,6 @@ impl JobResult {
             retries: sim.retries,
             wasted_s: sim.wasted_s,
         }
-    }
-
-    /// Goodput as a fraction of everything the clients offered
-    /// (completions + shed); 1.0 for an open-loop run, 0.0 when nothing
-    /// was offered.
-    pub fn goodput_ratio(&self) -> f64 {
-        let offered = self.goodput + self.wasted + self.shed;
-        if offered == 0 {
-            return 0.0;
-        }
-        self.goodput as f64 / offered as f64
     }
 }
 

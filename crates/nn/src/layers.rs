@@ -53,17 +53,12 @@ impl Linear {
         }
     }
 
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         self.w.rows()
     }
 
     pub(crate) fn out_dim(&self) -> usize {
         self.w.cols()
-    }
-
-    /// Number of trainable parameters (weights + biases).
-    pub fn param_count(&self) -> usize {
-        self.w.rows() * self.w.cols() + self.b.len()
     }
 
     /// Forward pass; caches the input for the backward pass.
@@ -141,7 +136,7 @@ pub enum ActivationKind {
 
 impl ActivationKind {
     #[inline]
-    pub fn apply(self, x: f32) -> f32 {
+    pub(crate) fn apply(self, x: f32) -> f32 {
         match self {
             ActivationKind::Relu => x.max(0.0),
             ActivationKind::Sigmoid => 1.0 / (1.0 + (-x).exp()),
@@ -179,7 +174,7 @@ pub struct Activation {
 }
 
 impl Activation {
-    pub fn new(kind: ActivationKind) -> Self {
+    pub(crate) fn new(kind: ActivationKind) -> Self {
         Self {
             kind,
             cached_output: None,
@@ -188,14 +183,6 @@ impl Activation {
 
     pub fn relu() -> Self {
         Self::new(ActivationKind::Relu)
-    }
-
-    pub fn sigmoid() -> Self {
-        Self::new(ActivationKind::Sigmoid)
-    }
-
-    pub fn tanh() -> Self {
-        Self::new(ActivationKind::Tanh)
     }
 
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
@@ -286,7 +273,7 @@ mod tests {
 
     #[test]
     fn sigmoid_output_bounded() {
-        let mut a = Activation::sigmoid();
+        let mut a = Activation::new(ActivationKind::Sigmoid);
         let y = a.forward(&Matrix::from_row(&[-100.0, 0.0, 100.0]));
         assert!(y.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
         assert!((y.as_slice()[1] - 0.5).abs() < 1e-6);

@@ -396,7 +396,7 @@ impl Matrix {
     }
 
     /// Apply `f` to every element into a new matrix.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
+    pub(crate) fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
         Matrix {
             rows: self.rows,
             cols: self.cols,
@@ -440,13 +440,6 @@ impl Matrix {
             return 0.0;
         }
         self.data.iter().sum::<f32>() / self.data.len() as f32
-    }
-
-    /// Scale all elements in place.
-    pub fn scale(&mut self, s: f32) {
-        for x in &mut self.data {
-            *x *= s;
-        }
     }
 }
 

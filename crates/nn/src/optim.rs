@@ -49,11 +49,6 @@ impl Adam {
         }
     }
 
-    /// Steps taken so far (bias-correction counter).
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
     /// Apply one update using the gradients currently accumulated in the
     /// network. Does *not* zero gradients — callers do that before the
     /// next backward pass.
@@ -125,7 +120,7 @@ mod tests {
             opt.step(&mut l);
         }
         assert!(l.w.as_slice()[0].abs() < 1e-2, "w = {}", l.w.as_slice()[0]);
-        assert_eq!(opt.steps(), 300);
+        assert_eq!(opt.t, 300);
     }
 
     #[test]

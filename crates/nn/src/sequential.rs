@@ -26,7 +26,7 @@ pub struct Sequential {
 }
 
 impl Sequential {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { stages: Vec::new() }
     }
 
@@ -154,11 +154,6 @@ impl Sequential {
             }
         }
     }
-
-    /// Total trainable parameter count.
-    pub fn param_count(&self) -> usize {
-        self.num_params()
-    }
 }
 
 impl Default for Sequential {
@@ -205,7 +200,7 @@ mod tests {
         assert_eq!((y.rows(), y.cols()), (1, 2));
         assert!(y.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
         // 8*32+32 + 32*24+24 + 24*16+16 + 16*2+2
-        assert_eq!(net.param_count(), 288 + 792 + 400 + 34);
+        assert_eq!(net.num_params(), 288 + 792 + 400 + 34);
     }
 
     #[test]

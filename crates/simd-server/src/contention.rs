@@ -48,7 +48,7 @@ impl ContentionModel {
     }
 
     /// Inflation factor (≥ 1) given busy and total core counts.
-    pub fn inflation(&self, busy: usize, total: usize) -> f64 {
+    pub(crate) fn inflation(&self, busy: usize, total: usize) -> f64 {
         debug_assert!(busy <= total);
         if total == 0 || self.coeff == 0.0 {
             return 1.0;

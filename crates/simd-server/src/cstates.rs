@@ -39,7 +39,7 @@ impl CStatePlan {
 
     /// Xeon-like plan: C1 (halt) and C6 (deep), with the paper's ~100 µs
     /// C6 wake latency.
-    pub fn xeon() -> Self {
+    pub(crate) fn xeon() -> Self {
         Self {
             states: vec![
                 // Residual powers sit below clocked idle at any frequency
@@ -59,13 +59,9 @@ impl CStatePlan {
         }
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-
     /// Validate ordering invariants: deeper states save more and wake
     /// slower.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for w in self.states.windows(2) {
             if w[1].power_w >= w[0].power_w {
                 return Err("deeper C-state must draw less power".into());
@@ -107,7 +103,7 @@ mod tests {
     #[test]
     fn empty_plan_is_valid() {
         let p = CStatePlan::none();
-        assert!(p.is_empty());
+        assert!(p.states.is_empty());
         p.validate().unwrap();
         assert_eq!(p.deepest(), None);
     }

@@ -92,7 +92,7 @@ impl FreqPlan {
     /// Snap an arbitrary MHz value to the nearest available nominal level
     /// (never snaps *to* turbo; turbo must be requested explicitly, as in
     /// Algorithm 1 line 7).
-    pub fn snap(&self, mhz: u32) -> u32 {
+    pub(crate) fn snap(&self, mhz: u32) -> u32 {
         *self
             .levels_mhz
             .iter()
@@ -159,7 +159,7 @@ pub(crate) struct DvfsController {
 }
 
 impl DvfsController {
-    pub fn new(n_cores: usize) -> Self {
+    pub(crate) fn new(n_cores: usize) -> Self {
         assert!(n_cores > 0, "DvfsController needs at least one core");
         Self {
             pending: vec![None; n_cores],
@@ -181,7 +181,7 @@ impl DvfsController {
     /// `target_mhz`, under the drawn `fault`. The caller applies the
     /// frequency itself on [`TransitionOutcome::Applied`]; deferred
     /// transitions land through [`poll`](Self::poll).
-    pub fn request(
+    pub(crate) fn request(
         &mut self,
         core: usize,
         now: Nanos,

@@ -91,7 +91,7 @@ impl FaultPlan {
     }
 
     /// Validate invariants; called by the engine before a run.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (name, p) in [
             ("dvfs_fail_prob", self.dvfs_fail_prob),
             ("dvfs_spike_prob", self.dvfs_spike_prob),
@@ -170,7 +170,7 @@ pub(crate) struct FaultState {
 impl FaultState {
     /// Build the per-run state. Panics on an invalid plan (mirrors the
     /// engine's config validation).
-    pub fn new(plan: FaultPlan, n_cores: usize) -> Self {
+    pub(crate) fn new(plan: FaultPlan, n_cores: usize) -> Self {
         plan.validate().expect("invalid fault plan");
         // Decoupled streams per fault axis: each axis's draws are
         // independent of how many draws the others made.
@@ -190,7 +190,14 @@ impl FaultState {
     }
 
     /// Record one discrete injected fault: count + typed event.
-    pub fn record(&mut self, rec: &Recorder, t: Nanos, kind: FaultKind, core: i64, magnitude: f64) {
+    pub(crate) fn record(
+        &mut self,
+        rec: &Recorder,
+        t: Nanos,
+        kind: FaultKind,
+        core: i64,
+        magnitude: f64,
+    ) {
         self.injected += 1;
         rec.emit(|| {
             Event::FaultInjected(event::FaultInjected {
@@ -295,7 +302,12 @@ impl FaultState {
     /// Pass one governor-tick sensor refresh through the fault model:
     /// either the fresh reading (with the energy delta possibly scaled by
     /// noise, keeping the reading monotone) or the previous stale one.
-    pub fn observe(&mut self, now: Nanos, fresh: SensorReading, rec: &Recorder) -> SensorReading {
+    pub(crate) fn observe(
+        &mut self,
+        now: Nanos,
+        fresh: SensorReading,
+        rec: &Recorder,
+    ) -> SensorReading {
         if self.plan.sensor_drop_prob <= 0.0 && self.plan.power_noise_frac <= 0.0 {
             return fresh;
         }

@@ -70,13 +70,6 @@ pub struct ServerView<'a> {
     pub energy_uj: u64,
 }
 
-impl ServerView<'_> {
-    /// Queue length (requests waiting, not counting in-service).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-}
-
 /// Frequency commands issued by a governor during one callback.
 ///
 /// Commands are validated and applied by the engine after the callback
@@ -192,10 +185,6 @@ impl FreqCommands {
     /// Whether any setter ran since the last call, clearing the flag.
     pub(crate) fn take_issued(&mut self) -> bool {
         std::mem::take(&mut self.issued)
-    }
-
-    pub fn n_cores(&self) -> usize {
-        self.targets.len()
     }
 }
 
@@ -379,6 +368,6 @@ mod tests {
             energy_uj: 0,
         };
         assert_eq!(view.cores.iter().filter(|c| c.busy()).count(), 1);
-        assert_eq!(view.queue_len(), 0);
+        assert!(view.queue.is_empty());
     }
 }

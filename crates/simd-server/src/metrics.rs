@@ -142,7 +142,7 @@ pub(crate) struct MetricsCollector {
 }
 
 impl MetricsCollector {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -163,7 +163,7 @@ impl MetricsCollector {
         self.records.push(rec);
     }
 
-    pub fn stats(&self) -> LatencyStats {
+    pub(crate) fn stats(&self) -> LatencyStats {
         LatencyStats::from_records(&self.records)
     }
 }

@@ -63,16 +63,6 @@ pub enum QueuePolicy {
 }
 
 impl QueuePolicy {
-    /// Stable CLI/report name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            QueuePolicy::Fifo => "fifo",
-            QueuePolicy::Lifo => "lifo",
-            QueuePolicy::DropNewest => "drop-newest",
-            QueuePolicy::DropOldest => "drop-oldest",
-        }
-    }
-
     /// Parse a CLI name.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
@@ -181,7 +171,7 @@ impl OverloadPlan {
     }
 
     /// Validate invariants; called by the engine before a run.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(0.0..=1.0).contains(&self.retry_prob) {
             return Err(format!(
                 "retry_prob must be in [0, 1], got {}",
@@ -215,7 +205,7 @@ impl Default for OverloadPlan {
 /// An admission decision: may a request join the queue, and at whose
 /// expense.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Admit {
+pub(crate) enum Admit {
     /// Enqueue the arriving request.
     Accept,
     /// Shed the arriving request for the given reason.
@@ -280,7 +270,7 @@ pub(crate) struct CoDelAdmission {
 }
 
 impl CoDelAdmission {
-    pub fn new(target_ns: Nanos, interval_ns: Nanos) -> Self {
+    pub(crate) fn new(target_ns: Nanos, interval_ns: Nanos) -> Self {
         Self {
             target_ns,
             interval_ns,
@@ -310,7 +300,7 @@ pub(crate) struct DrlAdmission {
 }
 
 impl DrlAdmission {
-    pub fn new(scale: usize) -> Self {
+    pub(crate) fn new(scale: usize) -> Self {
         // Until the first command arrives, admit up to the full scale.
         Self { scale, frac: 1.0 }
     }
@@ -428,7 +418,7 @@ pub(crate) struct OverloadState {
 impl OverloadState {
     /// Build the per-run state. Panics on an invalid plan (mirrors the
     /// engine's config validation).
-    pub fn new(plan: OverloadPlan, n_cores: usize) -> Self {
+    pub(crate) fn new(plan: OverloadPlan, n_cores: usize) -> Self {
         plan.validate().expect("invalid overload plan");
         let admission: Box<dyn AdmissionController> = match plan.admission {
             AdmissionMode::None => Box::new(AdmitAll),
@@ -464,7 +454,7 @@ impl OverloadState {
         }
     }
 
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.plan.is_active()
     }
 
@@ -475,7 +465,7 @@ impl OverloadState {
 
     /// The admission threshold currently in effect (observability: the
     /// request tracer stamps it into service spans).
-    pub fn admit_frac(&self) -> f64 {
+    pub(crate) fn admit_frac(&self) -> f64 {
         self.admission.admit_frac()
     }
 
@@ -547,7 +537,7 @@ impl OverloadState {
     /// Decide the fate of a request arriving at `now` given the current
     /// queue. Consults the admission controller first, then the
     /// capacity/overflow policy.
-    pub fn admit(&mut self, now: Nanos, queue: &VecDeque<Request>) -> Admit {
+    pub(crate) fn admit(&mut self, now: Nanos, queue: &VecDeque<Request>) -> Admit {
         if !self.is_active() {
             return Admit::Accept;
         }
@@ -583,7 +573,7 @@ impl OverloadState {
     /// retry. An evicted attempt whose client already abandoned it was
     /// retried (or given up on) at the abandonment, so its eviction
     /// counts as a shed but schedules no second retry.
-    pub fn on_shed(
+    pub(crate) fn on_shed(
         &mut self,
         now: Nanos,
         req: &Request,

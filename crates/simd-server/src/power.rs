@@ -74,7 +74,7 @@ pub(crate) struct EnergyMeter {
 }
 
 impl EnergyMeter {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

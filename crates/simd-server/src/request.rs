@@ -113,7 +113,7 @@ impl Request {
     /// When the *client* submitted this logical request: the first
     /// attempt's arrival. Falls back to `arrival` for fresh requests
     /// whose constructor left `first_arrival` unset.
-    pub fn client_arrival(&self) -> Nanos {
+    pub(crate) fn client_arrival(&self) -> Nanos {
         if self.attempt == 0 {
             self.arrival
         } else {

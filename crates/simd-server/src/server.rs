@@ -831,17 +831,6 @@ pub struct Session<'a, I = SliceArrivals<'a>> {
 }
 
 impl<I: Iterator<Item = Request>> Session<'_, I> {
-    /// Simulated time of the last processed event.
-    pub fn now(&self) -> Nanos {
-        self.now
-    }
-
-    /// Whether the run has terminated (all arrivals served, all cores
-    /// idle; the governor's `on_run_end` has fired).
-    pub fn finished(&self) -> bool {
-        self.finished
-    }
-
     /// Process every event at simulated times strictly below `t_stop`,
     /// then pause. Returns `true` when the run terminated instead of
     /// pausing. Calling again with a larger bound resumes seamlessly:

@@ -177,10 +177,10 @@ macro_rules! tag_enum {
 
         impl $name {
             /// Every variant, in declaration order.
-            pub const ALL: [$name; [$($tag),+].len()] = [$(Self::$variant),+];
+            pub(crate) const ALL: [$name; [$($tag),+].len()] = [$(Self::$variant),+];
 
             /// The stable tag.
-            pub fn as_str(self) -> &'static str {
+            pub(crate) fn as_str(self) -> &'static str {
                 match self {
                     $(Self::$variant => $tag,)+
                 }

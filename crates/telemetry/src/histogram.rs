@@ -126,10 +126,6 @@ impl Histogram {
         self.count
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Exact mean of the recorded values (the sum is kept exactly).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -149,7 +145,7 @@ impl Histogram {
     }
 
     /// Exact minimum of the recorded values (0 when empty).
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -281,7 +277,7 @@ mod tests {
             let mut h = Histogram::new();
             for &v in &values { h.record(v); }
             if values.is_empty() {
-                prop_assert!(h.is_empty());
+                prop_assert_eq!(h.count(), 0);
                 prop_assert_eq!(h.percentile(q1), 0);
                 prop_assert_eq!(h.min(), 0);
                 prop_assert_eq!(h.max(), 0);
@@ -366,7 +362,7 @@ mod tests {
             assert_eq!(a.percentile(q), b.percentile(q));
         }
         b.reset();
-        assert!(b.is_empty());
+        assert_eq!(b.count(), 0);
         assert_eq!(b.nonzero_buckets(), vec![]);
         assert_eq!(b.percentile(0.99), 0);
         b.record(5);

@@ -13,7 +13,7 @@ pub enum LogLevel {
 }
 
 impl LogLevel {
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             LogLevel::Error => "error",
             LogLevel::Warn => "warn",
@@ -31,7 +31,7 @@ pub struct Logger {
 }
 
 impl Logger {
-    pub fn new(level: LogLevel) -> Self {
+    pub(crate) fn new(level: LogLevel) -> Self {
         Self { level }
     }
 
@@ -47,15 +47,11 @@ impl Logger {
         Self::new(level)
     }
 
-    pub fn level(&self) -> LogLevel {
-        self.level
-    }
-
-    pub fn enabled(&self, level: LogLevel) -> bool {
+    pub(crate) fn enabled(&self, level: LogLevel) -> bool {
         level <= self.level
     }
 
-    pub fn log(&self, level: LogLevel, msg: &str) {
+    pub(crate) fn log(&self, level: LogLevel, msg: &str) {
         if self.enabled(level) {
             eprintln!("[{}] {msg}", level.label());
         }
@@ -91,11 +87,11 @@ mod tests {
 
     #[test]
     fn from_flags_maps_levels() {
-        assert_eq!(Logger::from_flags(true, false).level(), LogLevel::Error);
-        assert_eq!(Logger::from_flags(false, true).level(), LogLevel::Debug);
-        assert_eq!(Logger::from_flags(false, false).level(), LogLevel::Info);
+        assert_eq!(Logger::from_flags(true, false).level, LogLevel::Error);
+        assert_eq!(Logger::from_flags(false, true).level, LogLevel::Debug);
+        assert_eq!(Logger::from_flags(false, false).level, LogLevel::Info);
         // --quiet wins over -v.
-        assert_eq!(Logger::from_flags(true, true).level(), LogLevel::Error);
+        assert_eq!(Logger::from_flags(true, true).level, LogLevel::Error);
     }
 
     #[test]

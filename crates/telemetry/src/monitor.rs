@@ -126,10 +126,6 @@ impl FleetMonitor {
         }
     }
 
-    pub fn config(&self) -> &MonitorConfig {
-        &self.cfg
-    }
-
     /// Feed one event from `node`'s stream. Events must arrive in each
     /// node's stream order; different nodes may interleave arbitrarily.
     pub fn observe(&mut self, node: u64, event: &Event) {

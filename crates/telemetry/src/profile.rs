@@ -101,7 +101,8 @@ struct OpenSpan {
 
 enum Clock {
     Wall(Instant),
-    /// Test clock advanced explicitly via [`Profiler::advance`].
+    /// Test clock advanced explicitly by the unit tests.
+    #[cfg(test)]
     Manual(AtomicU64),
 }
 
@@ -123,6 +124,7 @@ impl Shared {
     fn now_ns(&self) -> u64 {
         match &self.clock {
             Clock::Wall(epoch) => epoch.elapsed().as_nanos() as u64,
+            #[cfg(test)]
             Clock::Manual(t) => t.load(Ordering::SeqCst),
         }
     }
@@ -195,14 +197,8 @@ impl Profiler {
 
     /// An enabled wall-clock profiler keeping at most `max_records`
     /// detailed spans (aggregates are exact regardless).
-    pub fn with_capacity(max_records: usize) -> Self {
+    pub(crate) fn with_capacity(max_records: usize) -> Self {
         Self::build(Clock::Wall(Instant::now()), max_records)
-    }
-
-    /// An enabled profiler on a manual clock starting at 0 — time moves
-    /// only through [`advance`](Self::advance). For tests.
-    pub fn manual(max_records: usize) -> Self {
-        Self::build(Clock::Manual(AtomicU64::new(0)), max_records)
     }
 
     fn build(clock: Clock, max_records: usize) -> Self {
@@ -223,16 +219,6 @@ impl Profiler {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Advance a [`manual`](Self::manual) clock by `ns`. No-op on
-    /// wall-clock or disabled profilers.
-    pub fn advance(&self, ns: u64) {
-        if let Some(sh) = &self.inner {
-            if let Clock::Manual(t) = &sh.clock {
-                t.fetch_add(ns, Ordering::SeqCst);
-            }
-        }
     }
 
     /// Open a span; it closes when the returned guard drops. Disabled:
@@ -387,6 +373,24 @@ pub fn render_phase_table(rows: &[PhaseRow], wall_ns: u64) -> String {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+
+    impl Profiler {
+        /// An enabled profiler on a manual clock starting at 0 — time moves
+        /// only through [`advance`](Self::advance). For tests.
+        fn manual(max_records: usize) -> Self {
+            Self::build(Clock::Manual(AtomicU64::new(0)), max_records)
+        }
+
+        /// Advance a `manual` clock by `ns`. No-op on
+        /// wall-clock or disabled profilers.
+        fn advance(&self, ns: u64) {
+            if let Some(sh) = &self.inner {
+                if let Clock::Manual(t) = &sh.clock {
+                    t.fetch_add(ns, Ordering::SeqCst);
+                }
+            }
+        }
+    }
 
     /// One event parsed back out of a Chrome trace (times restored to
     /// nanoseconds; exact for spans below ~3 days).

@@ -66,7 +66,7 @@ pub(crate) struct RingSink {
 }
 
 impl RingSink {
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "RingSink capacity must be positive");
         Self {
             buf: Vec::with_capacity(capacity),

@@ -41,7 +41,7 @@ pub struct BurnRateRule {
 impl BurnRateRule {
     /// Stable label used in `Alert`/`AlertResolved` events, e.g.
     /// `burn>=2/5w:2w`.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         format!(
             "burn>={}/{}w:{}w",
             self.max_burn, self.long_windows, self.short_windows
@@ -144,7 +144,7 @@ impl SloSpec {
         Ok(spec)
     }
 
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (label, v) in [
             ("p99_ms", self.p99_ms),
             ("timeout_rate", self.timeout_rate),
@@ -192,7 +192,7 @@ impl SloSpec {
 
     /// The enabled objectives as `(metric tag, target)` pairs, stable
     /// order.
-    pub fn objectives(&self) -> Vec<(&'static str, f64)> {
+    pub(crate) fn objectives(&self) -> Vec<(&'static str, f64)> {
         let mut out = Vec::new();
         if self.p99_ms > 0.0 {
             out.push((METRIC_P99, self.p99_ms));
@@ -253,7 +253,7 @@ const EWMA_STD_FLOOR_FRAC: f64 = 0.05;
 const EWMA_STD_FLOOR_ABS: f64 = 1e-9;
 
 impl EwmaDetector {
-    pub fn new(cfg: EwmaConfig) -> Self {
+    pub(crate) fn new(cfg: EwmaConfig) -> Self {
         Self {
             alpha: cfg.alpha.clamp(1e-6, 1.0),
             z_threshold: cfg.z_threshold,
@@ -266,7 +266,7 @@ impl EwmaDetector {
 
     /// Fold in one point; returns its z-score against the pre-update
     /// estimate once warm-up is over.
-    pub fn observe(&mut self, v: f64) -> Option<f64> {
+    pub(crate) fn observe(&mut self, v: f64) -> Option<f64> {
         if !v.is_finite() {
             // Non-finite points score as maximally anomalous without
             // poisoning the running estimate.

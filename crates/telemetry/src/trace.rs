@@ -109,11 +109,11 @@ impl TracePlan {
         }
     }
 
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.sample > 0.0 || self.exemplars > 0
     }
 
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(0.0..=1.0).contains(&self.sample) {
             return Err(format!(
                 "trace sample must be in [0, 1], got {}",
@@ -163,7 +163,7 @@ impl TraceSpan {
         }
     }
 
-    pub fn dur_ns(&self) -> u64 {
+    pub(crate) fn dur_ns(&self) -> u64 {
         self.end.saturating_sub(self.start)
     }
 }
@@ -456,10 +456,6 @@ impl RequestTracer {
         self.enabled
     }
 
-    pub fn plan(&self) -> &TracePlan {
-        &self.plan
-    }
-
     fn head_sampled(&self, client: u64) -> bool {
         self.plan.sample > 0.0 && splitmix64(client ^ self.plan.seed) <= self.threshold
     }
@@ -696,12 +692,12 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// File one received trace under the node's open window.
-    pub fn push(&mut self, node: u64, trace: RequestTrace) {
+    pub(crate) fn push(&mut self, node: u64, trace: RequestTrace) {
         let window = self.cur.get(&node).copied().unwrap_or(0);
         self.traces.entry((window, node)).or_default().push(trace);
     }
@@ -715,7 +711,7 @@ impl FlightRecorder {
     }
 
     /// Fold another recorder's (node-disjoint) state in.
-    pub fn merge(&mut self, other: FlightRecorder) {
+    pub(crate) fn merge(&mut self, other: FlightRecorder) {
         for (key, traces) in other.traces {
             self.traces.entry(key).or_default().extend(traces);
         }

@@ -138,10 +138,6 @@ impl AppSpec {
         }
     }
 
-    pub fn all() -> Vec<Self> {
-        App::ALL.iter().map(|&a| Self::get(a)).collect()
-    }
-
     /// Mean of the variable (log-normal) body component.
     pub(crate) fn body_mean_ns(&self) -> f64 {
         self.mean_service_ns * (1.0 - self.intercept_frac)
@@ -251,7 +247,7 @@ mod tests {
 
     #[test]
     fn masstree_uses_eight_threads_others_twenty() {
-        for spec in AppSpec::all() {
+        for spec in App::ALL.map(AppSpec::get) {
             if spec.app == App::Masstree {
                 assert_eq!(spec.n_threads, 8);
             } else {
@@ -285,7 +281,7 @@ mod tests {
     fn intrinsic_p99_below_sla() {
         // Headroom exists at low load for every app (otherwise no power
         // management scheme could meet the SLA).
-        for spec in AppSpec::all() {
+        for spec in App::ALL.map(AppSpec::get) {
             assert!(
                 spec.intrinsic_p99_ns() < spec.sla as f64,
                 "{} p99 exceeds SLA",
@@ -297,7 +293,7 @@ mod tests {
     #[test]
     fn empirical_mean_service_time_matches_spec() {
         let mut rng = StdRng::seed_from_u64(5);
-        for spec in AppSpec::all() {
+        for spec in App::ALL.map(AppSpec::get) {
             let n = 20_000;
             let mean: f64 = (0..n)
                 .map(|i| spec.sample_request(&mut rng, i, 0).work_ref_ns as f64)

@@ -35,7 +35,7 @@ impl LogNormal {
         }
     }
 
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
         (self.mu + self.sigma * standard_normal(rng)).exp()
     }
 }
@@ -48,12 +48,12 @@ pub(crate) struct Exponential {
 }
 
 impl Exponential {
-    pub fn new(lambda: f64) -> Self {
+    pub(crate) fn new(lambda: f64) -> Self {
         assert!(lambda > 0.0, "rate must be positive");
         Self { lambda }
     }
 
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
         let u: f64 = 1.0 - rng.random::<f64>();
         -u.ln() / self.lambda
     }

@@ -149,7 +149,7 @@ impl DiurnalTrace {
 
     /// Multiply the whole trace by `factor` (the paper scales the trace so
     /// unmanaged tail latency lands near the SLA).
-    pub fn scale(&mut self, factor: f64) {
+    pub(crate) fn scale(&mut self, factor: f64) {
         assert!(factor > 0.0, "scale factor must be positive");
         for r in &mut self.rps {
             *r *= factor;
