@@ -6,15 +6,15 @@
 //!   is accurate enough for applications in Tailbench … When a request
 //!   arrives, Retail enumerates all the frequency levels from small to
 //!   large and stops when the frequency level is large enough to avoid
-//!   timing out." Implemented in [`retail`] over an OLS predictor
-//!   ([`linreg`]).
+//!   timing out." Implemented in [`RetailGovernor`] over an OLS predictor
+//!   ([`LinReg`]).
 //! * **Gemini** (Zhou et al., MICRO 2020) — "uses a neural network for
 //!   service time prediction … selects a low frequency of a request and
 //!   boosts the frequency when the request is going to time out."
-//!   Implemented in [`gemini`] over a small MLP predictor.
+//!   Implemented in [`GeminiGovernor`] over a small MLP predictor.
 //! * **Rubik** (Kasture et al., MICRO 2015) — related work (§6): feature-
 //!   free statistical tail planning; "takes the tail of the distribution
-//!   as the predicted latency", implemented in [`rubik`].
+//!   as the predicted latency", implemented in [`RubikGovernor`].
 //! * **MaxFreq** — the paper's no-power-management baseline (all cores at
 //!   the maximum nominal frequency), plus arbitrary fixed frequencies.
 //!

@@ -55,7 +55,8 @@ impl Scale {
     }
 }
 
-/// Training seed used by the figure benches for `app`.
+/// Train (or load a cached) DeepPower policy for `app` at this scale,
+/// from the app's calibrated training seed.
 ///
 /// DDPG at the reduced bench scale is seed-sensitive — most visibly on
 /// Sphinx, whose multi-second requests yield the least diverse
@@ -64,20 +65,11 @@ impl Scale {
 /// collapse). The calibrated values live with the experiment engine
 /// (`deeppower_harness::calibrated_train_seed`, see EXPERIMENTS.md);
 /// the paper does not report its training seeds.
-pub(crate) fn policy_seed(app: App) -> u64 {
-    deeppower_harness::calibrated_train_seed(app)
-}
-
-/// [`trained_policy`] at the bench's calibrated [`policy_seed`].
-pub fn default_trained_policy(app: App, scale: Scale) -> TrainedPolicy {
-    trained_policy(app, scale, policy_seed(app))
-}
-
-/// Train (or load a cached) DeepPower policy for `app` at this scale.
 ///
 /// Caching lives under `target/deeppower-policies/` keyed by app, scale
 /// and seed, so the per-figure benches don't retrain the same agent.
-pub(crate) fn trained_policy(app: App, scale: Scale, seed: u64) -> TrainedPolicy {
+pub fn default_trained_policy(app: App, scale: Scale) -> TrainedPolicy {
+    let seed = deeppower_harness::calibrated_train_seed(app);
     let dir = cache_dir();
     std::fs::create_dir_all(&dir).ok();
     let key = format!(

@@ -688,7 +688,8 @@ fn cmd_grid(flags: &Flags, log: &Logger) -> Result<(), String> {
 }
 
 /// Governors × fault-scenarios degradation sweep. Every requested
-/// governor runs plain *and* wrapped in the [`SafetyGovernor`] layer
+/// governor runs plain *and* wrapped in the
+/// [`SafetyGovernor`](deeppower_core::SafetyGovernor) layer
 /// (`<governor>+safe` rows), across the five seeded fault scenarios;
 /// deltas in the table are against the same row-group's fault-free run.
 fn cmd_robustness(flags: &Flags, log: &Logger) -> Result<(), String> {

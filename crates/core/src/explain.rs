@@ -121,7 +121,7 @@ pub struct DecisionExplanation {
     pub(crate) action: ActionOut,
     /// `Q(state, action)` under the agent's critic.
     pub q_value: f32,
-    /// Per-dimension action sensitivity at `state` (see [`saliency_at`]).
+    /// Per-dimension action sensitivity at `state` (see `saliency_at`).
     pub saliency: [[f32; 2]; STATE_DIM],
 }
 

@@ -26,7 +26,7 @@
 //!   frequency every `ShortTime`; `score ≥ 1` commands turbo.
 //! * [`StateObserver`] — §4.4.1's 8-dimensional workload state
 //!   (`NumReq, QueueLen, Queue25/50/75, Core25/50/75`), normalized.
-//! * [`RewardCalculator`] — §4.4.2's
+//! * `RewardCalculator` — §4.4.2's
 //!   `R = −(α·R_energy + β·R_timeout + γ·R_queue)` with the
 //!   queue-growth penalty gated by [`scale_func`].
 //! * [`DeepPowerGovernor`] — the hierarchical control loop: thread

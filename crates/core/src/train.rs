@@ -2,7 +2,7 @@
 //!
 //! [`train`] runs the DDPG agent against simulated episodes of the target
 //! application under diurnal load (the paper trains "with a long running
-//! workload and save[s] the neural network parameters after training"),
+//! workload and save\[s\] the neural network parameters after training"),
 //! returning a serializable [`TrainedPolicy`]. [`evaluate`] replays a
 //! trained policy on a fresh workload and reports the paper's metrics
 //! (power, latency percentiles, timeout rate) plus the per-second

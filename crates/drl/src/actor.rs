@@ -223,7 +223,7 @@ impl Params for TwoHeadActor {
     }
 }
 
-/// Reusable buffers for [`TwoHeadActor::act_batch_into`]. One of these
+/// Reusable buffers for [`Ddpg::act_batch_into`](crate::Ddpg::act_batch_into). One of these
 /// per hot loop; after the first call at a given batch size nothing in
 /// the batched inference path allocates.
 #[derive(Clone, Debug)]

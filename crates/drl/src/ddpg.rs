@@ -193,14 +193,13 @@ impl Ddpg {
 
     /// Deterministic actions for a stacked `n × state_dim` batch in one
     /// matrix–matrix forward pass. Row `i` equals `act(states.row(i))`
-    /// exactly; see [`TwoHeadActor::act_batch`].
+    /// exactly.
     pub fn act_batch(&self, states: &Matrix) -> Matrix {
         self.actor.act_batch(states)
     }
 
     /// [`Ddpg::act_batch`] into caller-owned storage — bit-identical, but
     /// allocation-free once `out`/`scratch` have seen the batch shape.
-    /// See [`TwoHeadActor::act_batch_into`].
     pub fn act_batch_into(
         &self,
         states: &Matrix,
@@ -242,7 +241,8 @@ impl Ddpg {
     }
 
     /// Store a transition in the replay pool. Returns `false` when the
-    /// pool rejected it as non-finite (see [`ReplayBuffer::push`]).
+    /// pool rejected it as non-finite (a NaN or infinity anywhere in the
+    /// state, action, reward or next state).
     pub fn observe(&mut self, t: Transition) -> bool {
         debug_assert_eq!(t.state.len(), self.cfg.state_dim);
         debug_assert_eq!(t.action.len(), self.cfg.action_dim);

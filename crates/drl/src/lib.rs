@@ -10,7 +10,7 @@
 //! Components:
 //!
 //! * [`ReplayBuffer`] — fixed-capacity ring buffer with uniform sampling.
-//! * [`GaussianNoise`] — exploration noise. The paper adds `N(0.3, 1)`
+//! * `GaussianNoise` — exploration noise. The paper adds `N(0.3, 1)`
 //!   Gaussian noise to actions during training (§4.6).
 //! * [`Ddpg`] — the paper's agent: a two-headed actor (shared trunk, one
 //!   sigmoid head per thread-controller parameter, §4.6) and a critic that
@@ -18,8 +18,8 @@
 //!   described in the implementation-detail section.
 //! * [`Dqn`] — the Q-network with greedy action selection. Double DQN
 //!   changes only the training target, so it shares this network.
-//! * [`Sac`] — the tanh-squashed Gaussian policy, with a deterministic
-//!   action and a sampled one that also returns its log-probability.
+//! * [`Sac`] — the tanh-squashed Gaussian policy, whose sampled action
+//!   comes with its log-probability.
 //!
 //! All agents are seed-deterministic.
 

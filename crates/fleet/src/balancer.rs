@@ -83,15 +83,14 @@ const REFERENCE_FLOOR_MHZ: u32 = 800;
 
 /// What the balancer knows about one node's hardware: enough to build
 /// its fluid drain model. Derived from a
-/// [`crate::NodeProfile`] in heterogeneous fleets; uniform fleets use
-/// [`NodeCapacity::uniform`], which reproduces the historical
-/// one-`cores`-for-everyone model bit-for-bit.
+/// [`crate::NodeProfile`]. A node at the Xeon 800 MHz floor reproduces
+/// the historical one-`cores`-for-everyone model bit-for-bit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeCapacity {
     /// Physical cores retiring work in parallel.
     pub cores: usize,
     /// The node's own DVFS floor — the frequency the conservative drain
-    /// estimate assumes (see [`DRAIN_FRACTION`]).
+    /// estimate assumes.
     pub floor_mhz: u32,
 }
 

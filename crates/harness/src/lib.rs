@@ -35,10 +35,13 @@ use deeppower_simd_server::{
     ServerConfig, SimResult, MILLISECOND, SECOND,
 };
 use deeppower_telemetry::{
-    event, Event, FleetMonitor, MonitorConfig, Recorder, SloSpec, TracePlan,
+    event, Event, FleetMonitor, HealthReport, MonitorConfig, MonitorSink, Recorder, SloSpec,
+    TracePlan,
 };
 use deeppower_workload::{constant_rate_arrivals, trace_arrivals, App, AppSpec};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -453,7 +456,7 @@ pub fn run_grid(jobs: &[JobSpec], threads: usize) -> Vec<JobResult> {
 /// with the results, each with the number of events its ring evicted.
 ///
 /// Each worker gives the job it claimed a fresh ring recorder
-/// ([`GRID_EVENT_CAPACITY`]) on its own thread and drains the events
+/// (65,536 events) on its own thread and drains the events
 /// into the job's dedicated slot, so — like the results themselves —
 /// the event streams depend only on the job specs and their indices:
 /// serializing stream `i` (e.g. via `deeppower_telemetry::to_jsonl`)
@@ -889,19 +892,39 @@ pub(crate) fn robustness_jobs(
     jobs
 }
 
+/// The SLO every robustness row is judged against: the app's SLA, and
+/// (for the overload rows) delivered goodput — windows where less than
+/// half the offered load completes usefully violate.
+fn robustness_slo(app: App) -> SloSpec {
+    let app_spec = AppSpec::get(app);
+    let mut slo = SloSpec::for_sla_ns(app_spec.name, app_spec.sla);
+    slo.goodput_ratio = 0.5;
+    slo
+}
+
+/// Run one job with its event stream feeding a single-node
+/// [`FleetMonitor`] that evaluates `slo` as the events are emitted.
+fn run_job_monitored(job: &JobSpec, idx: u64, slo: &SloSpec) -> (JobResult, HealthReport) {
+    let mon = Rc::new(RefCell::new(FleetMonitor::new(MonitorConfig::with_slo(
+        slo.clone(),
+    ))));
+    let rec = Recorder::with_sink(Box::new(MonitorSink::new(Rc::clone(&mon), 0)));
+    let result = run_job(job, idx, &rec);
+    drop(rec);
+    let mon = Rc::try_unwrap(mon).ok().expect("the recorder was dropped");
+    (result, mon.into_inner().finish())
+}
+
 /// Run the governors × scenarios matrix and compute each cell's
 /// degradation relative to the same governor's fault-free run.
 /// `scenarios` is [`robustness_scenarios`] or a [`select_scenarios`]
 /// subset (e.g. the CLI's `--scenario` filter); the first scenario must
 /// be the `none` baseline the deltas are taken against.
 ///
-/// Each job runs under a telemetry recorder ([`run_grid_telemetry`]) and
-/// its event stream feeds a single-node [`FleetMonitor`] evaluating the
-/// app's SLA ([`SloSpec::for_sla_ns`]), so every row also reports
-/// burn-rate alert counts and time in SLO violation. Event streams are
-/// ring-capped at [`GRID_EVENT_CAPACITY`]; a dvfs fault storm on a long
-/// run can clip the *earliest* events, which may drop leading windows
-/// from the monitor's view (never the run's own results).
+/// Each job's event stream feeds a single-node [`FleetMonitor`] inline
+/// (through a [`MonitorSink`]) evaluating the app's SLA
+/// ([`SloSpec::for_sla_ns`]), so every row also reports burn-rate alert
+/// counts and time in SLO violation over the whole run.
 #[allow(clippy::too_many_arguments)]
 pub fn robustness_matrix(
     scenarios: &[(&'static str, FaultPlan, OverloadPlan)],
@@ -922,22 +945,16 @@ pub fn robustness_matrix(
         peak_load,
         duration_s,
     );
-    let (results, events) = run_grid_telemetry(&jobs, threads);
-    let app_spec = AppSpec::get(app);
-    let mut slo = SloSpec::for_sla_ns(app_spec.name, app_spec.sla);
-    // Overload rows also answer for delivered goodput: windows where
-    // less than half the offered load completes usefully violate.
-    slo.goodput_ratio = 0.5;
-    let health: Vec<(u64, f64)> = events
-        .iter()
-        .map(|(stream, _)| {
-            let mut mon = FleetMonitor::new(MonitorConfig::with_slo(slo.clone()));
-            mon.ingest(0, stream);
-            let rep = mon.finish();
+    let slo = robustness_slo(app);
+    let threads = all_cores_if_zero(threads).min(jobs.len());
+    let (results, health): (Vec<JobResult>, Vec<(u64, f64)>) =
+        parallel_map(&jobs, threads, |idx, job| {
+            let (result, rep) = run_job_monitored(job, idx as u64, &slo);
             let violation_ns: u64 = rep.outcomes.iter().map(|o| o.time_in_violation_ns).sum();
-            (rep.alerts.len() as u64, violation_ns as f64 / 1e9)
+            (result, (rep.alerts.len() as u64, violation_ns as f64 / 1e9))
         })
-        .collect();
+        .into_iter()
+        .unzip();
     let n_scenarios = scenarios.len();
     let mut rows = Vec::with_capacity(results.len());
     for ((chunk_jobs, chunk), chunk_health) in jobs
@@ -1330,6 +1347,43 @@ mod tests {
         assert_eq!(res.governor, "thread-controller+safe");
         job.safety = false;
         assert_eq!(job.governor_label(), "thread-controller");
+    }
+
+    /// A job whose event stream outgrows the grid's telemetry ring still
+    /// gets health columns computed from its whole stream.
+    #[test]
+    fn robustness_health_reads_streams_that_overflow_the_grid_ring() {
+        let app = App::Xapian;
+        let wanted = ["none".to_string(), "flash-crowd".to_string()];
+        let scenarios = select_scenarios(1, AppSpec::get(app).sla, &wanted).unwrap();
+        let governors = [GovernorSpec::MaxFreq];
+        let (seed, load, duration_s) = (1, 0.7, 4);
+        let report = robustness_matrix(
+            &scenarios, app, &governors, false, seed, load, duration_s, 0,
+        );
+        let jobs = robustness_jobs(&scenarios, app, &governors, false, seed, load, duration_s);
+        let mut overflowed = 0;
+        for (idx, (job, row)) in jobs.iter().zip(&report.rows).enumerate() {
+            let rec = Recorder::ring(1 << 22);
+            run_job(job, idx as u64, &rec);
+            assert_eq!(rec.dropped_events(), 0);
+            let stream = rec.drain_events();
+            if stream.len() > GRID_EVENT_CAPACITY {
+                overflowed += 1;
+            }
+            let mut mon = FleetMonitor::new(MonitorConfig::with_slo(robustness_slo(app)));
+            mon.ingest(0, &stream);
+            let rep = mon.finish();
+            let violation_ns: u64 = rep.outcomes.iter().map(|o| o.time_in_violation_ns).sum();
+            assert_eq!(row.alerts, rep.alerts.len() as u64, "{}", row.scenario);
+            assert_eq!(
+                row.violation_s,
+                violation_ns as f64 / 1e9,
+                "{}",
+                row.scenario
+            );
+        }
+        assert!(overflowed > 0, "no stream outgrew the grid ring");
     }
 
     #[test]

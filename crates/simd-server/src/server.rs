@@ -108,14 +108,14 @@ pub struct RunOptions {
     /// enable it).
     pub trace: TraceConfig,
     /// Deterministic fault injection (off by default; see
-    /// [`crate::faults`]).
+    /// [`FaultPlan`]).
     pub faults: FaultPlan,
     /// Closed-loop client / admission model (off by default — the
     /// classic open-loop, unbounded-queue engine; see
-    /// [`crate::overload`]).
+    /// [`OverloadPlan`]).
     pub overload: OverloadPlan,
     /// Deterministic request-lifecycle tracing (off by default; see
-    /// [`deeppower_telemetry::trace`]). Active only with an enabled
+    /// [`TracePlan`]). Active only with an enabled
     /// recorder, and never perturbs results.
     pub rtrace: TracePlan,
 }

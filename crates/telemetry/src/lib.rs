@@ -11,12 +11,12 @@
 //!   lifecycle, and periodic latency snapshots.
 //! * [`Recorder`] — the cheap, cloneable handle call sites hold: an
 //!   optional [`TelemetrySink`] (by default a preallocated
-//!   [`RingSink`]) plus the span [`Profiler`]. A disabled recorder is
+//!   ring buffer) plus the span [`Profiler`]. A disabled recorder is
 //!   a `None` and every emission guards on one branch, so instrumented
 //!   hot paths cost nothing when telemetry is off (asserted by the
 //!   `telemetry_overhead` bench). The recorder keeps no counts: a run's
 //!   counts live in its result (`SimResult` fields) and in the events.
-//! * [`export`] — JSONL (the artifact format written by
+//! * Export — JSONL (the artifact format written by
 //!   `deeppower grid --telemetry` and `deeppower trace`) and CSV
 //!   exporters, plus series reconstruction from transition events.
 //! * [`Logger`] — the leveled stderr logger behind the CLI's

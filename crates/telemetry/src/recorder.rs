@@ -115,7 +115,8 @@ impl Recorder {
         Self::default()
     }
 
-    /// An enabled recorder over a [`RingSink`] of `capacity` events.
+    /// An enabled recorder over a ring buffer that keeps the newest
+    /// `capacity` events and counts the ones it evicts.
     pub fn ring(capacity: usize) -> Self {
         Self::with_sink(Box::new(RingSink::new(capacity)))
     }

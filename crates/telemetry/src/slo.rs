@@ -90,7 +90,7 @@ pub(crate) fn default_rules() -> Vec<BurnRateRule> {
 pub(crate) const LATENCY_BUDGET: f64 = 0.01;
 
 /// A declarative SLO specification. A target of 0 disables that
-/// objective; an empty `rules` list means [`default_rules`].
+/// objective; an empty `rules` list means the default burn-rate rules.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SloSpec {
     pub name: String,

@@ -13,9 +13,10 @@
 //!   [`DiurnalTrace`] generates a seed-deterministic equivalent with the
 //!   same qualitative features: day/half-day harmonics, flash-crowd
 //!   bursts, and AR(1) jitter.
-//! * **Arrivals** — [`arrivals`] turns a rate function into a concrete
-//!   request sequence via non-homogeneous Poisson thinning, or a constant
-//!   rate for the fixed-load experiments (Table 3, Fig. 2).
+//! * **Arrivals** — [`trace_arrivals`] turns a rate function into a
+//!   concrete request sequence via non-homogeneous Poisson thinning, and
+//!   [`constant_rate_arrivals`] draws a constant rate for the fixed-load
+//!   experiments (Table 3, Fig. 2).
 //!   [`ArrivalStream`] draws the trace-driven process on demand.
 //!
 //! Requests expose only *observable* features (input size, request class)
