@@ -910,8 +910,10 @@ fn run_job_monitored(job: &JobSpec, idx: u64, slo: &SloSpec) -> (JobResult, Heal
     ))));
     let rec = Recorder::with_sink(Box::new(MonitorSink::new(Rc::clone(&mon), 0)));
     let result = run_job(job, idx, &rec);
+    // Dropping the recorder leaves this function the monitor's only
+    // reference.
     drop(rec);
-    let mon = Rc::try_unwrap(mon).ok().expect("the recorder was dropped");
+    let mon = Rc::into_inner(mon).expect("the monitor sink outlived its recorder");
     (result, mon.into_inner().finish())
 }
 
