@@ -14,9 +14,10 @@
 //!    (asserted every run, every node count).
 //! 3. **End-to-end batched ≤ reference** — the batched lockstep fleet
 //!    must not lose to the per-node inference loop it replaced.
-//!    Timed best-of-k with the two drivers alternating, so neither
-//!    side pockets the warm-up; emitted as
-//!    `batched_over_reference_ratio` for the bench-diff gate.
+//!    Timed in interleaved pairs whose order alternates, so neither
+//!    side pockets the warm-up; the median of the per-pair ratios is
+//!    asserted and emitted as `batched_over_reference_ratio` for the
+//!    bench-diff gate.
 //! 4. **Heterogeneous fleets** — on a mixed-profile fleet (4×1-core
 //!    edge boxes + 2×4-core nodes) the grouped coordinator pass must
 //!    not lose to per-node inference (`hetero_grouped_over_pernode_ratio`,
@@ -189,10 +190,11 @@ fn main() {
     }
 
     // ---- 3. end-to-end batched vs reference at N = 8 ----
-    // Best-of-k with the two drivers alternating inside each round, so
-    // cache/allocator warm-up lands on both sides equally (single-shot
-    // timing here once let the batched path "lose" 2.5% purely to
-    // running first, cold).
+    // Interleaved pairs whose order alternates, so cache/allocator
+    // warm-up lands on both sides equally (single-shot timing here once
+    // let the batched path "lose" 2.5% purely to running first, cold).
+    // The gate reads the median of the per-pair ratios: a best-of-k
+    // ratio of sub-second runs is dominated by noise on a shared host.
     let spec = FleetSpec::uniform(
         App::Masstree,
         8,
@@ -201,27 +203,17 @@ fn main() {
         0.4,
         duration_s,
     );
-    let rounds = if smoke { 3 } else { 5 };
-    let mut wall_batched = f64::INFINITY;
-    let mut wall_reference = f64::INFINITY;
-    let mut checked = false;
-    for _ in 0..rounds {
-        let t = Instant::now();
-        let batched = run_fleet(&spec, &policy);
-        wall_batched = wall_batched.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        let reference = run_fleet_reference(&spec, &policy);
-        wall_reference = wall_reference.min(t.elapsed().as_secs_f64());
-        if !checked {
-            assert_eq!(
-                batched.to_json(),
-                reference.to_json(),
-                "batched fleet drifted from the per-node reference"
-            );
-            checked = true;
-        }
-    }
-    let ratio = wall_batched / wall_reference;
+    let rounds = if smoke { 9 } else { 11 };
+    let ((batched, reference), wall_batched, wall_reference, ratio) = paired_rounds(
+        rounds,
+        || run_fleet(&spec, &policy),
+        || run_fleet_reference(&spec, &policy),
+    );
+    assert_eq!(
+        batched.to_json(),
+        reference.to_json(),
+        "batched fleet drifted from the per-node reference"
+    );
     // Pathology guard, not a noise gate: the two drivers do identical
     // engine work and differ only in microseconds of inference per
     // epoch, so the true ratio is ~1.0 and anything ≥ 1.10 means the
@@ -232,7 +224,7 @@ fn main() {
         "batched fleet lost to the per-node reference: {wall_batched:.3}s vs {wall_reference:.3}s ({ratio:.3}x)"
     );
     println!(
-        "\n# end-to-end at 8 nodes: batched {wall_batched:.2} s vs per-node loop {wall_reference:.2} s, ratio {ratio:.3} (results byte-identical, best of {rounds})"
+        "\n# end-to-end at 8 nodes: batched {wall_batched:.2} s vs per-node loop {wall_reference:.2} s, median ratio {ratio:.3} over {rounds} pairs (results byte-identical, best walls)"
     );
 
     // ---- 4. heterogeneous fleet: grouped inference + hardware-aware balancing ----
@@ -256,30 +248,20 @@ fn main() {
         ])
     };
 
-    // 4a. grouped coordinator pass vs per-node inference, alternating
-    // best-of-k, byte-identity asserted — the heterogeneous analogue of
+    // 4a. grouped coordinator pass vs per-node inference in interleaved
+    // pairs, byte-identity asserted — the heterogeneous analogue of
     // section 3's unity gate.
     let spec_pa = hetero(BalancerPolicy::PowerAware);
-    let mut wall_grouped = f64::INFINITY;
-    let mut wall_pernode = f64::INFINITY;
-    let mut checked = false;
-    for _ in 0..rounds {
-        let t = Instant::now();
-        let grouped = run_fleet(&spec_pa, &policy);
-        wall_grouped = wall_grouped.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        let pernode = run_fleet_reference(&spec_pa, &policy);
-        wall_pernode = wall_pernode.min(t.elapsed().as_secs_f64());
-        if !checked {
-            assert_eq!(
-                grouped.to_json(),
-                pernode.to_json(),
-                "grouped hetero fleet drifted from the per-node reference"
-            );
-            checked = true;
-        }
-    }
-    let hetero_ratio = wall_grouped / wall_pernode;
+    let ((grouped, pernode), wall_grouped, wall_pernode, hetero_ratio) = paired_rounds(
+        rounds,
+        || run_fleet(&spec_pa, &policy),
+        || run_fleet_reference(&spec_pa, &policy),
+    );
+    assert_eq!(
+        grouped.to_json(),
+        pernode.to_json(),
+        "grouped hetero fleet drifted from the per-node reference"
+    );
     assert!(
         hetero_ratio <= 1.10,
         "grouped hetero inference lost to per-node: {wall_grouped:.3}s vs {wall_pernode:.3}s ({hetero_ratio:.3}x)"
@@ -295,7 +277,7 @@ fn main() {
         rr.fleet_p99_ms
     );
     println!(
-        "\n# heterogeneous fleet (4x edge-1c + 2x quad): grouped {wall_grouped:.2} s vs per-node {wall_pernode:.2} s, ratio {hetero_ratio:.3} (byte-identical, best of {rounds})"
+        "\n# heterogeneous fleet (4x edge-1c + 2x quad): grouped {wall_grouped:.2} s vs per-node {wall_pernode:.2} s, median ratio {hetero_ratio:.3} over {rounds} pairs (byte-identical, best walls)"
     );
     println!(
         "#   balancer p99: power-aware {:.2} ms vs round-robin {:.2} ms",
@@ -320,6 +302,40 @@ fn main() {
 
 /// The per-node inference path: same lockstep drive, one single-state
 /// forward pass per node.
+/// Run `a` and `b` in `rounds` interleaved pairs, alternating which one
+/// goes first. Returns the first pair's outputs, each side's fastest
+/// wall time and the median of the per-pair `a / b` wall ratios.
+fn paired_rounds<T>(
+    rounds: usize,
+    mut a: impl FnMut() -> T,
+    mut b: impl FnMut() -> T,
+) -> ((T, T), f64, f64, f64) {
+    let timed = |f: &mut dyn FnMut() -> T| {
+        let t = Instant::now();
+        let out = f();
+        (out, t.elapsed().as_secs_f64())
+    };
+    let mut first = None;
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    let mut ratios = Vec::with_capacity(rounds);
+    for round in 0..rounds {
+        let ((out_a, wall_a), (out_b, wall_b)) = if round % 2 == 0 {
+            let ra = timed(&mut a);
+            (ra, timed(&mut b))
+        } else {
+            let rb = timed(&mut b);
+            (timed(&mut a), rb)
+        };
+        best_a = best_a.min(wall_a);
+        best_b = best_b.min(wall_b);
+        ratios.push(wall_a / wall_b);
+        first.get_or_insert((out_a, out_b));
+    }
+    ratios.sort_by(f64::total_cmp);
+    let first = first.expect("at least one round");
+    (first, best_a, best_b, ratios[rounds / 2])
+}
+
 fn run_fleet_reference(spec: &FleetSpec, policy: &TrainedPolicy) -> FleetResult {
     let per_node = FleetRun {
         per_node_act: true,
