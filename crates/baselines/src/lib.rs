@@ -19,7 +19,7 @@
 //!   the maximum nominal frequency), plus arbitrary fixed frequencies.
 //!
 //! Both predictor-based baselines train on profiling data collected from a
-//! fixed-load run ([`profile::collect_profile`]) — exactly the static-load
+//! fixed-load run ([`collect_profile`]) — exactly the static-load
 //! modeling assumption §3.1 shows breaks under dynamic load (Fig. 2).
 
 mod gemini;

@@ -35,6 +35,5 @@ pub use actor::{ActorScratch, TwoHeadActor};
 pub use critic::Critic;
 pub use ddpg::{Ddpg, DdpgConfig, UpdateStats};
 pub use dqn::{Dqn, DqnConfig};
-
 pub use replay::{ReplayBuffer, Transition};
 pub use sac::{Sac, SacConfig};

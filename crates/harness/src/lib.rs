@@ -917,6 +917,13 @@ fn run_job_monitored(job: &JobSpec, idx: u64, slo: &SloSpec) -> (JobResult, Heal
     (result, mon.into_inner().finish())
 }
 
+/// A robustness row's health columns: alerts fired and seconds spent in
+/// SLO violation, summed over the objectives.
+fn health_columns(rep: &HealthReport) -> (u64, f64) {
+    let violation_ns: u64 = rep.outcomes.iter().map(|o| o.time_in_violation_ns).sum();
+    (rep.alerts.len() as u64, violation_ns as f64 / 1e9)
+}
+
 /// Run the governors × scenarios matrix and compute each cell's
 /// degradation relative to the same governor's fault-free run.
 /// `scenarios` is [`robustness_scenarios`] or a [`select_scenarios`]
@@ -952,8 +959,7 @@ pub fn robustness_matrix(
     let (results, health): (Vec<JobResult>, Vec<(u64, f64)>) =
         parallel_map(&jobs, threads, |idx, job| {
             let (result, rep) = run_job_monitored(job, idx as u64, &slo);
-            let violation_ns: u64 = rep.outcomes.iter().map(|o| o.time_in_violation_ns).sum();
-            (result, (rep.alerts.len() as u64, violation_ns as f64 / 1e9))
+            (result, health_columns(&rep))
         })
         .into_iter()
         .unzip();
@@ -1375,15 +1381,8 @@ mod tests {
             }
             let mut mon = FleetMonitor::new(MonitorConfig::with_slo(robustness_slo(app)));
             mon.ingest(0, &stream);
-            let rep = mon.finish();
-            let violation_ns: u64 = rep.outcomes.iter().map(|o| o.time_in_violation_ns).sum();
-            assert_eq!(row.alerts, rep.alerts.len() as u64, "{}", row.scenario);
-            assert_eq!(
-                row.violation_s,
-                violation_ns as f64 / 1e9,
-                "{}",
-                row.scenario
-            );
+            let whole = health_columns(&mon.finish());
+            assert_eq!((row.alerts, row.violation_s), whole, "{}", row.scenario);
         }
         assert!(overflowed > 0, "no stream outgrew the grid ring");
     }

@@ -16,9 +16,10 @@
 //!   hot paths cost nothing when telemetry is off (asserted by the
 //!   `telemetry_overhead` bench). The recorder keeps no counts: a run's
 //!   counts live in its result (`SimResult` fields) and in the events.
-//! * Export — JSONL (the artifact format written by
-//!   `deeppower grid --telemetry` and `deeppower trace`) and CSV
-//!   exporters, plus series reconstruction from transition events.
+//! * [`to_jsonl`]/[`from_jsonl`] — JSONL, the artifact format written
+//!   by `deeppower grid --telemetry` and `deeppower trace`; plus the CSV
+//!   exporter [`steps_to_csv`] and [`freq_series`], which rebuilds a
+//!   series from transition events.
 //! * [`Logger`] — the leveled stderr logger behind the CLI's
 //!   `-v`/`--quiet` flags.
 //! * [`Histogram`] — a log-bucketed histogram: O(1) insert and

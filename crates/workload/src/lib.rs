@@ -31,6 +31,5 @@ mod trace_io;
 
 pub use apps::{App, AppSpec};
 pub use arrivals::{constant_rate_arrivals, trace_arrivals, ArrivalStream};
-
 pub use diurnal::{DiurnalConfig, DiurnalTrace};
 pub use trace_io::save_trace_csv;
