@@ -76,7 +76,6 @@ pub struct MetricDiff {
 #[derive(Clone, Debug)]
 pub struct DiffReport {
     pub rows: Vec<MetricDiff>,
-    pub tolerance: f64,
     /// The artifacts disagreed on their `"smoke"` flag, so absolute
     /// timings were demoted to Info.
     pub scale_mismatch: bool,
@@ -180,7 +179,6 @@ pub fn diff(baseline: &Value, candidate: &Value, tolerance: f64) -> DiffReport {
     );
     DiffReport {
         rows,
-        tolerance,
         scale_mismatch,
     }
 }

@@ -30,7 +30,6 @@ impl Default for DqnConfig {
 /// Deep Q-network with the same lightweight hidden sizes as the paper's
 /// actor (32, 24, 16), so the Table 2 comparison is apples to apples.
 pub struct Dqn {
-    pub cfg: DqnConfig,
     pub net: Sequential,
 }
 
@@ -43,7 +42,7 @@ impl Dqn {
             ActivationKind::Relu,
             ActivationKind::Identity,
         );
-        Self { cfg, net }
+        Self { net }
     }
 
     /// Greedy action (the path Table 2 times).
