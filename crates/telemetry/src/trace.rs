@@ -24,11 +24,15 @@
 //!   (`exemplars` field), linking fleet-merged percentiles to concrete
 //!   traces.
 //!
-//! Exemplars need every chain kept until its window rolls, so pending
-//! state has one cheap form: a `Copy` record per attempt, keyed by
-//! server id and linked to the chain's previous attempt, and a `Copy`
-//! record per chain, keyed by client id. Spans and strings exist only
-//! in emitted traces, built from those records by one function.
+//! Pending state is only what can still be emitted: the open chains,
+//! and the window's `exemplars` slowest finalized chains so far, held
+//! in a bounded heap as exemplar candidates. A chain that finalizes
+//! outside that top-k, or is evicted from it, can never be emitted
+//! again, so its records are dropped on the spot. Every record is
+//! `Copy`: one per attempt, keyed by server id and linked to the
+//! chain's previous attempt, and one per chain, keyed by client id.
+//! Spans and strings exist only in emitted traces, built from those
+//! records by one function.
 //!
 //! Trace events are emitted only at boundaries the engine visits anyway
 //! (finalization inside an existing phase, exemplars at the window
@@ -46,7 +50,8 @@
 //! Chrome trace via [`traces_to_chrome`]) and attaches the dump path to
 //! the incident timeline.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
@@ -293,8 +298,8 @@ enum End {
     },
 }
 
-/// One attempt, keyed by its server id, kept until its chain's window
-/// rolls.
+/// One attempt, keyed by its server id, kept while its chain is open
+/// or an exemplar candidate.
 #[derive(Clone, Copy, Debug)]
 struct Attempt {
     client: u64,
@@ -375,8 +380,9 @@ impl Attempt {
     }
 }
 
-/// One retry chain: keyed by client id while open, then waiting in
-/// `done` for the window roll once finalized.
+/// One retry chain: keyed by client id while open, then, once
+/// finalized, an exemplar candidate until the window rolls or a slower
+/// chain evicts it.
 #[derive(Clone, Copy, Debug)]
 struct Chain {
     client: u64,
@@ -399,6 +405,38 @@ impl Chain {
     }
 }
 
+/// A finalized chain ranked for tail exemplars: greater is slower, ties
+/// broken by the lower client id. The key is unique per chain, so the
+/// window's top k are one well-defined set.
+#[derive(Clone, Copy, Debug)]
+struct Candidate(Chain);
+
+impl Candidate {
+    fn key(&self) -> (u64, Reverse<u64>) {
+        (self.0.latency_ns(), Reverse(self.0.client))
+    }
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Candidate {}
+
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
 /// The session-side tracer. Owned by the engine; hooks take primitives
 /// so `telemetry` needs no view of the server's `Request` type. All
 /// state is keyed on ids and updated in engine event order, so the
@@ -406,10 +444,15 @@ impl Chain {
 ///
 /// Pending state is all `Copy`: one record per attempt (keyed by server
 /// id, linked to the chain's previous attempt) and one per chain (keyed
-/// by client id). The hooks only update those records and never touch
-/// the allocator once the maps have grown to the run's working set. A
-/// [`RequestTrace`], with its spans and strings, is built from the
-/// records only when a chain is emitted — as a head sample when it
+/// by client id). Records live only while they can still be emitted:
+/// those of open chains, and of the at most `exemplars` finalized
+/// chains that are the window's slowest so far. A finalizing chain that
+/// ranks below all of them, or the candidate it displaces, has its
+/// records dropped at once, so pending state scales with the chains in
+/// flight, not with the window. The hooks only update those records and
+/// never touch the allocator once the maps have grown to that working
+/// set. A [`RequestTrace`], with its spans and strings, is built from
+/// the records only when a chain is emitted — as a head sample when it
 /// finalizes, or as a tail exemplar at the window roll.
 #[derive(Debug)]
 pub struct RequestTracer {
@@ -417,13 +460,14 @@ pub struct RequestTracer {
     enabled: bool,
     /// `sample · 2⁶⁴`, saturating.
     threshold: u64,
-    /// server attempt id -> attempt, until its chain's window rolls.
+    /// server attempt id -> attempt, while its chain is open or a
+    /// candidate.
     attempts: IdMap<Attempt>,
     /// client id -> open chain.
     chains: IdMap<Chain>,
-    /// Chains finalized since the last window roll (ranked for tail
-    /// exemplars, then dropped with their attempts).
-    done: Vec<Chain>,
+    /// The window's slowest `exemplars` finalized chains so far, the
+    /// lowest-ranked on top, to be evicted first.
+    candidates: BinaryHeap<Reverse<Candidate>>,
 }
 
 impl RequestTracer {
@@ -443,7 +487,7 @@ impl RequestTracer {
             threshold,
             attempts: IdMap::default(),
             chains: IdMap::default(),
-            done: Vec::new(),
+            candidates: BinaryHeap::new(),
         }
     }
 
@@ -600,8 +644,10 @@ impl RequestTracer {
         self.finalize(client, now, true, rec);
     }
 
-    /// Close the client's open chain, emit it if head-sampled, and move
-    /// it to the window's exemplar candidates.
+    /// Close the client's open chain, emit it if head-sampled, and offer
+    /// it to the window's exemplar candidates. Whichever chain that
+    /// leaves out — this one, or the candidate it displaces — can never
+    /// be emitted, so its attempts are dropped.
     fn finalize(&mut self, client: u64, now: u64, failed: bool, rec: &Recorder) {
         let Some(mut chain) = self.chains.remove(&client) else {
             return;
@@ -611,7 +657,24 @@ impl RequestTracer {
         if self.head_sampled(client) {
             rec.emit(|| Event::RequestTrace(self.trace(&chain, SAMPLED_HEAD)));
         }
-        self.done.push(chain);
+        let offered = Candidate(chain);
+        if self.candidates.len() < self.plan.exemplars as usize {
+            self.candidates.push(Reverse(offered));
+            return;
+        }
+        let left_out = match self.candidates.peek_mut() {
+            Some(mut lowest) if offered > lowest.0 => std::mem::replace(&mut lowest.0, offered),
+            _ => offered,
+        };
+        self.forget(left_out.0.last);
+    }
+
+    /// Drop the attempts of a chain, walking back from its latest.
+    fn forget(&mut self, last: u64) {
+        let mut next = Some(last);
+        while let Some(id) = next {
+            next = self.attempts.remove(&id).and_then(|a| a.prev);
+        }
     }
 
     /// Build the emitted form of a finalized chain from its records.
@@ -639,42 +702,36 @@ impl RequestTracer {
         }
     }
 
-    /// Window roll: rank the window's finalized chains by client-visible
-    /// latency (slowest first, ties by client id), emit the top
-    /// `exemplars` not already emitted as head samples, and return the
-    /// chosen client ids — the rollup's exemplar links. Then drop the
-    /// window's chains and their attempts.
+    /// Window roll: emit the window's exemplar candidates, slowest first
+    /// (ties by client id), except those already emitted as head
+    /// samples, and return their client ids — the rollup's exemplar
+    /// links. Then drop the candidates and their attempts.
     pub fn roll(&mut self, rec: &Recorder) -> Vec<u64> {
-        if !self.enabled || self.done.is_empty() {
+        if !self.enabled || self.candidates.is_empty() {
             return Vec::new();
         }
-        let k = self.plan.exemplars as usize;
-        let mut ids = Vec::new();
-        if k > 0 {
-            // The key is unique per chain, so select-then-sort of the
-            // top k is deterministic without ordering the whole window.
-            let cmp =
-                |a: &Chain, b: &Chain| (b.latency_ns(), a.client).cmp(&(a.latency_ns(), b.client));
-            if self.done.len() > k {
-                self.done.select_nth_unstable_by(k - 1, cmp);
-            }
-            let top = k.min(self.done.len());
-            self.done[..top].sort_by(cmp);
-            for chain in &self.done[..top] {
-                ids.push(chain.client);
-                // A head-sampled chain was emitted when it finalized.
-                if !self.head_sampled(chain.client) {
-                    rec.emit(|| Event::RequestTrace(self.trace(chain, SAMPLED_EXEMPLAR)));
-                }
+        // Ascending `Reverse` order is descending rank: slowest first.
+        let mut ranked = std::mem::take(&mut self.candidates).into_vec();
+        ranked.sort_unstable();
+        let ids = ranked.iter().map(|Reverse(c)| c.0.client).collect();
+        for Reverse(Candidate(chain)) in &ranked {
+            // A head-sampled chain was emitted when it finalized.
+            if !self.head_sampled(chain.client) {
+                rec.emit(|| Event::RequestTrace(self.trace(chain, SAMPLED_EXEMPLAR)));
             }
         }
-        for chain in self.done.drain(..) {
-            let mut next = Some(chain.last);
-            while let Some(id) = next {
-                next = self.attempts.remove(&id).and_then(|a| a.prev);
-            }
+        for Reverse(Candidate(chain)) in ranked.drain(..) {
+            self.forget(chain.last);
         }
+        // Hand the emptied buffer back, so later windows reuse it.
+        self.candidates = ranked.into();
         ids
+    }
+
+    /// Attempt records held: those of open chains and of candidates.
+    #[cfg(test)]
+    fn retained_attempts(&self) -> usize {
+        self.attempts.len()
     }
 }
 
@@ -922,6 +979,368 @@ mod tests {
             hits,
             (0..1000).map(|x| c.head_sampled(x)).collect::<Vec<_>>()
         );
+    }
+
+    /// The tracer as it was before pending state was bounded: it keeps
+    /// every finalized chain and its attempts until the window rolls,
+    /// then selects and sorts the window's top `exemplars`. The
+    /// equivalence proptest drives it beside [`RequestTracer`].
+    struct WindowTracer {
+        plan: TracePlan,
+        enabled: bool,
+        threshold: u64,
+        attempts: IdMap<Attempt>,
+        chains: IdMap<Chain>,
+        done: Vec<Chain>,
+    }
+
+    impl WindowTracer {
+        fn new(plan: TracePlan, rec_enabled: bool) -> Self {
+            let threshold = if plan.sample >= 1.0 {
+                u64::MAX
+            } else {
+                (plan.sample * u64::MAX as f64) as u64
+            };
+            Self {
+                plan,
+                enabled: plan.is_active() && rec_enabled,
+                threshold,
+                attempts: IdMap::default(),
+                chains: IdMap::default(),
+                done: Vec::new(),
+            }
+        }
+
+        fn head_sampled(&self, client: u64) -> bool {
+            self.plan.sample > 0.0 && splitmix64(client ^ self.plan.seed) <= self.threshold
+        }
+
+        fn live(&mut self, id: u64) -> Option<(&mut Attempt, &mut Chain)> {
+            let attempt = self
+                .attempts
+                .get_mut(&id)
+                .filter(|a| matches!(a.end, End::Open))?;
+            let chain = self.chains.get_mut(&attempt.client)?;
+            Some((attempt, chain))
+        }
+
+        fn on_offer(&mut self, now: u64, id: u64, client: u64, attempt: u32, first: u64, sla: u64) {
+            if !self.enabled {
+                return;
+            }
+            let (prev, backoff_from) = match self.chains.get_mut(&client) {
+                Some(chain) => (
+                    Some(std::mem::replace(&mut chain.last, id)),
+                    chain.backoff_from,
+                ),
+                None => {
+                    let chain = Chain {
+                        client,
+                        last: id,
+                        first_submit: first,
+                        sla_ns: sla,
+                        backoff_from: first,
+                        end: 0,
+                        failed: false,
+                    };
+                    self.chains.insert(client, chain);
+                    (None, now)
+                }
+            };
+            let record = Attempt {
+                client,
+                ordinal: attempt,
+                prev,
+                backoff_from,
+                offered_at: now,
+                dispatch: None,
+                abandoned: None,
+                end: End::Open,
+            };
+            self.attempts.insert(id, record);
+        }
+
+        fn on_shed(&mut self, now: u64, id: u64, reason: ShedReason) {
+            if !self.enabled {
+                return;
+            }
+            if let Some((attempt, chain)) = self.live(id) {
+                attempt.end = End::Shed { t: now, reason };
+                if attempt.abandoned.is_none() {
+                    chain.backoff_from = now;
+                }
+            }
+        }
+
+        fn on_dispatch(&mut self, now: u64, id: u64, core: usize, freq_mhz: u32, admit_frac: f64) {
+            if !self.enabled {
+                return;
+            }
+            if let Some(attempt) = self.attempts.get_mut(&id) {
+                attempt.dispatch = Some(Dispatch {
+                    t: now,
+                    core,
+                    freq_mhz,
+                    admit_frac,
+                });
+            }
+        }
+
+        fn on_abandon(&mut self, now: u64, id: u64, waited_ns: u64) {
+            if !self.enabled {
+                return;
+            }
+            if let Some((attempt, chain)) = self.live(id) {
+                attempt.abandoned = Some((now, waited_ns));
+                chain.backoff_from = now;
+            }
+        }
+
+        fn on_complete(&mut self, now: u64, id: u64, wasted: bool, rec: &Recorder) {
+            if !self.enabled {
+                return;
+            }
+            let Some((attempt, chain)) = self.live(id) else {
+                return;
+            };
+            attempt.end = End::Completed { t: now, wasted };
+            if !wasted {
+                let client = chain.client;
+                self.finalize(client, now, false, rec);
+            }
+        }
+
+        fn on_give_up(&mut self, now: u64, client: u64, rec: &Recorder) {
+            if !self.enabled {
+                return;
+            }
+            self.finalize(client, now, true, rec);
+        }
+
+        fn finalize(&mut self, client: u64, now: u64, failed: bool, rec: &Recorder) {
+            let Some(mut chain) = self.chains.remove(&client) else {
+                return;
+            };
+            chain.end = now;
+            chain.failed = failed;
+            if self.head_sampled(client) {
+                rec.emit(|| Event::RequestTrace(self.trace(&chain, SAMPLED_HEAD)));
+            }
+            self.done.push(chain);
+        }
+
+        fn trace(&self, chain: &Chain, sampled: &str) -> RequestTrace {
+            let mut attempts = Vec::new();
+            let mut next = Some(chain.last);
+            while let Some(id) = next {
+                let attempt = &self.attempts[&id];
+                attempts.push(attempt.trace(id));
+                next = attempt.prev;
+            }
+            attempts.reverse();
+            let latency_ns = chain.latency_ns();
+            RequestTrace {
+                client: chain.client,
+                node: self.plan.node,
+                first_submit: chain.first_submit,
+                end: chain.end,
+                latency_ns,
+                sla_ns: chain.sla_ns,
+                timed_out: latency_ns > chain.sla_ns,
+                outcome: if chain.failed { "failed" } else { "completed" }.into(),
+                sampled: sampled.into(),
+                attempts,
+            }
+        }
+
+        fn roll(&mut self, rec: &Recorder) -> Vec<u64> {
+            if !self.enabled || self.done.is_empty() {
+                return Vec::new();
+            }
+            let k = self.plan.exemplars as usize;
+            let mut ids = Vec::new();
+            if k > 0 {
+                let cmp = |a: &Chain, b: &Chain| {
+                    (b.latency_ns(), a.client).cmp(&(a.latency_ns(), b.client))
+                };
+                if self.done.len() > k {
+                    self.done.select_nth_unstable_by(k - 1, cmp);
+                }
+                let top = k.min(self.done.len());
+                self.done[..top].sort_by(cmp);
+                for chain in &self.done[..top] {
+                    ids.push(chain.client);
+                    if !self.head_sampled(chain.client) {
+                        rec.emit(|| Event::RequestTrace(self.trace(chain, SAMPLED_EXEMPLAR)));
+                    }
+                }
+            }
+            for chain in self.done.drain(..) {
+                let mut next = Some(chain.last);
+                while let Some(id) = next {
+                    next = self.attempts.remove(&id).and_then(|a| a.prev);
+                }
+            }
+            ids
+        }
+    }
+
+    mod equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Drive both tracers with hooks decoded from `ops` and assert
+        /// that every roll returns the same ids and both recorders
+        /// drained the same traces since the previous roll.
+        ///
+        /// Ids follow the engine's rules: server and client ids are
+        /// never reused, and a retry extends only a chain the driver
+        /// has not seen complete or give up. Shed, dispatch, abandon and
+        /// completion hit any attempt ever offered, so late hooks on
+        /// finalized chains (a wasted completion, or a dispatch after a
+        /// give-up) occur often.
+        fn drive(plan: TracePlan, ops: &[u64]) {
+            let (rec, oracle_rec) = (Recorder::ring(1 << 16), Recorder::ring(1 << 16));
+            let mut tracer = RequestTracer::new(plan, rec.enabled());
+            let mut oracle = WindowTracer::new(plan, oracle_rec.enabled());
+            // (server id, client id) of every attempt offered.
+            let mut offered: Vec<(u64, u64)> = Vec::new();
+            // client id -> (first submission, attempts so far), for
+            // chains not yet completed or given up.
+            let mut open: BTreeMap<u64, (u64, u32)> = BTreeMap::new();
+            let mut clients: Vec<u64> = Vec::new();
+            let (mut now, mut next_id) = (0u64, 1u64);
+            let check_roll = |tracer: &mut RequestTracer, oracle: &mut WindowTracer| {
+                let ids = tracer.roll(&rec);
+                assert_eq!(ids, oracle.roll(&oracle_rec), "roll ids");
+                assert_eq!(drain_traces(&rec), drain_traces(&oracle_rec), "traces");
+            };
+            for &op in ops {
+                let arg = op >> 8;
+                // Coarse steps, so chains often tie on latency and the
+                // client id breaks the tie.
+                now += arg % 3 * 250;
+                let pick = |n: usize| (arg >> 16) as usize % n;
+                match op % 16 {
+                    0..=2 => {
+                        let (id, client) = (next_id, 1_000_000 + 3 * next_id);
+                        next_id += 1;
+                        let sla = if arg % 2 == 0 { 400 } else { 5_000 };
+                        tracer.on_offer(now, id, client, 0, now, sla);
+                        oracle.on_offer(now, id, client, 0, now, sla);
+                        offered.push((id, client));
+                        open.insert(client, (now, 1));
+                        clients.push(client);
+                    }
+                    3 | 4 if !open.is_empty() => {
+                        let nth = pick(open.len());
+                        let (&client, state) = open.iter_mut().nth(nth).unwrap();
+                        let (first, ordinal) = (state.0, state.1);
+                        state.1 += 1;
+                        let id = next_id;
+                        next_id += 1;
+                        tracer.on_offer(now, id, client, ordinal, first, 5_000);
+                        oracle.on_offer(now, id, client, ordinal, first, 5_000);
+                        offered.push((id, client));
+                    }
+                    5 | 6 if !offered.is_empty() => {
+                        let (id, _) = offered[pick(offered.len())];
+                        let reason = match arg % 3 {
+                            0 => ShedReason::QueueFull,
+                            1 => ShedReason::Admission,
+                            _ => ShedReason::Evicted,
+                        };
+                        tracer.on_shed(now, id, reason);
+                        oracle.on_shed(now, id, reason);
+                    }
+                    7 | 8 if !offered.is_empty() => {
+                        let (id, _) = offered[pick(offered.len())];
+                        let (core, mhz, admit) =
+                            (arg as usize % 8, 1200 + (arg % 10) as u32 * 100, 0.5);
+                        tracer.on_dispatch(now, id, core, mhz, admit);
+                        oracle.on_dispatch(now, id, core, mhz, admit);
+                    }
+                    9 if !offered.is_empty() => {
+                        let (id, _) = offered[pick(offered.len())];
+                        tracer.on_abandon(now, id, arg % 1_000);
+                        oracle.on_abandon(now, id, arg % 1_000);
+                    }
+                    10..=12 if !offered.is_empty() => {
+                        let (id, client) = offered[pick(offered.len())];
+                        let wasted = arg % 3 == 0;
+                        tracer.on_complete(now, id, wasted, &rec);
+                        oracle.on_complete(now, id, wasted, &oracle_rec);
+                        if !wasted {
+                            open.remove(&client);
+                        }
+                    }
+                    13 if !clients.is_empty() => {
+                        let client = clients[pick(clients.len())];
+                        tracer.on_give_up(now, client, &rec);
+                        oracle.on_give_up(now, client, &oracle_rec);
+                        open.remove(&client);
+                    }
+                    // About a dozen chains open per window.
+                    14 if arg % 4 == 0 => check_roll(&mut tracer, &mut oracle),
+                    _ => {}
+                }
+            }
+            check_roll(&mut tracer, &mut oracle);
+        }
+
+        fn plan(exemplars: usize, sample: usize) -> TracePlan {
+            // `u32::MAX` is more candidates than any window holds.
+            let exemplars = [0, 1, 2, u32::MAX][exemplars];
+            TracePlan::sampled([0.0, 0.3, 1.0][sample], exemplars, 11)
+        }
+
+        proptest! {
+            #[test]
+            fn bounded_tracer_emits_what_the_window_tracer_emits(
+                exemplars in 0usize..4,
+                sample in 0usize..3,
+                ops in collection::vec(0u64..u64::MAX, 0..600),
+            ) {
+                drive(plan(exemplars, sample), &ops);
+            }
+        }
+    }
+
+    #[test]
+    fn retained_attempts_scale_with_open_chains_not_the_window() {
+        const K: usize = 2;
+        for n in [1_000u64, 10_000] {
+            let rec = Recorder::ring(64);
+            let mut tr = RequestTracer::new(TracePlan::sampled(0.01, K as u32, 5), rec.enabled());
+            let mut open_attempts = 0;
+            for i in 0..n {
+                let (t, first, retry) = (100 * i, 2 * i, 2 * i + 1);
+                tr.on_offer(t, first, i, 0, t, 1_000);
+                if i % 10 == 0 {
+                    // Still queued at the roll.
+                    open_attempts += 1;
+                    continue;
+                }
+                tr.on_shed(t, first, ShedReason::QueueFull);
+                tr.on_offer(t + 50, retry, i, 1, t, 1_000);
+                tr.on_dispatch(t + 60, retry, 0, 2100, 1.0);
+                // Scattered latencies, so candidates keep changing.
+                tr.on_complete(t + 70 + splitmix64(i) % 5_000, retry, false, &rec);
+            }
+            // Every candidate chain has two attempts.
+            let bound = open_attempts + 2 * K;
+            assert!(
+                tr.retained_attempts() <= bound,
+                "{n} chains: {} attempt records held, bound {bound}",
+                tr.retained_attempts()
+            );
+            assert_eq!(tr.roll(&rec).len(), K);
+            assert_eq!(
+                tr.retained_attempts(),
+                open_attempts,
+                "only open chains remain"
+            );
+        }
     }
 
     #[test]
