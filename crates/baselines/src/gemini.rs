@@ -19,7 +19,7 @@
 //!    per request" granularity Fig. 9c shows).
 
 use crate::profile::ProfileSample;
-use deeppower_nn::{mse_loss, ActivationKind, Adam, AdamConfig, Matrix, Sequential};
+use deeppower_nn::{mse_loss, ActivationKind, Adam, AdamConfig, Matrix, Sequential, Tape};
 use deeppower_simd_server::{FreqCommands, FreqPlan, Governor, Nanos, Request, ServerView};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -28,6 +28,11 @@ pub(crate) struct NnPredictor {
     net: Sequential,
     /// Feature/target scales for stable training.
     y_scale: f64,
+    /// One request's features as a one-row batch, and the pass's
+    /// buffers: reused by every prediction, so a warm prediction
+    /// allocates nothing.
+    x: Matrix,
+    tape: Tape,
 }
 
 impl NnPredictor {
@@ -55,6 +60,7 @@ impl NnPredictor {
         );
 
         // Mini-batch SGD over shuffled windows.
+        let (mut tape, mut g) = (Tape::default(), Matrix::default());
         let batch = 64.min(samples.len());
         let n_batches = samples.len() / batch;
         for epoch in 0..epochs {
@@ -76,18 +82,24 @@ impl NnPredictor {
                     .collect();
                 let t = Matrix::from_rows(&t_rows.iter().map(|r| r.as_slice()).collect::<Vec<_>>());
                 net.zero_grad();
-                let y = net.forward(&x);
-                let (_, g) = mse_loss(&y, &t);
-                let _ = net.backward(&g);
+                mse_loss(net.forward(&x, &mut tape), &t, &mut g);
+                net.backward(&g, &mut tape);
                 opt.step(&mut net);
             }
         }
-        Self { net, y_scale }
+        Self {
+            net,
+            y_scale,
+            x: Matrix::default(),
+            tape,
+        }
     }
 
     /// Predicted service time at the reference frequency, ns.
-    pub(crate) fn predict_ns(&self, features: &[f32]) -> f64 {
-        let y = self.net.forward_inference(&Matrix::from_row(features));
+    pub(crate) fn predict_ns(&mut self, features: &[f32]) -> f64 {
+        self.x.reshape(1, features.len());
+        self.x.set_row(0, features);
+        let y = self.net.forward(&self.x, &mut self.tape);
         (y.as_slice()[0] as f64 * self.y_scale).max(0.0)
     }
 }
@@ -252,7 +264,7 @@ mod tests {
     fn nn_predictor_learns_service_time() {
         let spec = AppSpec::get(App::Xapian);
         let samples = collect_profile(&spec, 0.3, 2, 41);
-        let predictor = NnPredictor::train(&samples, 12, 1);
+        let mut predictor = NnPredictor::train(&samples, 12, 1);
         // Relative RMSE against held-in data should be small.
         let sse: f64 = samples
             .iter()

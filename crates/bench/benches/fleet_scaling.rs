@@ -5,8 +5,9 @@
 //!
 //! 1. **Batched inference** — evaluating one shared policy for N node
 //!    states as a single `N × 8` matrix–matrix forward pass
-//!    (`Ddpg::act_batch`) beats N single-state passes. Asserted
-//!    strictly for `N ≥ 8` (best-of-k timing on both sides).
+//!    (`Ddpg::act_batch_rows` over every row) beats N single-state
+//!    passes. Asserted strictly for `N ≥ 8` (best-of-k timing on both
+//!    sides).
 //! 2. **Fleet wall-clock** — one lockstep worker scales with node count
 //!    roughly linearly in simulated work, and all-core workers
 //!    (`FleetRun::threads` 0) buy node scaling that is *sublinear* in
@@ -46,7 +47,7 @@ fn main() {
         .map(|v| v != "0")
         .unwrap_or(false);
     let policy = untrained_policy(App::Masstree, 1);
-    let agent = policy.build_agent();
+    let mut agent = policy.build_agent();
 
     // ---- 1. batched vs per-node inference ----
     let (calls_per_block, blocks) = if smoke { (50usize, 3usize) } else { (200, 5) };
@@ -58,6 +59,7 @@ fn main() {
     let mut inference_rows = Vec::new();
     for n in [2usize, 8, 32, 128] {
         let mut states = Matrix::zeros(n, 8);
+        let all: Vec<usize> = (0..n).collect();
         for i in 0..n {
             let row: Vec<f32> = (0..8)
                 .map(|j| ((i * 8 + j) as f32 * 0.37).sin().abs())
@@ -79,7 +81,7 @@ fn main() {
 
             let t = Instant::now();
             for _ in 0..calls_per_block {
-                black_box(agent.act_batch(black_box(&states)));
+                black_box(agent.act_batch_rows(black_box(&states), &all));
             }
             t_batch = t_batch.min(t.elapsed().as_secs_f64());
         }

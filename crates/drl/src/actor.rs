@@ -13,7 +13,7 @@
 //! inference cost Table 2 and §5.5 characterize.
 
 use deeppower_nn::{
-    Activation, ActivationKind, Matrix, ParamVisitor, ParamVisitorMut, Params, Sequential,
+    ActivationKind, Matrix, ParamVisitor, ParamVisitorMut, Params, Sequential, Tape,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -24,8 +24,23 @@ pub struct TwoHeadActor {
     trunk: Sequential,
     heads: Vec<Sequential>,
     state_dim: usize,
-    #[serde(skip)]
-    cached_trunk_out: Option<Matrix>,
+}
+
+/// Caller-owned buffers of one [`TwoHeadActor`] pass: the trunk's and
+/// each head's [`Tape`], the action matrix, and the backward pass's
+/// gradients. Reused across calls, a tape stops allocating once it has
+/// seen its largest batch.
+#[derive(Default)]
+pub(crate) struct ActorTape {
+    trunk: Tape,
+    heads: Vec<Tape>,
+    /// Dense row-subset batch for [`TwoHeadActor::act_batch_rows`].
+    gathered: Matrix,
+    actions: Matrix,
+    /// One column of `d_actions`, for one head.
+    d_head: Matrix,
+    /// Gradient w.r.t. the trunk output, summed over the heads.
+    d_trunk: Matrix,
 }
 
 impl TwoHeadActor {
@@ -66,137 +81,83 @@ impl TwoHeadActor {
             trunk,
             heads,
             state_dim,
-            cached_trunk_out: None,
         }
     }
 
-    /// Training forward pass: `states (n × state_dim) → actions (n × action_dim)`,
-    /// every component in `[0, 1]`.
-    pub(crate) fn forward(&mut self, states: &Matrix) -> Matrix {
-        let h = self.trunk.forward(states);
-        self.cached_trunk_out = Some(h.clone());
-        let outs: Vec<Matrix> = self.heads.iter_mut().map(|head| head.forward(&h)).collect();
-        concat_columns(&outs)
+    /// Forward pass: `states (n × state_dim) → actions (n × action_dim)`,
+    /// every component in `[0, 1]`; the actions live in `tape`. The one
+    /// pass behind training, single-state [`act`](Self::act) (the
+    /// sub-millisecond action generation of §5.5) and batched fleet
+    /// inference. Row `i` of a batch is bit-identical to the pass over
+    /// row `i` alone: each output row is an independent chain of dot
+    /// products over that row, so batching changes the shape of the
+    /// computation but not a single float.
+    pub(crate) fn forward<'t>(&self, states: &Matrix, tape: &'t mut ActorTape) -> &'t Matrix {
+        assert_eq!(states.cols(), self.state_dim, "actor state width mismatch");
+        let h = self.trunk.forward(states, &mut tape.trunk);
+        tape.heads.resize_with(self.heads.len(), Tape::default);
+        tape.actions.reshape(states.rows(), self.heads.len());
+        for (c, (head, head_tape)) in self.heads.iter().zip(&mut tape.heads).enumerate() {
+            let y = head.forward(h, head_tape);
+            for r in 0..states.rows() {
+                tape.actions.set(r, c, y.get(r, 0));
+            }
+        }
+        &tape.actions
     }
 
-    /// Inference forward pass (no caching). This is the sub-millisecond
-    /// action-generation path measured in §5.5.
-    pub(crate) fn forward_inference(&self, states: &Matrix) -> Matrix {
-        let h = self.trunk.forward_inference(states);
-        let outs: Vec<Matrix> = self
-            .heads
-            .iter()
-            .map(|head| head.forward_inference(&h))
-            .collect();
-        concat_columns(&outs)
-    }
-
-    /// Convenience: act on a single state vector.
+    /// Act on a single state vector.
     pub fn act(&self, state: &[f32]) -> Vec<f32> {
-        assert_eq!(state.len(), self.state_dim, "actor state width mismatch");
-        self.forward_inference(&Matrix::from_row(state))
+        self.forward(&Matrix::from_row(state), &mut ActorTape::default())
             .as_slice()
             .to_vec()
     }
 
-    /// Batched inference: one `n × state_dim` forward pass producing an
-    /// `n × action_dim` action matrix. Row `i` is bit-identical to
-    /// `act(states.row(i))` — each output row is an independent chain of
-    /// dot products over that row alone, so batching changes the shape
-    /// of the computation (matrix–matrix instead of n matrix–vector
-    /// passes) but not a single float. The fleet layer leans on both
-    /// properties: the speed for N-node lockstep steps, the equality for
-    /// determinism against single-node runs.
-    pub(crate) fn act_batch(&self, states: &Matrix) -> Matrix {
-        assert_eq!(
-            states.cols(),
-            self.state_dim,
-            "actor batch state width mismatch"
-        );
-        self.forward_inference(states)
-    }
-
-    /// Allocation-free [`TwoHeadActor::act_batch`]: writes the `n ×
-    /// action_dim` action matrix into `out`, using `scratch` for every
-    /// intermediate. Bit-identical to `act_batch` — the trunk and heads
-    /// run the same fused kernels in the same order, only the storage is
-    /// caller-owned — so hot callers (the fleet lockstep loop calls this
-    /// once per LongTime epoch) amortize all buffers to zero.
-    pub(crate) fn act_batch_into(
-        &self,
-        states: &Matrix,
-        out: &mut Matrix,
-        scratch: &mut ActorScratch,
-    ) {
-        assert_eq!(
-            states.cols(),
-            self.state_dim,
-            "actor batch state width mismatch"
-        );
-        let n = states.rows();
-        self.trunk
-            .forward_inference_into(states, &mut scratch.h, &mut scratch.tmp);
-        out.reshape(n, self.heads.len());
-        for (c, head) in self.heads.iter().enumerate() {
-            head.forward_inference_into(&scratch.h, &mut scratch.head_out, &mut scratch.head_tmp);
-            for r in 0..n {
-                out.set(r, c, scratch.head_out.get(r, 0));
-            }
-        }
-    }
-
-    /// Ragged/grouped batching: run the batched inference pass over an
-    /// arbitrary *row subset* of a stacked state matrix. The rows are
-    /// gathered (in the given order) into a dense scratch batch and fed
-    /// through the same fused kernels as [`act_batch_into`], so row `k`
-    /// of `out` is bit-identical to `act(states.row(rows[k]))` — the
+    /// Ragged/grouped batching: the forward pass over an arbitrary *row
+    /// subset* of a stacked state matrix. The rows are gathered (in the
+    /// given order) into a dense batch in `tape`, so row `k` of the
+    /// result is bit-identical to `act(states.row(rows[k]))` — the
     /// property heterogeneous fleets lean on when nodes sharing a
     /// hardware profile batch together under one per-group policy while
     /// the fleet's state matrix stays a single `N × state_dim` stack.
-    ///
-    /// [`act_batch_into`]: Self::act_batch_into
-    pub(crate) fn act_batch_rows_into(
+    pub(crate) fn act_batch_rows<'t>(
         &self,
         states: &Matrix,
         rows: &[usize],
-        out: &mut Matrix,
-        scratch: &mut ActorScratch,
-    ) {
-        assert_eq!(
-            states.cols(),
-            self.state_dim,
-            "actor batch state width mismatch"
-        );
-        // The gather buffer is split out of `scratch` so the borrow of
-        // the remaining buffers can ride into act_batch_into.
-        let mut gathered = std::mem::replace(&mut scratch.gathered, Matrix::zeros(0, 0));
+        tape: &'t mut ActorTape,
+    ) -> &'t Matrix {
+        // The gathered batch leaves the tape for the pass, so the pass
+        // can borrow the rest of it; the swap moves no floats.
+        let mut gathered = std::mem::take(&mut tape.gathered);
         states.gather_rows_into(rows, &mut gathered);
-        self.act_batch_into(&gathered, out, scratch);
-        scratch.gathered = gathered;
+        self.forward(&gathered, tape);
+        tape.gathered = gathered;
+        &tape.actions
     }
 
-    /// Backward pass given `d_actions (n × action_dim)`; accumulates
-    /// gradients and returns the gradient w.r.t. the input states.
-    pub(crate) fn backward(&mut self, d_actions: &Matrix) -> Matrix {
+    /// Backward pass of the last [`forward`](Self::forward) on `tape`,
+    /// given `d_actions (n × action_dim)`; accumulates every parameter
+    /// gradient.
+    pub(crate) fn backward(&mut self, d_actions: &Matrix, tape: &mut ActorTape) {
         assert_eq!(
             d_actions.cols(),
             self.heads.len(),
             "actor grad width mismatch"
         );
-        let h = self
-            .cached_trunk_out
-            .as_ref()
-            .expect("TwoHeadActor::backward before forward");
-        let mut d_h = Matrix::zeros(h.rows(), h.cols());
-        for (i, head) in self.heads.iter_mut().enumerate() {
-            // Column i of d_actions, as an n×1 matrix.
-            let mut col = Matrix::zeros(d_actions.rows(), 1);
-            for r in 0..d_actions.rows() {
-                col.set(r, 0, d_actions.get(r, i));
+        let n = d_actions.rows();
+        for (i, (head, head_tape)) in self.heads.iter_mut().zip(&mut tape.heads).enumerate() {
+            tape.d_head.reshape(n, 1);
+            for r in 0..n {
+                tape.d_head.set(r, 0, d_actions.get(r, i));
             }
-            d_h.axpy(1.0, &head.backward(&col));
+            let d_h = head.backward(&tape.d_head, head_tape);
+            if i == 0 {
+                tape.d_trunk.reshape(d_h.rows(), d_h.cols());
+                tape.d_trunk.as_mut_slice().fill(0.0);
+            }
+            tape.d_trunk.axpy(1.0, d_h);
         }
-        self.trunk.backward(&d_h)
+        self.trunk.backward(&tape.d_trunk, &mut tape.trunk);
     }
 
     pub(crate) fn zero_grad(&mut self) {
@@ -222,58 +183,6 @@ impl Params for TwoHeadActor {
         }
     }
 }
-
-/// Reusable buffers for [`Ddpg::act_batch_into`](crate::Ddpg::act_batch_into). One of these
-/// per hot loop; after the first call at a given batch size nothing in
-/// the batched inference path allocates.
-#[derive(Clone, Debug)]
-pub struct ActorScratch {
-    h: Matrix,
-    tmp: Matrix,
-    head_out: Matrix,
-    head_tmp: Matrix,
-    /// Dense row-subset batch for [`TwoHeadActor::act_batch_rows_into`]
-    /// (ragged/grouped batching over one stacked state matrix).
-    gathered: Matrix,
-}
-
-impl ActorScratch {
-    pub fn new() -> Self {
-        Self {
-            h: Matrix::zeros(0, 0),
-            tmp: Matrix::zeros(0, 0),
-            head_out: Matrix::zeros(0, 0),
-            head_tmp: Matrix::zeros(0, 0),
-            gathered: Matrix::zeros(0, 0),
-        }
-    }
-}
-
-impl Default for ActorScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Concatenate single-column matrices into one `n × k` matrix.
-fn concat_columns(cols: &[Matrix]) -> Matrix {
-    assert!(!cols.is_empty());
-    let rows = cols[0].rows();
-    let mut out = Matrix::zeros(rows, cols.len());
-    for (c, m) in cols.iter().enumerate() {
-        assert_eq!(m.rows(), rows);
-        assert_eq!(m.cols(), 1);
-        for r in 0..rows {
-            out.set(r, c, m.get(r, 0));
-        }
-    }
-    out
-}
-
-// A no-op Activation import keeps the doc link above resolvable even if the
-// head construction changes; silence the unused warning explicitly.
-#[allow(unused)]
-fn _doc_anchor(_a: Activation) {}
 
 #[cfg(test)]
 mod tests {
@@ -317,7 +226,8 @@ mod tests {
                 let row: Vec<f32> = (0..8).map(|_| r.random_range(-2.0..2.0)).collect();
                 states.set_row(i, &row);
             }
-            let batch = actor.act_batch(&states);
+            let mut tape = ActorTape::default();
+            let batch = actor.forward(&states, &mut tape);
             assert_eq!(batch.rows(), n);
             assert_eq!(batch.cols(), 2);
             for i in 0..n {
@@ -332,27 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn act_batch_into_matches_act_batch() {
-        let mut rng = StdRng::seed_from_u64(19);
-        let actor = TwoHeadActor::paper_default(&mut rng, 8, 2);
-        let mut out = Matrix::zeros(0, 0);
-        let mut scratch = ActorScratch::new();
-        // Reuse the same scratch across growing and shrinking batches to
-        // prove stale storage never leaks into the result.
-        for n in [4usize, 1, 16, 3] {
-            let mut states = Matrix::zeros(n, 8);
-            let mut r = StdRng::seed_from_u64(100 + n as u64);
-            for i in 0..n {
-                let row: Vec<f32> = (0..8).map(|_| r.random_range(-2.0..2.0)).collect();
-                states.set_row(i, &row);
-            }
-            let want = actor.act_batch(&states);
-            actor.act_batch_into(&states, &mut out, &mut scratch);
-            assert_eq!(want, out, "batch {n} diverged");
-        }
-    }
-
-    #[test]
     fn act_batch_rows_into_matches_single_act_exactly() {
         let mut rng = StdRng::seed_from_u64(23);
         let actor = TwoHeadActor::paper_default(&mut rng, 8, 3);
@@ -363,12 +252,12 @@ mod tests {
             let row: Vec<f32> = (0..8).map(|_| r.random_range(-2.0..2.0)).collect();
             states.set_row(i, &row);
         }
-        let mut out = Matrix::zeros(0, 0);
-        let mut scratch = ActorScratch::new();
+        let mut tape = ActorTape::default();
         // Mixed group shapes, out-of-order and with a repeat — the ragged
-        // cases a heterogeneous fleet's profile groups produce.
+        // cases a heterogeneous fleet's profile groups produce. One tape
+        // serves them all, so stale storage must not leak either.
         for rows in [vec![0usize], vec![4, 1, 9], vec![10, 10], (0..n).collect()] {
-            actor.act_batch_rows_into(&states, &rows, &mut out, &mut scratch);
+            let out = actor.act_batch_rows(&states, &rows, &mut tape);
             assert_eq!(out.rows(), rows.len());
             for (k, &src) in rows.iter().enumerate() {
                 let single = actor.act(states.row(src));
@@ -382,16 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_matches_inference() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut actor = TwoHeadActor::paper_default(&mut rng, 8, 2);
-        let x = Matrix::from_rows(&[&[0.1; 8], &[0.9; 8]]);
-        let a = actor.forward(&x);
-        let b = actor.forward_inference(&x);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn gradient_check_through_shared_trunk() {
         let mut rng = StdRng::seed_from_u64(12);
         let mut actor = TwoHeadActor::new(&mut rng, 4, &[6], &[5], 2);
@@ -399,15 +278,14 @@ mod tests {
 
         // Loss = sum of all action components (d_actions = all-ones).
         actor.zero_grad();
-        let y = actor.forward(&x);
-        let _ = actor.backward(&Matrix::full(y.rows(), y.cols(), 1.0));
+        let mut tape = ActorTape::default();
+        let y = actor.forward(&x, &mut tape);
+        let d_actions = Matrix::full(y.rows(), y.cols(), 1.0);
+        actor.backward(&d_actions, &mut tape);
 
         let max_err = deeppower_nn::finite_diff_max_rel_err(
             &mut actor,
-            |a| {
-                let y = a.forward_inference(&x);
-                y.as_slice().iter().sum()
-            },
+            |a| a.forward(&x, &mut tape).as_slice().iter().sum(),
             1e-3,
         );
         assert!(
@@ -482,10 +360,9 @@ mod tests {
                 for i in 0..n {
                     groups[assign[i]].push(i);
                 }
-                let mut out = Matrix::zeros(0, 0);
-                let mut scratch = ActorScratch::new();
+                let mut tape = ActorTape::default();
                 for group in groups.iter().filter(|g| !g.is_empty()) {
-                    actor.act_batch_rows_into(&states, group, &mut out, &mut scratch);
+                    let out = actor.act_batch_rows(&states, group, &mut tape);
                     for (k, &src) in group.iter().enumerate() {
                         let single = actor.act(states.row(src));
                         prop_assert_eq!(

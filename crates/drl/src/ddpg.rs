@@ -7,8 +7,8 @@
 //! ascends `Q_w(s, π_θ(s))` via the chain rule through the critic's action
 //! input (`dQ/da`, supplied by [`Critic::backward`]).
 
-use crate::actor::TwoHeadActor;
-use crate::critic::Critic;
+use crate::actor::{ActorTape, TwoHeadActor};
+use crate::critic::{Critic, CriticTape};
 use crate::noise::{clamp_action, GaussianNoise};
 use crate::replay::{ReplayBuffer, Transition};
 use deeppower_nn::{mse_loss, Adam, AdamConfig, Matrix, Params};
@@ -91,30 +91,6 @@ pub struct UpdateStats {
     pub diverged: bool,
 }
 
-/// Reusable mini-batch buffers for [`Ddpg::update`]. Allocated empty and
-/// reshaped on first use; after that an update performs no batch-assembly
-/// allocations (previously: a 64-transition clone plus `from_rows` row
-/// gathers — hundreds of heap allocations per gradient step).
-struct UpdateScratch {
-    states: Matrix,
-    actions: Matrix,
-    next_states: Matrix,
-    targets: Matrix,
-    d_q_actor: Matrix,
-}
-
-impl UpdateScratch {
-    fn new() -> Self {
-        Self {
-            states: Matrix::zeros(0, 0),
-            actions: Matrix::zeros(0, 0),
-            next_states: Matrix::zeros(0, 0),
-            targets: Matrix::zeros(0, 0),
-            d_q_actor: Matrix::zeros(0, 0),
-        }
-    }
-}
-
 /// The DDPG agent.
 pub struct Ddpg {
     pub cfg: DdpgConfig,
@@ -128,7 +104,20 @@ pub struct Ddpg {
     noise: GaussianNoise,
     rng: StdRng,
     updates: u64,
-    scratch: UpdateScratch,
+    /// The sampled mini-batch, its bootstrap targets and the loss
+    /// gradient `d_q`, reshaped on first use and reused by every update.
+    states: Matrix,
+    actions: Matrix,
+    next_states: Matrix,
+    targets: Matrix,
+    d_q: Matrix,
+    /// The single state of [`Ddpg::act_explore`], as a one-row batch.
+    state_row: Matrix,
+    /// Buffers of every actor and critic pass; each target network
+    /// shares its online network's tape, since their passes never
+    /// overlap.
+    actor_tape: ActorTape,
+    critic_tape: CriticTape,
     /// Last known-finite `(actor, critic)` weights, refreshed after every
     /// finite update; the rollback target when an update diverges.
     last_good: (Vec<f32>, Vec<f32>),
@@ -171,7 +160,14 @@ impl Ddpg {
             critic_opt,
             rng,
             updates: 0,
-            scratch: UpdateScratch::new(),
+            states: Matrix::default(),
+            actions: Matrix::default(),
+            next_states: Matrix::default(),
+            targets: Matrix::default(),
+            d_q: Matrix::default(),
+            state_row: Matrix::default(),
+            actor_tape: ActorTape::default(),
+            critic_tape: CriticTape::default(),
             last_good,
             rollbacks: 0,
             prof: Profiler::disabled(),
@@ -191,36 +187,15 @@ impl Ddpg {
         self.actor.act(state)
     }
 
-    /// Deterministic actions for a stacked `n × state_dim` batch in one
-    /// matrix–matrix forward pass. Row `i` equals `act(states.row(i))`
-    /// exactly.
-    pub fn act_batch(&self, states: &Matrix) -> Matrix {
-        self.actor.act_batch(states)
-    }
-
-    /// [`Ddpg::act_batch`] into caller-owned storage — bit-identical, but
-    /// allocation-free once `out`/`scratch` have seen the batch shape.
-    pub fn act_batch_into(
-        &self,
-        states: &Matrix,
-        out: &mut Matrix,
-        scratch: &mut crate::actor::ActorScratch,
-    ) {
-        self.actor.act_batch_into(states, out, scratch)
-    }
-
-    /// Ragged/grouped variant of [`Ddpg::act_batch_into`]: gathers the
-    /// selected `rows` out of `states` before batching, so a heterogeneous
-    /// fleet can batch only the nodes sharing this policy's profile.
-    /// Bit-identical to calling [`Ddpg::act`] per selected row.
-    pub fn act_batch_rows_into(
-        &self,
-        states: &Matrix,
-        rows: &[usize],
-        out: &mut Matrix,
-        scratch: &mut crate::actor::ActorScratch,
-    ) {
-        self.actor.act_batch_rows_into(states, rows, out, scratch)
+    /// Deterministic actions for the selected `rows` of a stacked
+    /// `N × state_dim` state matrix, in one batched pass: row `k` of the
+    /// result equals [`Ddpg::act`] on `states.row(rows[k])` exactly. A
+    /// heterogeneous fleet batches only the nodes sharing this policy's
+    /// profile this way. The agent's own buffers carry the pass, so it
+    /// allocates nothing once they have seen the batch size.
+    pub fn act_batch_rows(&mut self, states: &Matrix, rows: &[usize]) -> &Matrix {
+        self.actor
+            .act_batch_rows(states, rows, &mut self.actor_tape)
     }
 
     /// Training action: before `warmup` transitions have been observed a
@@ -232,7 +207,13 @@ impl Ddpg {
                 .map(|_| rand::Rng::random_range(&mut self.rng, 0.0..1.0))
                 .collect()
         } else {
-            let mut a = self.actor.act(state);
+            self.state_row.reshape(1, state.len());
+            self.state_row.set_row(0, state);
+            let mut a = self
+                .actor
+                .forward(&self.state_row, &mut self.actor_tape)
+                .as_slice()
+                .to_vec();
             self.noise.perturb(&mut self.rng, &mut a);
             a
         };
@@ -268,40 +249,35 @@ impl Ddpg {
         let n = self.cfg.batch_size;
 
         // Gather the mini-batch straight out of the replay pool into the
-        // reusable scratch matrices — no transition clones.
+        // reusable batch matrices — no transition clones.
         let sp = self.prof.span("ddpg.sample");
-        self.scratch.states.reshape(n, self.cfg.state_dim);
-        self.scratch.actions.reshape(n, self.cfg.action_dim);
-        self.scratch.next_states.reshape(n, self.cfg.state_dim);
-        self.scratch.targets.reshape(n, 1);
+        self.states.reshape(n, self.cfg.state_dim);
+        self.actions.reshape(n, self.cfg.action_dim);
+        self.next_states.reshape(n, self.cfg.state_dim);
+        self.targets.reshape(n, 1);
         let sampled = self.replay.sample(&mut self.rng, n);
         for (i, t) in sampled.clone().enumerate() {
-            self.scratch.states.row_mut(i).copy_from_slice(&t.state);
-            self.scratch.actions.row_mut(i).copy_from_slice(&t.action);
-            self.scratch
-                .next_states
-                .row_mut(i)
-                .copy_from_slice(&t.next_state);
+            self.states.set_row(i, &t.state);
+            self.actions.set_row(i, &t.action);
+            self.next_states.set_row(i, &t.next_state);
         }
-
         drop(sp);
 
         // Bootstrap target y = r + γ (1 - done) Q'(s', π'(s')).
         let sp = self.prof.span("ddpg.target");
         let next_actions = self
             .actor_target
-            .forward_inference(&self.scratch.next_states);
-        let q_next = self
-            .critic_target
-            .forward_inference(&self.scratch.next_states, &next_actions);
+            .forward(&self.next_states, &mut self.actor_tape);
+        let q_next =
+            self.critic_target
+                .forward(&self.next_states, next_actions, &mut self.critic_tape);
         for (i, t) in sampled.enumerate() {
             let cont = if t.done { 0.0 } else { 1.0 };
-            self.scratch
-                .targets
+            self.targets
                 .set(i, 0, t.reward + self.cfg.gamma * cont * q_next.get(i, 0));
         }
         if self.cfg.inject_nan_update != 0 && self.updates + 1 == self.cfg.inject_nan_update {
-            self.scratch.targets.as_mut_slice().fill(f32::NAN);
+            self.targets.as_mut_slice().fill(f32::NAN);
         }
         drop(sp);
 
@@ -310,9 +286,9 @@ impl Ddpg {
         self.critic.zero_grad();
         let q = self
             .critic
-            .forward(&self.scratch.states, &self.scratch.actions);
-        let (critic_loss, d_q) = mse_loss(&q, &self.scratch.targets);
-        let _ = self.critic.backward(&d_q);
+            .forward(&self.states, &self.actions, &mut self.critic_tape);
+        let critic_loss = mse_loss(q, &self.targets, &mut self.d_q);
+        self.critic.backward(&self.d_q, &mut self.critic_tape);
         let critic_grad_norm = self.critic.grad_norm();
         if self.cfg.grad_clip > 0.0 {
             self.critic.clip_grad_norm(self.cfg.grad_clip);
@@ -327,13 +303,15 @@ impl Ddpg {
         // optimizer.
         self.actor.zero_grad();
         self.critic.zero_grad();
-        let pred_actions = self.actor.forward(&self.scratch.states);
-        let q_pi = self.critic.forward(&self.scratch.states, &pred_actions);
+        let pred_actions = self.actor.forward(&self.states, &mut self.actor_tape);
+        let q_pi = self
+            .critic
+            .forward(&self.states, pred_actions, &mut self.critic_tape);
         let actor_q = q_pi.mean();
-        self.scratch.d_q_actor.reshape(n, 1);
-        self.scratch.d_q_actor.as_mut_slice().fill(-1.0 / n as f32);
-        let (_, d_actions) = self.critic.backward(&self.scratch.d_q_actor);
-        let _ = self.actor.backward(&d_actions);
+        self.d_q.reshape(n, 1);
+        self.d_q.as_mut_slice().fill(-1.0 / n as f32);
+        let d_actions = self.critic.backward(&self.d_q, &mut self.critic_tape);
+        self.actor.backward(d_actions, &mut self.actor_tape);
         let actor_grad_norm = self.actor.grad_norm();
         if self.cfg.grad_clip > 0.0 {
             self.actor.clip_grad_norm(self.cfg.grad_clip);
@@ -430,11 +408,7 @@ impl Ddpg {
     /// `Q_w(state, action)` under the current critic — scalar value of
     /// one state–action pair, for policy introspection.
     pub fn q_value(&self, state: &[f32], action: &[f32]) -> f32 {
-        debug_assert_eq!(state.len(), self.cfg.state_dim);
-        debug_assert_eq!(action.len(), self.cfg.action_dim);
-        let s = Matrix::from_rows(&[state]);
-        let a = Matrix::from_rows(&[action]);
-        self.critic.forward_inference(&s, &a).get(0, 0)
+        self.critic.q_value(state, action)
     }
 }
 

@@ -5,7 +5,7 @@
 //! 2016) changes only the training target, so both time this network's
 //! greedy [`Dqn::act`].
 
-use deeppower_nn::{ActivationKind, Matrix, Sequential};
+use deeppower_nn::{ActivationKind, Matrix, Sequential, Tape};
 use rand::{rngs::StdRng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -47,8 +47,8 @@ impl Dqn {
 
     /// Greedy action (the path Table 2 times).
     pub fn act(&self, state: &[f32]) -> usize {
-        let q = self.net.forward_inference(&Matrix::from_row(state));
-        argmax(q.row(0))
+        let mut tape = Tape::default();
+        argmax(self.net.forward(&Matrix::from_row(state), &mut tape).row(0))
     }
 }
 

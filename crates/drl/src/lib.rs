@@ -15,7 +15,10 @@
 //! * [`Ddpg`] — the paper's agent: a two-headed actor (shared trunk, one
 //!   sigmoid head per thread-controller parameter, §4.6) and a critic that
 //!   concatenates the action after the first hidden layer, exactly as
-//!   described in the implementation-detail section.
+//!   described in the implementation-detail section. Each network has
+//!   one forward and one backward pass over buffers the agent owns and
+//!   reuses, so a warm update and the fleet's batched
+//!   [`Ddpg::act_batch_rows`] allocate nothing.
 //! * [`Dqn`] — the Q-network with greedy action selection. Double DQN
 //!   changes only the training target, so it shares this network.
 //! * [`Sac`] — the tanh-squashed Gaussian policy, whose sampled action
@@ -31,7 +34,7 @@ mod noise;
 mod replay;
 mod sac;
 
-pub use actor::{ActorScratch, TwoHeadActor};
+pub use actor::TwoHeadActor;
 pub use critic::Critic;
 pub use ddpg::{Ddpg, DdpgConfig, UpdateStats};
 pub use dqn::{Dqn, DqnConfig};

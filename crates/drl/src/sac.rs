@@ -11,7 +11,7 @@
 //! need `[0, 1]` map affinely.
 
 use crate::noise::sample_standard_normal;
-use deeppower_nn::{ActivationKind, Matrix, Sequential};
+use deeppower_nn::{ActivationKind, Matrix, Sequential, Tape};
 use rand::{rngs::StdRng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -60,8 +60,9 @@ impl Sac {
 
     /// Stochastic action and its log-probability `log π(a|s)`.
     pub fn act_explore(&mut self, state: &[f32]) -> (Vec<f32>, f32) {
-        let out = self.policy.forward_inference(&Matrix::from_row(state));
-        let (a, log_prob) = self.sample(&out);
+        let mut tape = Tape::default();
+        let out = self.policy.forward(&Matrix::from_row(state), &mut tape);
+        let (a, log_prob) = self.sample(out);
         (a.row(0).to_vec(), log_prob[0])
     }
 

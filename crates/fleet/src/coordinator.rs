@@ -6,11 +6,12 @@
 //! different hardware classes may run *different* policies (a 1-core
 //! edge box and a 20-core socket should not share weights), and even
 //! under one shared policy the batch must be grouped so each profile's
-//! rows stay contiguous. The [`Coordinator`] owns one agent + scratch
-//! per profile group and, each epoch, gathers every group's rows out
-//! of the stacked `N × STATE_DIM` state matrix
-//! ([`Ddpg::act_batch_rows_into`]), runs one batched pass per group,
-//! and scatters the resulting [`ControllerParams`] back to node order.
+//! rows stay contiguous. The [`Coordinator`] owns one agent per
+//! profile group and, each epoch, gathers every group's rows out of
+//! the stacked `N × STATE_DIM` state matrix and runs one batched pass
+//! per group ([`Ddpg::act_batch_rows`], on the agent's own reused
+//! buffers), then scatters the resulting [`ControllerParams`] back to
+//! node order. After the first epoch an `act` allocates nothing.
 //!
 //! Bit-exactness contract: every batched row equals the single-state
 //! [`Ddpg::act`] on that node's state exactly (asserted per group by
@@ -19,16 +20,14 @@
 //! batched pass byte-for-byte.
 
 use deeppower_core::{ControllerParams, TrainedPolicy};
-use deeppower_drl::{ActorScratch, Ddpg};
+use deeppower_drl::Ddpg;
 use deeppower_nn::Matrix;
 
-/// One profile group's policy and its inference buffers.
+/// One profile group's policy.
 struct PolicyGroup {
     /// Fleet node indices running this profile, ascending.
     members: Vec<usize>,
     agent: Ddpg,
-    out: Matrix,
-    scratch: ActorScratch,
 }
 
 /// Per-profile-group policies behind one `act` call. See the module
@@ -53,8 +52,6 @@ impl Coordinator {
             .map(|(members, policy)| PolicyGroup {
                 members,
                 agent: policy.build_agent(),
-                out: Matrix::zeros(0, 0),
-                scratch: ActorScratch::new(),
             })
             .collect();
         Self { groups }
@@ -69,10 +66,9 @@ impl Coordinator {
             if g.members.is_empty() {
                 continue;
             }
-            g.agent
-                .act_batch_rows_into(states, &g.members, &mut g.out, &mut g.scratch);
+            let out = g.agent.act_batch_rows(states, &g.members);
             for (k, &node) in g.members.iter().enumerate() {
-                actions[node] = ControllerParams::from_action(g.out.row(k));
+                actions[node] = ControllerParams::from_action(out.row(k));
             }
         }
     }
@@ -125,10 +121,11 @@ mod tests {
         let mut grouped = vec![ControllerParams::default(); n];
         coord.act(&states, &mut grouped);
 
-        let agent = policy.build_agent();
-        let mut out = Matrix::zeros(0, 0);
-        let mut scratch = ActorScratch::new();
-        agent.act_batch_into(&states, &mut out, &mut scratch);
+        // The monolithic pass: every row, in node order, through one
+        // fresh agent.
+        let mut agent = policy.build_agent();
+        let all: Vec<usize> = (0..n).collect();
+        let out = agent.act_batch_rows(&states, &all);
         for (i, g) in grouped.iter().enumerate() {
             assert_eq!(*g, ControllerParams::from_action(out.row(i)));
         }

@@ -11,10 +11,10 @@
 //! At every epoch boundary the driver pauses all nodes
 //! ([`Session::advance_until`]), stacks their 8-dimensional DeepPower
 //! states into one `N × 8` matrix, runs one matrix–matrix inference
-//! ([`Ddpg::act_batch`]) and writes each row's `(BaseFreq,
-//! ScalingCoef)` into that node's thread controller. Because every
-//! batched output row is bit-identical to the single-state pass (see
-//! `TwoHeadActor::act_batch`), the batched fleet produces *exactly* the
+//! per profile group ([`Coordinator::act`]) and writes each row's
+//! `(BaseFreq, ScalingCoef)` into that node's thread controller. Because
+//! every batched output row is bit-identical to the single-state pass
+//! ([`Ddpg::act_batch_rows`]), the batched fleet produces *exactly* the
 //! per-node results of the naive one-node-at-a-time loop — pinned by
 //! `batched_and_unbatched_fleets_agree` — while doing `1/N` of the
 //! forward passes (the `fleet_scaling` bench measures the speedup).
@@ -984,7 +984,7 @@ mod tests {
     #[test]
     fn batched_and_unbatched_fleets_agree() {
         // The whole point of the batched path: same floats, fewer
-        // forward passes. Any drift here means act_batch is no longer
+        // forward passes. Any drift here means act_batch_rows is no longer
         // bit-faithful to act.
         let spec = small_spec(4, BalancerPolicy::RoundRobin);
         let policy = untrained_policy(spec.app, 3);

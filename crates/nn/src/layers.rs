@@ -1,14 +1,15 @@
-//! Layers with explicit forward/backward passes.
+//! The dense layer: `y = f(x·W + b)` with an explicit backward pass.
 //!
 //! The backward contract used throughout the crate:
 //!
-//! * `forward(&mut self, x)` caches whatever the backward pass needs and
-//!   returns the layer output.
-//! * `backward(&mut self, d_out)` **accumulates** parameter gradients into
-//!   the layer's `g*` buffers and returns `d_in`, the gradient of the loss
-//!   with respect to the layer *input*. Accumulation (rather than
-//!   overwrite) lets multi-head networks sum gradients flowing into a
-//!   shared trunk; call [`Linear::zero_grad`] before each optimizer step.
+//! * `forward(&self, x, y)` writes the layer output into `y`, a buffer
+//!   the caller owns and keeps for the backward pass.
+//! * `backward(&mut self, x, y, d_out, d_pre, d_in)` reads the same `x`
+//!   and `y`, **accumulates** parameter gradients into the layer's `g*`
+//!   buffers and writes `d_in`, the gradient of the loss with respect to
+//!   the layer *input*. Accumulation (rather than overwrite) lets
+//!   multi-head networks sum gradients flowing into a shared trunk; call
+//!   [`Dense::zero_grad`] before each optimizer step.
 
 use crate::init::{he_init, xavier_init};
 use crate::matrix::Matrix;
@@ -16,93 +17,87 @@ use crate::params::{ParamVisitor, ParamVisitorMut, Params};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Fully connected layer `y = x·W + b` with `W: in×out`.
+/// Fully connected layer with a fused element-wise activation,
+/// `y = f(x·W + b)` with `W: in×out`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Linear {
+pub struct Dense {
     /// Weights, `in_dim × out_dim`.
     pub w: Matrix,
     /// Bias, length `out_dim`.
     pub b: Vec<f32>,
+    /// The activation `f` applied to every output element.
+    pub act: ActivationKind,
     /// Weight gradient accumulator.
     pub gw: Matrix,
     /// Bias gradient accumulator.
     pub gb: Vec<f32>,
-    #[serde(skip)]
-    cached_input: Option<Matrix>,
 }
 
-impl Linear {
+impl Dense {
     /// He-initialized layer (use before ReLU).
-    pub fn new_he<R: Rng>(rng: &mut R, in_dim: usize, out_dim: usize) -> Self {
-        Self::from_weight(he_init(rng, in_dim, out_dim))
+    pub fn new_he<R: Rng>(rng: &mut R, in_dim: usize, out_dim: usize, act: ActivationKind) -> Self {
+        Self::from_weight(he_init(rng, in_dim, out_dim), act)
     }
 
     /// Xavier-initialized layer (use before sigmoid/tanh or linear output).
-    pub fn new_xavier<R: Rng>(rng: &mut R, in_dim: usize, out_dim: usize) -> Self {
-        Self::from_weight(xavier_init(rng, in_dim, out_dim))
+    pub fn new_xavier<R: Rng>(
+        rng: &mut R,
+        in_dim: usize,
+        out_dim: usize,
+        act: ActivationKind,
+    ) -> Self {
+        Self::from_weight(xavier_init(rng, in_dim, out_dim), act)
     }
 
-    fn from_weight(w: Matrix) -> Self {
+    fn from_weight(w: Matrix, act: ActivationKind) -> Self {
         let (in_dim, out_dim) = (w.rows(), w.cols());
         Self {
             w,
             b: vec![0.0; out_dim],
+            act,
             gw: Matrix::zeros(in_dim, out_dim),
             gb: vec![0.0; out_dim],
-            cached_input: None,
         }
     }
 
-    pub(crate) fn in_dim(&self) -> usize {
-        self.w.rows()
+    /// Forward pass `y = f(x·W + b)`: one fused kernel into `y`.
+    pub fn forward(&self, x: &Matrix, y: &mut Matrix) {
+        assert_eq!(x.cols(), self.w.rows(), "Dense input width mismatch");
+        let act = self.act;
+        x.matmul_bias_act_into(&self.w, &self.b, y, |v| act.apply(v));
     }
 
-    pub(crate) fn out_dim(&self) -> usize {
-        self.w.cols()
-    }
-
-    /// Forward pass; caches the input for the backward pass.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols(), self.in_dim(), "Linear input width mismatch");
-        let mut y = Matrix::zeros(0, 0);
-        x.matmul_bias_into(&self.w, &self.b, &mut y);
-        self.cached_input = Some(x.clone());
-        y
-    }
-
-    /// Inference-only forward: does not cache, usable through `&self`.
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let mut y = Matrix::zeros(0, 0);
-        x.matmul_bias_into(&self.w, &self.b, &mut y);
-        y
-    }
-
-    /// Fused inference of this layer followed by an element-wise
-    /// activation, into a caller-provided scratch matrix: one kernel, no
-    /// intermediate pre-activation matrix.
-    pub(crate) fn forward_inference_act_into(
-        &self,
+    /// Backward pass for the `x → y` of the last [`Dense::forward`]:
+    /// with `d_pre = d_out ⊙ f'(y)` (written into `d_pre`), accumulates
+    /// `gw += xᵀ·d_pre` and `gb += Σrows d_pre`, and writes
+    /// `d_in = d_pre·Wᵀ`.
+    pub fn backward(
+        &mut self,
         x: &Matrix,
-        act: ActivationKind,
-        out: &mut Matrix,
+        y: &Matrix,
+        d_out: &Matrix,
+        d_pre: &mut Matrix,
+        d_in: &mut Matrix,
     ) {
-        assert_eq!(x.cols(), self.in_dim(), "Linear input width mismatch");
-        x.matmul_bias_act_into(&self.w, &self.b, out, |v| act.apply(v));
-    }
-
-    /// Backward pass: accumulates `gw += xᵀ·d_out`, `gb += Σrows d_out`,
-    /// returns `d_in = d_out·Wᵀ`.
-    pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("Linear::backward called before forward");
-        assert_eq!(d_out.cols(), self.out_dim(), "Linear grad width mismatch");
-        x.t_matmul_acc(d_out, &mut self.gw);
-        for (g, s) in self.gb.iter_mut().zip(d_out.col_sums()) {
-            *g += s;
+        assert_eq!(d_out.cols(), self.w.cols(), "Dense grad width mismatch");
+        assert_eq!(
+            (y.rows(), y.cols()),
+            (d_out.rows(), d_out.cols()),
+            "Dense backward called before forward"
+        );
+        let act = self.act;
+        d_pre.reshape(d_out.rows(), d_out.cols());
+        for ((p, &g), &y) in d_pre
+            .as_mut_slice()
+            .iter_mut()
+            .zip(d_out.as_slice())
+            .zip(y.as_slice())
+        {
+            *p = g * act.derivative_from_output(y);
         }
-        d_out.matmul_t(&self.w)
+        x.t_matmul_acc(d_pre, &mut self.gw);
+        d_pre.col_sums_acc(&mut self.gb);
+        d_pre.matmul_t_into(&self.w, d_in);
     }
 
     /// Reset gradient accumulators to zero.
@@ -112,7 +107,7 @@ impl Linear {
     }
 }
 
-impl Params for Linear {
+impl Params for Dense {
     fn visit_params(&self, f: &mut ParamVisitor<'_>) {
         f(self.w.as_slice(), self.gw.as_slice());
         f(&self.b, &self.gb);
@@ -124,13 +119,14 @@ impl Params for Linear {
     }
 }
 
-/// Element-wise activation kinds supported by [`Activation`].
+/// Element-wise activations a [`Dense`] layer applies to its output.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ActivationKind {
     Relu,
     Sigmoid,
     Tanh,
-    /// Identity — convenient for uniform layer stacks.
+    /// Identity — a plain linear layer. Applies as exactly `x`, and its
+    /// derivative 1.0 multiplies exactly, so no float changes.
     Identity,
 }
 
@@ -147,7 +143,7 @@ impl ActivationKind {
 
     /// Derivative expressed in terms of the *output* `y = f(x)` — all four
     /// supported activations admit this form, which lets the backward pass
-    /// cache only the output.
+    /// read only the layer output.
     #[inline]
     pub(crate) fn derivative_from_output(self, y: f32) -> f32 {
         match self {
@@ -165,70 +161,39 @@ impl ActivationKind {
     }
 }
 
-/// Stateless element-wise activation layer (caches its output for backward).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Activation {
-    pub kind: ActivationKind,
-    #[serde(skip)]
-    cached_output: Option<Matrix>,
-}
-
-impl Activation {
-    pub(crate) fn new(kind: ActivationKind) -> Self {
-        Self {
-            kind,
-            cached_output: None,
-        }
-    }
-
-    pub fn relu() -> Self {
-        Self::new(ActivationKind::Relu)
-    }
-
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let kind = self.kind;
-        let y = x.map(|v| kind.apply(v));
-        self.cached_output = Some(y.clone());
-        y
-    }
-
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let kind = self.kind;
-        x.map(|v| kind.apply(v))
-    }
-
-    pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        let y = self
-            .cached_output
-            .as_ref()
-            .expect("Activation::backward called before forward");
-        let kind = self.kind;
-        let deriv = y.map(|v| kind.derivative_from_output(v));
-        d_out.hadamard(&deriv)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequential::{Sequential, Tape};
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// Forward then backward of one layer; returns `d_in`.
+    fn round_trip(l: &mut Dense, x: &Matrix, d_out: &Matrix) -> Matrix {
+        let (mut y, mut d_pre, mut d_in) = Default::default();
+        l.forward(x, &mut y);
+        l.backward(x, &y, d_out, &mut d_pre, &mut d_in);
+        d_in
+    }
 
     #[test]
     fn linear_forward_known_values() {
-        let mut l = Linear::from_weight(Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
+        let mut l = Dense::from_weight(
+            Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]),
+            ActivationKind::Identity,
+        );
         l.b = vec![0.5, -0.5];
-        let y = l.forward(&Matrix::from_row(&[1.0, 1.0]));
+        let mut y = Matrix::default();
+        l.forward(&Matrix::from_row(&[1.0, 1.0]), &mut y);
         assert_eq!(y.as_slice(), &[4.5, 5.5]);
     }
 
     #[test]
     fn linear_backward_shapes_and_bias_grad() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut l = Linear::new_he(&mut rng, 3, 2);
+        let mut l = Dense::new_he(&mut rng, 3, 2, ActivationKind::Identity);
         let x = Matrix::from_rows(&[&[1.0, 0.0, -1.0], &[0.5, 0.5, 0.5]]);
-        let _ = l.forward(&x);
         let d_out = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]);
-        let d_in = l.backward(&d_out);
+        let d_in = round_trip(&mut l, &x, &d_out);
         assert_eq!((d_in.rows(), d_in.cols()), (2, 3));
         // Bias gradient is the column sum of d_out over the batch.
         assert_eq!(l.gb, vec![2.0, 2.0]);
@@ -237,14 +202,12 @@ mod tests {
     #[test]
     fn backward_accumulates_until_zero_grad() {
         let mut rng = StdRng::seed_from_u64(4);
-        let mut l = Linear::new_he(&mut rng, 2, 2);
+        let mut l = Dense::new_he(&mut rng, 2, 2, ActivationKind::Identity);
         let x = Matrix::from_row(&[1.0, 2.0]);
         let g = Matrix::from_row(&[1.0, 1.0]);
-        let _ = l.forward(&x);
-        let _ = l.backward(&g);
+        round_trip(&mut l, &x, &g);
         let first = l.gb.clone();
-        let _ = l.forward(&x);
-        let _ = l.backward(&g);
+        round_trip(&mut l, &x, &g);
         assert_eq!(l.gb[0], 2.0 * first[0]);
         l.zero_grad();
         assert!(l.gb.iter().all(|&v| v == 0.0));
@@ -273,8 +236,10 @@ mod tests {
 
     #[test]
     fn sigmoid_output_bounded() {
-        let mut a = Activation::new(ActivationKind::Sigmoid);
-        let y = a.forward(&Matrix::from_row(&[-100.0, 0.0, 100.0]));
+        let w = Matrix::from_vec(1, 3, vec![-100.0, 0.0, 100.0]);
+        let l = Dense::from_weight(w, ActivationKind::Sigmoid);
+        let mut y = Matrix::default();
+        l.forward(&Matrix::from_row(&[1.0]), &mut y);
         assert!(y.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
         assert!((y.as_slice()[1] - 0.5).abs() < 1e-6);
     }
@@ -282,7 +247,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "backward called before forward")]
     fn backward_before_forward_panics() {
-        let mut a = Activation::relu();
-        let _ = a.backward(&Matrix::from_row(&[1.0]));
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut net = Sequential::mlp(
+            &mut rng,
+            &[1, 1],
+            ActivationKind::Relu,
+            ActivationKind::Relu,
+        );
+        let _ = net.backward(&Matrix::from_row(&[1.0]), &mut Tape::default());
     }
 }

@@ -8,14 +8,19 @@
 //!
 //! Design points:
 //!
-//! * [`Matrix`] is a row-major `f32` matrix with the handful of BLAS-1/2/3
-//!   kernels the MLPs need (`matmul`, transposed variants, AXPY-style
-//!   element-wise ops). Everything is bounds-checked in debug builds and
-//!   iterator/slice-driven so the optimizer can vectorize.
-//! * [`Linear`], [`Activation`] and [`Sequential`] implement forward and
-//!   backward passes explicitly. `backward` *returns the gradient with
-//!   respect to the layer input*, which is what DDPG needs to push critic
-//!   gradients through the action input (`dQ/da`).
+//! * [`Matrix`] is a row-major `f32` matrix with the handful of kernels
+//!   the MLPs need, each writing into caller-owned storage: the fused
+//!   `f(x·W + b)` forward kernel, the weight-gradient `xᵀ·dy` and
+//!   input-gradient `dy·Wᵀ` kernels, and AXPY-style element-wise ops.
+//!   Everything is bounds-checked in debug builds and iterator/slice-driven
+//!   so the optimizer can vectorize.
+//! * [`Dense`] is a linear layer with its activation fused in, and
+//!   [`Sequential`] a stack of them. Each has one forward and one
+//!   backward pass, used for training and inference alike. The layer
+//!   inputs and outputs live in a [`Tape`] the caller owns and reuses,
+//!   so a warm pass allocates nothing. `backward` *returns the gradient
+//!   with respect to the stack input*, which is what DDPG needs to push
+//!   critic gradients through the action input (`dQ/da`).
 //! * [`Adam`] walks a network's parameters through the [`Params`]
 //!   visitor trait, so its optimizer state lines up with any
 //!   parameter layout (plain stacks, two-headed actors, critics with a
@@ -34,12 +39,12 @@ mod optim;
 mod params;
 mod sequential;
 
-pub use layers::{Activation, ActivationKind, Linear};
+pub use layers::{ActivationKind, Dense};
 pub use loss::mse_loss;
 pub use matrix::Matrix;
 pub use optim::{Adam, AdamConfig};
 pub use params::{ParamVisitor, ParamVisitorMut, Params};
-pub use sequential::Sequential;
+pub use sequential::{Sequential, Tape};
 
 /// Numerical tolerance used by tests and the finite-difference gradient
 /// checker. Loose enough for `f32` accumulation error over small nets.

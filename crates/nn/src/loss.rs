@@ -1,4 +1,5 @@
-//! Loss functions returning `(scalar loss, gradient w.r.t. prediction)`.
+//! Loss functions returning the scalar loss and writing the gradient
+//! w.r.t. the prediction into a caller-owned matrix.
 //!
 //! Gradients are already divided by the element count, so callers feed them
 //! straight into `backward` without extra scaling.
@@ -7,16 +8,16 @@ use crate::matrix::Matrix;
 
 /// Mean squared error over all elements.
 ///
-/// Returns `(L, dL/dpred)` with `L = mean((pred - target)^2)` and
-/// `dL/dpred = 2 (pred - target) / N`.
-pub fn mse_loss(pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
+/// Returns `L = mean((pred - target)^2)` and writes
+/// `dL/dpred = 2 (pred - target) / N` into `grad` (reshaped to match).
+pub fn mse_loss(pred: &Matrix, target: &Matrix, grad: &mut Matrix) -> f32 {
     assert_eq!(
         (pred.rows(), pred.cols()),
         (target.rows(), target.cols()),
         "mse_loss shape mismatch"
     );
     let n = (pred.rows() * pred.cols()) as f32;
-    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
+    grad.reshape(pred.rows(), pred.cols());
     let mut loss = 0.0f32;
     for ((g, &p), &t) in grad
         .as_mut_slice()
@@ -28,7 +29,7 @@ pub fn mse_loss(pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
         loss += d * d;
         *g = 2.0 * d / n;
     }
-    (loss / n, grad)
+    loss / n
 }
 
 #[cfg(test)]
@@ -38,7 +39,8 @@ mod tests {
     #[test]
     fn mse_zero_when_equal() {
         let a = Matrix::from_row(&[1.0, 2.0, 3.0]);
-        let (l, g) = mse_loss(&a, &a);
+        let mut g = Matrix::default();
+        let l = mse_loss(&a, &a, &mut g);
         assert_eq!(l, 0.0);
         assert!(g.as_slice().iter().all(|&x| x == 0.0));
     }
@@ -47,7 +49,8 @@ mod tests {
     fn mse_known_value() {
         let p = Matrix::from_row(&[2.0, 0.0]);
         let t = Matrix::from_row(&[0.0, 0.0]);
-        let (l, g) = mse_loss(&p, &t);
+        let mut g = Matrix::full(3, 3, 9.0); // wrong shape + stale contents
+        let l = mse_loss(&p, &t, &mut g);
         assert!((l - 2.0).abs() < 1e-6); // (4 + 0) / 2
         assert!((g.as_slice()[0] - 2.0).abs() < 1e-6); // 2*2/2
     }
@@ -56,14 +59,17 @@ mod tests {
     fn gradients_are_finite_difference_consistent() {
         let p = Matrix::from_row(&[0.3, -1.7, 2.2]);
         let t = Matrix::from_row(&[0.0, 0.5, 2.0]);
-        let (_, g) = mse_loss(&p, &t);
+        let mut g = Matrix::default();
+        mse_loss(&p, &t, &mut g);
         for i in 0..3 {
             let eps = 1e-3;
             let mut up = p.clone();
             up.as_mut_slice()[i] += eps;
             let mut dn = p.clone();
             dn.as_mut_slice()[i] -= eps;
-            let numeric = (mse_loss(&up, &t).0 - mse_loss(&dn, &t).0) / (2.0 * eps);
+            let mut scratch = Matrix::default();
+            let numeric =
+                (mse_loss(&up, &t, &mut scratch) - mse_loss(&dn, &t, &mut scratch)) / (2.0 * eps);
             assert!(
                 (numeric - g.as_slice()[i]).abs() < 1e-2,
                 "idx {i}: {numeric} vs {}",

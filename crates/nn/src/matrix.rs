@@ -49,7 +49,7 @@ fn axpy_lanes(out: &mut [f32], a: f32, b: &[f32]) {
 ///
 /// Rows are the batch dimension throughout this crate: a batch of `n`
 /// state vectors of width `d` is an `n × d` matrix.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -168,6 +168,12 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Make `self` a copy of `other`, reusing `self`'s storage.
+    pub(crate) fn copy_from(&mut self, other: &Matrix) {
+        self.reshape(other.rows, other.cols);
+        self.data.copy_from_slice(&other.data);
+    }
+
     /// Gather the given rows of `self` into `out` (reshaped to
     /// `rows.len() × self.cols`), preserving the order of `rows`. Row
     /// indices may repeat. This is the ragged-batching primitive: a
@@ -196,30 +202,15 @@ impl Matrix {
     /// is streamed against every row of the LHS.
     const K_BLOCK: usize = 64;
 
-    /// `self (n×k) · other (k×m) → n×m`.
-    ///
-    /// ikj loop order so the innermost loop walks both output row and RHS row
-    /// contiguously — lets LLVM vectorize without an explicit transpose.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_into(other, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul`] into a caller-provided output (reshaped as
-    /// needed). Blocked over K: the kernel walks the RHS in panels of
-    /// [`Matrix::K_BLOCK`] rows so each panel is reused across all LHS
-    /// rows. Per output element the accumulation still runs in ascending
-    /// K order, so the result is bit-identical to the naive ikj loop.
-    pub(crate) fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
-        out.reshape(self.rows, other.cols);
-        out.data.fill(0.0);
-        self.matmul_acc(other, out);
-    }
-
-    /// `out += self · other` (blocked; `out` must already be `n×m`).
-    pub(crate) fn matmul_acc(&self, other: &Matrix, out: &mut Matrix) {
+    /// `out += self · other` for `self (n×k)`, `other (k×m)`, with `out`
+    /// already `n×m`. ikj loop order, so the innermost loop walks both
+    /// output row and RHS row contiguously — LLVM vectorizes it without
+    /// an explicit transpose. Blocked over K: the kernel walks the RHS
+    /// in panels of [`Matrix::K_BLOCK`] rows so each panel is reused
+    /// across all LHS rows. Per output element the accumulation still
+    /// runs in ascending K order, so the result is bit-identical to the
+    /// naive ikj loop.
+    fn matmul_acc(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         assert_eq!(
             (out.rows, out.cols),
@@ -240,50 +231,35 @@ impl Matrix {
         }
     }
 
-    /// Fused `self · other + bias` (bias broadcast over rows) into `out`.
-    ///
-    /// Each output row is *initialized* with the bias and then accumulated
-    /// in the same blocked ikj order — one pass instead of a matmul
-    /// followed by a separate broadcast sweep.
-    pub(crate) fn matmul_bias_into(&self, other: &Matrix, bias: &[f32], out: &mut Matrix) {
-        assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
-        assert_eq!(bias.len(), other.cols, "bias width mismatch");
-        let (n, m) = (self.rows, other.cols);
-        out.reshape(n, m);
-        for i in 0..n {
-            out.data[i * m..(i + 1) * m].copy_from_slice(bias);
-        }
-        self.matmul_acc(other, out);
-    }
-
-    /// Fused `f(self · other + bias)` into `out` — the whole inference
-    /// path of a `Linear → Activation` pair in one kernel, with no
-    /// intermediate allocation or extra pass for the element-wise map.
-    pub(crate) fn matmul_bias_act_into(
+    /// Fused `f(self · other + bias)` into `out` (reshaped as needed):
+    /// a whole dense layer's forward pass in one kernel. Each output row
+    /// is *initialized* with the bias and then accumulated in the
+    /// blocked ikj order of `Matrix::matmul_acc`; `f` maps each element
+    /// after its dot product is complete, so the floats equal a matmul,
+    /// a bias sweep and a map done one after the other.
+    pub fn matmul_bias_act_into(
         &self,
         other: &Matrix,
         bias: &[f32],
         out: &mut Matrix,
         f: impl Fn(f32) -> f32,
     ) {
-        self.matmul_bias_into(other, bias, out);
+        assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
+        assert_eq!(bias.len(), other.cols, "bias width mismatch");
+        out.reshape(self.rows, other.cols);
+        for row in out.data.chunks_exact_mut(other.cols) {
+            row.copy_from_slice(bias);
+        }
+        self.matmul_acc(other, out);
         for x in &mut out.data {
             *x = f(*x);
         }
     }
 
-    /// `selfᵀ (k×n)ᵀ · other (n×m) → k×m` without materializing the
-    /// transpose. Used for weight gradients (`xᵀ · dy`).
-    pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        self.t_matmul_acc(other, &mut out);
-        out
-    }
-
-    /// `out += selfᵀ · other` (`out` must already be `k×m`). Lets gradient
-    /// accumulators take `gw += xᵀ·dy` directly instead of materializing
-    /// the product and `axpy`-ing it in.
-    pub(crate) fn t_matmul_acc(&self, other: &Matrix, out: &mut Matrix) {
+    /// `out += selfᵀ · other` for `self (n×k)`, `other (n×m)`, with `out`
+    /// already `k×m`, without materializing the transpose. Gradient
+    /// accumulators take `gw += xᵀ·dy` directly.
+    pub fn t_matmul_acc(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
         assert_eq!(
             (out.rows, out.cols),
@@ -301,16 +277,9 @@ impl Matrix {
         }
     }
 
-    /// `self (n×k) · otherᵀ (m×k)ᵀ → n×m` without materializing the
-    /// transpose. Used for input gradients (`dy · Wᵀ`).
-    pub(crate) fn matmul_t(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        self.matmul_t_into(other, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_t`] into a caller-provided output. The RHS is
-    /// already walked row-wise (it *is* the transposed-B layout), so each
+    /// `self (n×k) · otherᵀ (m×k)ᵀ → n×m` into `out` (reshaped as
+    /// needed) without materializing the transpose. Used for input
+    /// gradients (`dy · Wᵀ`). The RHS is already walked row-wise (it *is* the transposed-B layout), so each
     /// output element is a contiguous dot product. Re-ordering a dot
     /// product's accumulation would change float rounding, so SIMD here
     /// register-blocks **across output columns** instead: four
@@ -353,16 +322,19 @@ impl Matrix {
         }
     }
 
-    /// Column sums (used to reduce bias gradients over the batch).
-    pub(crate) fn col_sums(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (o, &x) in out.iter_mut().zip(row) {
-                *o += x;
+    /// `out[c] += Σrows self[r][c]` (bias gradients reduce over the
+    /// batch). Each column's sum starts from zero and adds rows in
+    /// order before it reaches `out`, so accumulating into a non-zero
+    /// `out` rounds as adding a separately computed sum would.
+    pub(crate) fn col_sums_acc(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.cols, "col_sums_acc width mismatch");
+        for (c, o) in out.iter_mut().enumerate() {
+            let mut sum = 0.0f32;
+            for r in 0..self.rows {
+                sum += self.data[r * self.cols + c];
             }
+            *o += sum;
         }
-        out
     }
 
     /// Element-wise `self += alpha * other` (lane-chunked; element-wise
@@ -372,66 +344,30 @@ impl Matrix {
         axpy_lanes(&mut self.data, alpha, &other.data);
     }
 
-    /// Element-wise product into a new matrix (Hadamard).
-    pub(crate) fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| a * b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Apply `f` to every element in place.
-    pub(crate) fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
-    /// Apply `f` to every element into a new matrix.
-    pub(crate) fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Horizontally concatenate two matrices with equal row counts:
-    /// `(n×a) ⧺ (n×b) → n×(a+b)`. Used by the DDPG critic to join the
-    /// state-path activations with the action input.
-    pub fn hconcat(&self, other: &Matrix) -> Matrix {
+    /// Horizontally concatenate two matrices with equal row counts into
+    /// `out`: `(n×a) ⧺ (n×b) → n×(a+b)`. The DDPG critic joins the
+    /// state-path activations with the action input this way.
+    pub fn hconcat_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "hconcat row mismatch");
-        let cols = self.cols + other.cols;
-        let mut data = Vec::with_capacity(self.rows * cols);
+        out.reshape(self.rows, self.cols + other.cols);
         for r in 0..self.rows {
-            data.extend_from_slice(self.row(r));
-            data.extend_from_slice(other.row(r));
-        }
-        Matrix {
-            rows: self.rows,
-            cols,
-            data,
+            let (left, right) = out.row_mut(r).split_at_mut(self.cols);
+            left.copy_from_slice(self.row(r));
+            right.copy_from_slice(other.row(r));
         }
     }
 
-    /// Split a matrix column-wise at `at`: inverse of [`Matrix::hconcat`].
-    pub fn hsplit(&self, at: usize) -> (Matrix, Matrix) {
+    /// Split `self` column-wise at `at` into `left` and `right`: the
+    /// inverse of [`Matrix::hconcat_into`].
+    pub fn hsplit_into(&self, at: usize, left: &mut Matrix, right: &mut Matrix) {
         assert!(at <= self.cols, "hsplit out of range");
-        let mut left = Matrix::zeros(self.rows, at);
-        let mut right = Matrix::zeros(self.rows, self.cols - at);
+        left.reshape(self.rows, at);
+        right.reshape(self.rows, self.cols - at);
         for r in 0..self.rows {
-            left.row_mut(r).copy_from_slice(&self.row(r)[..at]);
-            right.row_mut(r).copy_from_slice(&self.row(r)[at..]);
+            let (l, rt) = self.row(r).split_at(at);
+            left.row_mut(r).copy_from_slice(l);
+            right.row_mut(r).copy_from_slice(rt);
         }
-        (left, right)
     }
 
     /// Mean of all elements; 0 for an empty matrix.
@@ -464,11 +400,33 @@ mod tests {
         assert_eq!(out.rows(), 0);
     }
 
+    /// `a · b` through the fused kernel, with a zero bias and the
+    /// identity map: the plain product, as the layers compute it.
+    fn product(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        a.matmul_bias_act_into(b, &vec![0.0; b.cols()], &mut out, |x| x);
+        out
+    }
+
+    /// `aᵀ · b` through the accumulating kernel, from zero.
+    fn t_product(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        a.t_matmul_acc(b, &mut out);
+        out
+    }
+
+    /// `a · bᵀ`.
+    fn product_t(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        a.matmul_t_into(b, &mut out);
+        out
+    }
+
     #[test]
     fn matmul_small_known_values() {
         let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = a.matmul(&b);
+        let c = product(&a, &b);
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
@@ -477,9 +435,9 @@ mod tests {
         let a = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_vec(3, 2, vec![1.0, 0.5, -1.0, 2.0, 0.0, 3.0]);
         // aᵀ is 2×3; aᵀ·b is 2×2.
-        let c = a.t_matmul(&b);
+        let c = t_product(&a, &b);
         let at = Matrix::from_vec(2, 3, vec![1.0, 3.0, 5.0, 2.0, 4.0, 6.0]);
-        let expected = at.matmul(&b);
+        let expected = product(&at, &b);
         assert_eq!(c, expected);
     }
 
@@ -487,7 +445,7 @@ mod tests {
     fn matmul_t_matches_explicit_transpose() {
         let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_vec(4, 3, vec![1.0; 12]);
-        let c = a.matmul_t(&b);
+        let c = product_t(&a, &b);
         assert_eq!(c.rows(), 2);
         assert_eq!(c.cols(), 4);
         for r in 0..2 {
@@ -502,18 +460,25 @@ mod tests {
     fn hconcat_hsplit_roundtrip() {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let b = Matrix::from_vec(2, 3, vec![5.0, 6.0, 7.0, 8.0, 9.0, 10.0]);
-        let joined = a.hconcat(&b);
+        let mut joined = Matrix::full(4, 4, 9.0); // wrong shape + stale contents
+        a.hconcat_into(&b, &mut joined);
         assert_eq!(joined.cols(), 5);
         assert_eq!(joined.row(0), &[1.0, 2.0, 5.0, 6.0, 7.0]);
-        let (l, r) = joined.hsplit(2);
+        let (mut l, mut r) = Default::default();
+        joined.hsplit_into(2, &mut l, &mut r);
         assert_eq!(l, a);
         assert_eq!(r, b);
     }
 
     #[test]
     fn bias_broadcast_and_col_sums() {
-        let m = Matrix::from_vec(3, 2, [1.0, -2.0].repeat(3));
-        assert_eq!(m.col_sums(), vec![3.0, -6.0]);
+        let a = Matrix::from_vec(3, 2, [1.0, -2.0].repeat(3));
+        let mut out = Matrix::default();
+        a.matmul_bias_act_into(&Matrix::zeros(2, 2), &[0.5, -0.5], &mut out, |x| x);
+        assert_eq!(out, Matrix::from_vec(3, 2, [0.5, -0.5].repeat(3)));
+        let mut sums = vec![10.0, 10.0];
+        a.col_sums_acc(&mut sums);
+        assert_eq!(sums, vec![13.0, 4.0]);
     }
 
     #[test]
@@ -521,7 +486,7 @@ mod tests {
     fn matmul_shape_mismatch_panics() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
+        let _ = product(&a, &b);
     }
 
     #[test]
@@ -542,25 +507,27 @@ mod tests {
                 reference.set(i, j, acc);
             }
         }
-        assert_eq!(a.matmul(&b), reference);
+        assert_eq!(product(&a, &b), reference);
     }
 
     #[test]
     fn into_kernels_reuse_and_reshape_scratch() {
         let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let mut out = Matrix::zeros(5, 7); // wrong shape + stale contents
-        a.matmul_into(&b, &mut out);
-        assert_eq!(out, a.matmul(&b));
-        // Reuse the same scratch for a fused bias and bias+activation pass.
-        a.matmul_bias_into(&b, &[0.5, -0.5], &mut out);
+        // A fused bias pass, then a bias+activation pass, in one scratch
+        // of the wrong shape and stale contents.
+        let mut out = Matrix::full(5, 7, 3.0);
+        a.matmul_bias_act_into(&b, &[0.5, -0.5], &mut out, |x| x);
         let bias = [0.5, -0.5].repeat(2);
-        let plain = a.matmul(&b);
+        let plain = product(&a, &b);
         let sum = plain.as_slice().iter().zip(&bias).map(|(x, b)| x + b);
         let expected = Matrix::from_vec(2, 2, sum.collect());
         assert_eq!(out, expected);
-        a.matmul_bias_act_into(&b, &[0.5, -0.5], &mut out, |x| x.max(0.0));
-        assert_eq!(out, expected.map(|x| x.max(0.0)));
+        a.matmul_bias_act_into(&b, &[-100.0, -200.0], &mut out, |x| x.max(0.0));
+        assert_eq!(out.as_slice(), &[0.0, 0.0, 39.0, 0.0]);
+        let mut t = Matrix::full(1, 9, 3.0);
+        a.matmul_t_into(&Matrix::from_vec(1, 3, vec![1.0, 0.0, -1.0]), &mut t);
+        assert_eq!(t, Matrix::from_vec(2, 1, vec![-2.0, -2.0]));
     }
 
     #[test]
@@ -572,18 +539,9 @@ mod tests {
         assert_eq!(out.as_slice(), &[11.0, 12.0, 13.0, 14.0]);
         let mut gt = Matrix::full(2, 2, 1.0);
         a.t_matmul_acc(&b, &mut gt);
-        let mut expected = a.t_matmul(&b);
+        let mut expected = t_product(&a, &b);
         expected.axpy(1.0, &Matrix::full(2, 2, 1.0));
         assert_eq!(gt, expected);
-    }
-
-    #[test]
-    fn map_and_hadamard() {
-        let a = Matrix::from_vec(1, 3, vec![1.0, -2.0, 3.0]);
-        let relu = a.map(|x| x.max(0.0));
-        assert_eq!(relu.as_slice(), &[1.0, 0.0, 3.0]);
-        let h = a.hadamard(&relu);
-        assert_eq!(h.as_slice(), &[1.0, 0.0, 9.0]);
     }
 
     // ---- SIMD-vs-scalar bit-exactness ----
@@ -628,7 +586,7 @@ mod tests {
                 let a = filled(n, k, salt);
                 let b = filled(k, m, salt.wrapping_add(1));
                 prop_assert_eq!(
-                    a.matmul(&b).as_slice(),
+                    product(&a, &b).as_slice(),
                     naive_matmul(&a, &b).as_slice(),
                     "lane-chunked matmul drifted from the scalar reference"
                 );
@@ -646,7 +604,7 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(
-                    a.matmul_t(&bt).as_slice(),
+                    product_t(&a, &bt).as_slice(),
                     naive_matmul(&a, &b).as_slice(),
                     "register-blocked matmul_t drifted from the scalar reference"
                 );
@@ -664,7 +622,7 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(
-                    a.t_matmul(&b).as_slice(),
+                    t_product(&a, &b).as_slice(),
                     naive_matmul(&at, &b).as_slice(),
                     "lane-chunked t_matmul drifted from the scalar reference"
                 );

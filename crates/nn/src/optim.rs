@@ -84,21 +84,21 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::Linear;
+    use crate::layers::{ActivationKind, Dense};
     use crate::matrix::Matrix;
     use rand::{rngs::StdRng, SeedableRng};
 
-    fn quadratic_layer() -> Linear {
+    fn quadratic_layer() -> Dense {
         // One weight, no input needed: we set gradients by hand to emulate
         // minimizing f(w) = w^2 (grad = 2w).
         let mut rng = StdRng::seed_from_u64(0);
-        let mut l = Linear::new_he(&mut rng, 1, 1);
+        let mut l = Dense::new_he(&mut rng, 1, 1, ActivationKind::Identity);
         l.w = Matrix::from_vec(1, 1, vec![5.0]);
         l.b = vec![0.0];
         l
     }
 
-    fn set_quadratic_grad(l: &mut Linear) {
+    fn set_quadratic_grad(l: &mut Dense) {
         let w = l.w.as_slice()[0];
         l.gw = Matrix::from_vec(1, 1, vec![2.0 * w]);
         let b = l.b[0];

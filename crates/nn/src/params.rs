@@ -103,12 +103,12 @@ pub trait Params {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::Linear;
+    use crate::layers::{ActivationKind, Dense};
     use crate::matrix::Matrix;
 
-    fn tiny_linear() -> Linear {
+    fn tiny_linear() -> Dense {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let mut l = Linear::new_he(&mut rng, 2, 1);
+        let mut l = Dense::new_he(&mut rng, 2, 1, ActivationKind::Identity);
         l.w = Matrix::from_vec(2, 1, vec![1.0, 2.0]);
         l.b = vec![3.0];
         l

@@ -1,33 +1,42 @@
-//! A plain layer stack with forward/backward over alternating
-//! linear/activation layers.
+//! A plain stack of dense layers with one forward and one backward
+//! pass, and the [`Tape`] that carries a pass's buffers.
 
-use crate::layers::{Activation, ActivationKind, Linear};
+use crate::layers::{ActivationKind, Dense};
 use crate::matrix::Matrix;
 use crate::params::{ParamVisitor, ParamVisitorMut, Params};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// A single stage in a [`Sequential`] stack.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub(crate) enum Stage {
-    Linear(Linear),
-    Activation(Activation),
-}
-
-/// Feed-forward stack of linear and activation layers.
+/// Feed-forward stack of [`Dense`] layers.
 ///
-/// Used directly for the DQN/DDQN value networks, Gemini's service-time
-/// predictor, and as a building block for the DDPG actor/critic (which need
-/// extra structure: a two-headed actor and an action-concatenating critic —
-/// see `deeppower-drl`).
+/// Used directly for the DQN value network, the SAC policy, Gemini's
+/// service-time predictor, and as a building block for the DDPG
+/// actor/critic (which need extra structure: a two-headed actor and an
+/// action-concatenating critic — see `deeppower-drl`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Sequential {
-    stages: Vec<Stage>,
+    layers: Vec<Dense>,
+}
+
+/// Caller-owned buffers of one [`Sequential`] pass: each layer's input
+/// and output, and the gradients of the backward pass. A tape kept
+/// across calls reaches its largest shape once and then never
+/// allocates; [`Sequential::forward`] fills it and
+/// [`Sequential::backward`] reads it.
+#[derive(Debug, Default)]
+pub struct Tape {
+    /// `acts[0]` is the input, `acts[l + 1]` the output of layer `l`.
+    acts: Vec<Matrix>,
+    /// `grads[l]` is the loss gradient with respect to `acts[l]`.
+    grads: Vec<Matrix>,
+    /// One layer's `d_out ⊙ f'(y)`, reused layer by layer.
+    d_pre: Matrix,
 }
 
 impl Sequential {
-    pub(crate) fn new() -> Self {
-        Self { stages: Vec::new() }
+    /// A stack of the given layers, applied in order.
+    pub fn from_layers(layers: Vec<Dense>) -> Self {
+        Self { layers }
     }
 
     /// Build an MLP `dims[0] → dims[1] → … → dims[n-1]` with `hidden`
@@ -42,140 +51,71 @@ impl Sequential {
         output: ActivationKind,
     ) -> Self {
         assert!(dims.len() >= 2, "mlp needs at least input and output dims");
-        let mut stages = Vec::new();
-        for i in 0..dims.len() - 1 {
-            let last = i == dims.len() - 2;
-            let layer = if last {
-                Linear::new_xavier(rng, dims[i], dims[i + 1])
-            } else {
-                Linear::new_he(rng, dims[i], dims[i + 1])
-            };
-            stages.push(Stage::Linear(layer));
-            let act = if last { output } else { hidden };
-            if act != ActivationKind::Identity {
-                stages.push(Stage::Activation(Activation::new(act)));
-            }
-        }
-        Self { stages }
+        let last = dims.len() - 2;
+        let layers = (0..=last)
+            .map(|i| {
+                if i == last {
+                    Dense::new_xavier(rng, dims[i], dims[i + 1], output)
+                } else {
+                    Dense::new_he(rng, dims[i], dims[i + 1], hidden)
+                }
+            })
+            .collect();
+        Self { layers }
     }
 
-    /// Training forward pass (caches intermediates).
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut cur = x.clone();
-        for s in &mut self.stages {
-            cur = match s {
-                Stage::Linear(l) => l.forward(&cur),
-                Stage::Activation(a) => a.forward(&cur),
-            };
+    /// Forward pass of `x` through every layer; returns the output,
+    /// which lives in `tape`. Serves training (the tape then feeds
+    /// [`Sequential::backward`]) and inference alike.
+    pub fn forward<'t>(&self, x: &Matrix, tape: &'t mut Tape) -> &'t Matrix {
+        tape.acts
+            .resize_with(self.layers.len() + 1, Matrix::default);
+        tape.acts[0].copy_from(x);
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (done, next) = tape.acts.split_at_mut(l + 1);
+            layer.forward(&done[l], &mut next[0]);
         }
-        cur
+        &tape.acts[self.layers.len()]
     }
 
-    /// Inference forward pass (no caching, `&self`). This is the path whose
-    /// latency Table 2 measures.
-    ///
-    /// `Linear → Activation` pairs run through the fused
-    /// bias+activation kernel, ping-ponging between the current value and
-    /// one scratch matrix so a whole stack performs O(1) allocations.
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let mut cur = x.clone();
-        let mut scratch = Matrix::zeros(0, 0);
-        let mut i = 0;
-        while i < self.stages.len() {
-            match (&self.stages[i], self.stages.get(i + 1)) {
-                (Stage::Linear(l), Some(Stage::Activation(a))) => {
-                    l.forward_inference_act_into(&cur, a.kind, &mut scratch);
-                    std::mem::swap(&mut cur, &mut scratch);
-                    i += 2;
-                }
-                (Stage::Linear(l), _) => {
-                    cur = l.forward_inference(&cur);
-                    i += 1;
-                }
-                (Stage::Activation(a), _) => {
-                    cur = a.forward_inference(&cur);
-                    i += 1;
-                }
-            }
+    /// Backward pass of the last [`Sequential::forward`] on `tape`,
+    /// given the loss gradient `d_out` of its output. Accumulates every
+    /// layer's parameter gradients and returns the gradient with respect
+    /// to the stack input, which lives in `tape`.
+    pub fn backward<'t>(&mut self, d_out: &Matrix, tape: &'t mut Tape) -> &'t Matrix {
+        let n = self.layers.len();
+        assert_eq!(
+            tape.acts.len(),
+            n + 1,
+            "Sequential::backward called before forward"
+        );
+        tape.grads.resize_with(n, Matrix::default);
+        for (l, layer) in self.layers.iter_mut().enumerate().rev() {
+            let (d_in, later) = tape.grads.split_at_mut(l + 1);
+            let d_out = later.first().unwrap_or(d_out);
+            let (x, y) = (&tape.acts[l], &tape.acts[l + 1]);
+            layer.backward(x, y, d_out, &mut tape.d_pre, &mut d_in[l]);
         }
-        cur
-    }
-
-    /// [`Sequential::forward_inference`] into caller-owned storage: the
-    /// result lands in `cur`, with `scratch` as the ping-pong partner.
-    /// Once both matrices have seen the stack's widest shape no further
-    /// allocation happens — hot callers (the fleet lockstep driver runs
-    /// this every epoch) keep the pair across calls and go fully
-    /// allocation-free. Bit-identical to `forward_inference`: same
-    /// fused kernels in the same order, only the storage is reused.
-    pub fn forward_inference_into(&self, x: &Matrix, cur: &mut Matrix, scratch: &mut Matrix) {
-        cur.reshape(x.rows(), x.cols());
-        cur.as_mut_slice().copy_from_slice(x.as_slice());
-        let mut i = 0;
-        while i < self.stages.len() {
-            match (&self.stages[i], self.stages.get(i + 1)) {
-                (Stage::Linear(l), Some(Stage::Activation(a))) => {
-                    l.forward_inference_act_into(cur, a.kind, scratch);
-                    std::mem::swap(cur, scratch);
-                    i += 2;
-                }
-                (Stage::Linear(l), _) => {
-                    // Identity-fused = plain linear (Identity applies as
-                    // exactly `x`, so the floats are untouched).
-                    l.forward_inference_act_into(cur, ActivationKind::Identity, scratch);
-                    std::mem::swap(cur, scratch);
-                    i += 1;
-                }
-                (Stage::Activation(a), _) => {
-                    let kind = a.kind;
-                    cur.map_inplace(|v| kind.apply(v));
-                    i += 1;
-                }
-            }
-        }
-    }
-
-    /// Backward pass; returns gradient w.r.t. the stack input.
-    pub fn backward(&mut self, d_out: &Matrix) -> Matrix {
-        let mut cur = d_out.clone();
-        for s in self.stages.iter_mut().rev() {
-            cur = match s {
-                Stage::Linear(l) => l.backward(&cur),
-                Stage::Activation(a) => a.backward(&cur),
-            };
-        }
-        cur
+        &tape.grads[0]
     }
 
     pub fn zero_grad(&mut self) {
-        for s in &mut self.stages {
-            if let Stage::Linear(l) = s {
-                l.zero_grad();
-            }
+        for l in &mut self.layers {
+            l.zero_grad();
         }
-    }
-}
-
-impl Default for Sequential {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
 impl Params for Sequential {
     fn visit_params(&self, f: &mut ParamVisitor<'_>) {
-        for s in &self.stages {
-            if let Stage::Linear(l) = s {
-                l.visit_params(f);
-            }
+        for l in &self.layers {
+            l.visit_params(f);
         }
     }
 
     fn visit_params_mut(&mut self, f: &mut ParamVisitorMut<'_>) {
-        for s in &mut self.stages {
-            if let Stage::Linear(l) = s {
-                l.visit_params_mut(f);
-            }
+        for l in &mut self.layers {
+            l.visit_params_mut(f);
         }
     }
 }
@@ -190,17 +130,27 @@ mod tests {
     #[test]
     fn mlp_shapes() {
         let mut rng = StdRng::seed_from_u64(11);
-        let mut net = Sequential::mlp(
+        let net = Sequential::mlp(
             &mut rng,
             &[8, 32, 24, 16, 2],
             ActivationKind::Relu,
             ActivationKind::Sigmoid,
         );
-        let y = net.forward(&Matrix::from_row(&[0.1; 8]));
+        let mut tape = Tape::default();
+        let y = net.forward(&Matrix::from_row(&[0.1; 8]), &mut tape);
         assert_eq!((y.rows(), y.cols()), (1, 2));
         assert!(y.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
         // 8*32+32 + 32*24+24 + 24*16+16 + 16*2+2
         assert_eq!(net.num_params(), 288 + 792 + 400 + 34);
+    }
+
+    /// MSE of `net` on `(x, target)` through a fresh tape.
+    fn loss(net: &Sequential, x: &Matrix, target: &Matrix) -> f32 {
+        mse_loss(
+            net.forward(x, &mut Tape::default()),
+            target,
+            &mut Matrix::default(),
+        )
     }
 
     #[test]
@@ -217,18 +167,11 @@ mod tests {
 
         // Populate analytic grads.
         net.zero_grad();
-        let y = net.forward(&x);
-        let (_, grad) = mse_loss(&y, &target);
-        let _ = net.backward(&grad);
+        let (mut tape, mut grad) = (Tape::default(), Matrix::default());
+        mse_loss(net.forward(&x, &mut tape), &target, &mut grad);
+        net.backward(&grad, &mut tape);
 
-        let max_err = crate::finite_diff_max_rel_err(
-            &mut net,
-            |n| {
-                let y = n.forward_inference(&x);
-                mse_loss(&y, &target).0
-            },
-            1e-3,
-        );
+        let max_err = crate::finite_diff_max_rel_err(&mut net, |n| loss(n, &x, &target), 1e-3);
         assert!(max_err < crate::GRAD_CHECK_TOL, "max rel err {max_err}");
     }
 
@@ -257,21 +200,15 @@ mod tests {
             &[0.5, 0.5],
         ]);
         let t = Matrix::from_rows(&[&[0.0], &[1.0], &[2.0], &[3.0], &[1.5]]);
-        let initial = {
-            let y = net.forward_inference(&x);
-            mse_loss(&y, &t).0
-        };
+        let initial = loss(&net, &x, &t);
+        let (mut tape, mut g) = (Tape::default(), Matrix::default());
         for _ in 0..500 {
             net.zero_grad();
-            let y = net.forward(&x);
-            let (_, g) = mse_loss(&y, &t);
-            let _ = net.backward(&g);
+            mse_loss(net.forward(&x, &mut tape), &t, &mut g);
+            net.backward(&g, &mut tape);
             opt.step(&mut net);
         }
-        let final_loss = {
-            let y = net.forward_inference(&x);
-            mse_loss(&y, &t).0
-        };
+        let final_loss = loss(&net, &x, &t);
         assert!(
             final_loss < initial * 0.05,
             "loss did not drop enough: {initial} -> {final_loss}"
@@ -287,47 +224,30 @@ mod tests {
             ActivationKind::Relu,
             ActivationKind::Identity,
         );
+        let mut tape = Tape::default();
         let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]);
-        let y = net.forward(&x);
-        let d_in = net.backward(&Matrix::full(y.rows(), y.cols(), 1.0));
+        let y = net.forward(&x, &mut tape);
+        let d_out = Matrix::full(y.rows(), y.cols(), 1.0);
+        let d_in = net.backward(&d_out, &mut tape);
         assert_eq!((d_in.rows(), d_in.cols()), (1, 4));
     }
 
     #[test]
-    fn forward_inference_into_is_bit_identical_and_reuses_storage() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let net = Sequential::mlp(
-            &mut rng,
-            &[6, 24, 24, 3],
-            ActivationKind::Relu,
-            ActivationKind::Identity, // ends on a bare Linear stage
-        );
-        let mut cur = Matrix::zeros(0, 0);
-        let mut scratch = Matrix::zeros(0, 0);
-        for batch in [1usize, 4, 9] {
-            let mut x = Matrix::zeros(batch, 6);
-            for r in 0..batch {
-                let row: Vec<f32> = (0..6).map(|c| ((r * 6 + c) as f32).sin()).collect();
-                x.set_row(r, &row);
-            }
-            let want = net.forward_inference(&x);
-            net.forward_inference_into(&x, &mut cur, &mut scratch);
-            assert_eq!(want, cur, "batch {batch} diverged");
-        }
-    }
-
-    #[test]
     fn forward_inference_matches_training_forward() {
+        // A tape reused across passes of other shapes (the training
+        // path) gives the floats of a fresh tape (the inference path).
         let mut rng = StdRng::seed_from_u64(13);
-        let mut net = Sequential::mlp(
+        let net = Sequential::mlp(
             &mut rng,
             &[5, 10, 4],
             ActivationKind::Sigmoid,
             ActivationKind::Tanh,
         );
         let x = Matrix::from_row(&[0.1, -0.4, 0.7, 0.0, 2.0]);
-        let a = net.forward(&x);
-        let b = net.forward_inference(&x);
+        let mut reused = Tape::default();
+        net.forward(&Matrix::full(3, 5, 0.8), &mut reused);
+        let a = net.forward(&x, &mut reused).clone();
+        let b = net.forward(&x, &mut Tape::default()).clone();
         assert_eq!(a, b);
     }
 }

@@ -4,16 +4,24 @@
 //! allocations in proportion to the node count, not the request count.
 //! The request tracer's hooks do not allocate per chain either: only
 //! the traces it emits do, and what it holds does not grow with the
-//! window.
+//! window. The learning path allocates nothing once warm: a DDPG
+//! update, a fleet coordinator's batched act, and Gemini's per-request
+//! service-time prediction all reuse their buffers.
 //!
 //! Allocations are counted by a `#[global_allocator]` that charges each
 //! one to the allocating thread, so tests running in parallel do not
 //! see each other's allocations.
 
-use deeppower_fleet::{fleet_arrivals, split_arrivals, BalancerPolicy, FleetSpec};
-use deeppower_suite::deeppower::{ControllerParams, ThreadController};
+use deeppower_fleet::{
+    fleet_arrivals, split_arrivals, untrained_policy, BalancerPolicy, Coordinator, FleetSpec,
+};
+use deeppower_suite::baselines::{collect_profile, GeminiConfig, GeminiGovernor};
+use deeppower_suite::deeppower::{ControllerParams, ThreadController, STATE_DIM};
+use deeppower_suite::drl::{Ddpg, DdpgConfig, Transition};
+use deeppower_suite::nn::Matrix;
 use deeppower_suite::sim::{
-    FreqCommands, Governor, Nanos, Request, RunOptions, Server, ServerConfig, ServerView, SECOND,
+    FreqCommands, FreqPlan, Governor, Nanos, Request, RunOptions, Server, ServerConfig, ServerView,
+    SECOND,
 };
 use deeppower_suite::workload::{constant_rate_arrivals, App, AppSpec};
 use deeppower_telemetry::{Recorder, RequestTracer, ShedReason, TracePlan};
@@ -231,4 +239,75 @@ fn tracer_hooks_allocate_per_emitted_trace_not_per_chain() {
         "a window of {n} chain pairs made {half} allocations, one of {} made {full}",
         2 * n
     );
+}
+
+#[test]
+fn gemini_prediction_allocates_nothing_per_request() {
+    let spec = AppSpec::get(App::Xapian);
+    let samples = collect_profile(&spec, 0.3, 2, 31);
+    assert_engine_allocations_flat(
+        App::Xapian,
+        0.5,
+        || ServerConfig::paper_default(spec.n_threads),
+        || {
+            Box::new(GeminiGovernor::train(
+                &samples,
+                FreqPlan::xeon_gold_5218r(),
+                spec.n_threads,
+                GeminiConfig::default(),
+                5,
+            ))
+        },
+    );
+}
+
+#[test]
+fn warm_ddpg_update_allocates_nothing() {
+    let mut agent = Ddpg::new(DdpgConfig {
+        warmup: 0,
+        batch_size: 64,
+        seed: 3,
+        ..Default::default()
+    });
+    for i in 0..512u32 {
+        let v = (i as f32 * 0.37).sin();
+        agent.observe(Transition {
+            state: vec![v; STATE_DIM],
+            action: vec![v.abs(), 1.0 - v.abs()],
+            reward: -v,
+            next_state: vec![v * 0.9; STATE_DIM],
+            done: i % 64 == 63,
+        });
+    }
+    // The first update sizes every buffer; the rest reuse them.
+    agent.update();
+    let (allocs, diverged) = counted(|| (0..20).any(|_| agent.update().diverged));
+    assert!(!diverged, "a diverged update takes the rollback path");
+    assert_eq!(allocs, 0, "20 warm DDPG updates made {allocs} allocations");
+}
+
+/// An `n × STATE_DIM` state matrix filled from `seed`.
+fn fleet_states(n: usize, seed: u32) -> Matrix {
+    let data = (0..n * STATE_DIM)
+        .map(|i| ((i as u32 * 7 + seed) as f32 * 0.13).sin().abs())
+        .collect();
+    Matrix::from_vec(n, STATE_DIM, data)
+}
+
+#[test]
+fn coordinator_act_allocates_nothing_after_its_first_epoch() {
+    let (big, little) = (
+        untrained_policy(App::Masstree, 1),
+        untrained_policy(App::Masstree, 2),
+    );
+    let mut coordinator = Coordinator::new(vec![vec![0, 2, 5], vec![1, 3, 4]], &[&big, &little]);
+    let mut actions = vec![ControllerParams::default(); 6];
+    coordinator.act(&fleet_states(6, 0), &mut actions);
+    let states: Vec<Matrix> = (1..=10).map(|seed| fleet_states(6, seed)).collect();
+    let (allocs, ()) = counted(|| {
+        for s in &states {
+            coordinator.act(s, &mut actions);
+        }
+    });
+    assert_eq!(allocs, 0, "10 coordinator epochs made {allocs} allocations");
 }

@@ -13,6 +13,14 @@ fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |v| Matrix::from_vec(rows, cols, v))
 }
 
+/// `a · b` through the fused layer kernel, with a zero bias and the
+/// identity map.
+fn product(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::default();
+    a.matmul_bias_act_into(b, &vec![0.0; b.cols()], &mut out, |x| x);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -23,8 +31,8 @@ proptest! {
         b in arb_matrix(4, 2),
         c in arb_matrix(2, 5),
     ) {
-        let left = a.matmul(&b).matmul(&c);
-        let right = a.matmul(&b.matmul(&c));
+        let left = product(&product(&a, &b), &c);
+        let right = product(&a, &product(&b, &c));
         for (x, y) in left.as_slice().iter().zip(right.as_slice()) {
             prop_assert!((x - y).abs() < 1e-3, "{x} vs {y}");
         }
@@ -36,15 +44,16 @@ proptest! {
         a in arb_matrix(4, 3),
         b in arb_matrix(4, 2),
     ) {
-        // aᵀ·b via t_matmul must equal materialized transpose times b.
-        let via_kernel = a.t_matmul(&b);
+        // aᵀ·b via t_matmul_acc must equal materialized transpose times b.
+        let mut via_kernel = Matrix::zeros(3, 2);
+        a.t_matmul_acc(&b, &mut via_kernel);
         let mut at = Matrix::zeros(3, 4);
         for r in 0..4 {
             for c in 0..3 {
                 at.set(c, r, a.get(r, c));
             }
         }
-        let explicit = at.matmul(&b);
+        let explicit = product(&at, &b);
         for (x, y) in via_kernel.as_slice().iter().zip(explicit.as_slice()) {
             prop_assert!((x - y).abs() < 1e-4);
         }
@@ -56,8 +65,10 @@ proptest! {
         a in arb_matrix(3, 2),
         b in arb_matrix(3, 4),
     ) {
-        let joined = a.hconcat(&b);
-        let (l, r) = joined.hsplit(2);
+        let mut joined = Matrix::default();
+        a.hconcat_into(&b, &mut joined);
+        let (mut l, mut r) = (Matrix::default(), Matrix::default());
+        joined.hsplit_into(2, &mut l, &mut r);
         prop_assert_eq!(l, a);
         prop_assert_eq!(r, b);
     }
