@@ -13,16 +13,8 @@
 //!    (`FleetRun::threads` 0) buy node scaling that is *sublinear* in
 //!    wall-clock on a multi-core host while staying byte-identical
 //!    (asserted every run, every node count).
-//! 3. **End-to-end batched ≤ reference** — the batched lockstep fleet
-//!    must not lose to the per-node inference loop it replaced.
-//!    Timed in interleaved pairs whose order alternates, so neither
-//!    side pockets the warm-up; the median of the per-pair ratios is
-//!    asserted and emitted as `batched_over_reference_ratio` for the
-//!    bench-diff gate.
-//! 4. **Heterogeneous fleets** — on a mixed-profile fleet (4×1-core
-//!    edge boxes + 2×4-core nodes) the grouped coordinator pass must
-//!    not lose to per-node inference (`hetero_grouped_over_pernode_ratio`,
-//!    byte-identity asserted), and the hardware-aware PowerAware
+//! 3. **Heterogeneous fleets** — on a mixed-profile fleet (4×1-core
+//!    edge boxes + 2×4-core nodes) the hardware-aware PowerAware
 //!    balancer must beat capacity-blind round-robin on fleet p99 —
 //!    round-robin hands every 1-core node the same share an 8-core
 //!    node gets and drowns it.
@@ -32,10 +24,8 @@
 //! `BENCH_fleet.json` at the repo root is the recorded baseline).
 //! `DEEPPOWER_SMOKE=1` shrinks reps and durations for CI.
 
-use deeppower_core::TrainedPolicy;
 use deeppower_fleet::{
-    run_fleet, run_fleet_with, untrained_policy, BalancerPolicy, FleetResult, FleetRun, FleetSpec,
-    NodeProfile,
+    run_fleet, run_fleet_with, untrained_policy, BalancerPolicy, FleetRun, FleetSpec, NodeProfile,
 };
 use deeppower_nn::Matrix;
 use deeppower_workload::App;
@@ -136,10 +126,10 @@ fn main() {
             0.4,
             duration_s,
         );
-        // Alternating best-of-k, like section 3: a cold first run can
-        // be 2-3× slower than steady state, so single-shot serial-then-
-        // parallel timing would credit the parallel driver with the
-        // warm-up it didn't pay.
+        // Alternating best-of-k: a cold first run can be 2-3× slower
+        // than steady state, so single-shot serial-then-parallel timing
+        // would credit the parallel driver with the warm-up it didn't
+        // pay.
         let mut wall = f64::INFINITY;
         let mut wall_par = f64::INFINITY;
         let mut requests = 0u64;
@@ -174,7 +164,7 @@ fn main() {
             "{nodes:>6} {wall:>10.2} {wall_par:>12.2} {speedup:>8.2}x {requests:>12} {per_epoch_ms:>14.3}"
         );
         fleet_rows.push(format!(
-            "{{\"nodes\": {nodes}, \"wall_s\": {wall:.3}, \"parallel_s\": {wall_par:.3}, \"speedup\": {speedup:.3}, \"requests\": {requests}, \"epochs\": {epochs}}}"
+            "{{\"nodes\": {nodes}, \"wall_s\": {wall:.3}, \"requests\": {requests}, \"epochs\": {epochs}}}"
         ));
     }
     // Acceptance bar for the parallel engine: quadrupling the fleet
@@ -191,45 +181,7 @@ fn main() {
         println!("({cores}-core machine: sublinear-scaling assertion skipped, determinism still enforced)");
     }
 
-    // ---- 3. end-to-end batched vs reference at N = 8 ----
-    // Interleaved pairs whose order alternates, so cache/allocator
-    // warm-up lands on both sides equally (single-shot timing here once
-    // let the batched path "lose" 2.5% purely to running first, cold).
-    // The gate reads the median of the per-pair ratios: a best-of-k
-    // ratio of sub-second runs is dominated by noise on a shared host.
-    let spec = FleetSpec::uniform(
-        App::Masstree,
-        8,
-        BalancerPolicy::RoundRobin,
-        7,
-        0.4,
-        duration_s,
-    );
-    let rounds = if smoke { 9 } else { 11 };
-    let ((batched, reference), wall_batched, wall_reference, ratio) = paired_rounds(
-        rounds,
-        || run_fleet(&spec, &policy),
-        || run_fleet_reference(&spec, &policy),
-    );
-    assert_eq!(
-        batched.to_json(),
-        reference.to_json(),
-        "batched fleet drifted from the per-node reference"
-    );
-    // Pathology guard, not a noise gate: the two drivers do identical
-    // engine work and differ only in microseconds of inference per
-    // epoch, so the true ratio is ~1.0 and anything ≥ 1.10 means the
-    // batched path grew real overhead (the PR-4 regression shape). The
-    // recorded ratio feeds the tolerance-padded bench-diff unity gate.
-    assert!(
-        ratio <= 1.10,
-        "batched fleet lost to the per-node reference: {wall_batched:.3}s vs {wall_reference:.3}s ({ratio:.3}x)"
-    );
-    println!(
-        "\n# end-to-end at 8 nodes: batched {wall_batched:.2} s vs per-node loop {wall_reference:.2} s, median ratio {ratio:.3} over {rounds} pairs (results byte-identical, best walls)"
-    );
-
-    // ---- 4. heterogeneous fleet: grouped inference + hardware-aware balancing ----
+    // ---- 3. heterogeneous fleet: hardware-aware balancing ----
     // Mixed hardware: 4 one-core edge boxes next to 2 four-core nodes,
     // 8 cores of true capacity under a trace sized for the node count.
     // `peak_load` 0.12 puts the capacity-weighted split at ~0.72 load
@@ -249,28 +201,7 @@ fn main() {
             },
         ])
     };
-
-    // 4a. grouped coordinator pass vs per-node inference in interleaved
-    // pairs, byte-identity asserted — the heterogeneous analogue of
-    // section 3's unity gate.
-    let spec_pa = hetero(BalancerPolicy::PowerAware);
-    let ((grouped, pernode), wall_grouped, wall_pernode, hetero_ratio) = paired_rounds(
-        rounds,
-        || run_fleet(&spec_pa, &policy),
-        || run_fleet_reference(&spec_pa, &policy),
-    );
-    assert_eq!(
-        grouped.to_json(),
-        pernode.to_json(),
-        "grouped hetero fleet drifted from the per-node reference"
-    );
-    assert!(
-        hetero_ratio <= 1.10,
-        "grouped hetero inference lost to per-node: {wall_grouped:.3}s vs {wall_pernode:.3}s ({hetero_ratio:.3}x)"
-    );
-
-    // 4b. hardware-aware balancing must pay off on the mixed fleet.
-    let pa = run_fleet(&spec_pa, &policy);
+    let pa = run_fleet(&hetero(BalancerPolicy::PowerAware), &policy);
     let rr = run_fleet(&hetero(BalancerPolicy::RoundRobin), &policy);
     assert!(
         pa.fleet_p99_ms <= rr.fleet_p99_ms,
@@ -279,15 +210,12 @@ fn main() {
         rr.fleet_p99_ms
     );
     println!(
-        "\n# heterogeneous fleet (4x edge-1c + 2x quad): grouped {wall_grouped:.2} s vs per-node {wall_pernode:.2} s, median ratio {hetero_ratio:.3} over {rounds} pairs (byte-identical, best walls)"
-    );
-    println!(
-        "#   balancer p99: power-aware {:.2} ms vs round-robin {:.2} ms",
+        "\n# heterogeneous fleet (4x edge-1c + 2x quad), balancer p99: power-aware {:.2} ms vs round-robin {:.2} ms",
         pa.fleet_p99_ms, rr.fleet_p99_ms
     );
 
     let json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"inference\": [{}],\n  \"fleet\": [{}],\n  \"end_to_end_8_nodes\": {{\"batched_s\": {wall_batched:.3}, \"reference_s\": {wall_reference:.3}, \"batched_over_reference_ratio\": {ratio:.3}}},\n  \"hetero\": {{\"grouped_s\": {wall_grouped:.3}, \"pernode_s\": {wall_pernode:.3}, \"hetero_grouped_over_pernode_ratio\": {hetero_ratio:.3}, \"power_aware_p99_ms\": {:.3}, \"round_robin_p99_ms\": {:.3}}}\n}}\n",
+        "{{\n  \"smoke\": {smoke},\n  \"inference\": [{}],\n  \"fleet\": [{}],\n  \"hetero\": {{\"power_aware_p99_ms\": {:.3}, \"round_robin_p99_ms\": {:.3}}}\n}}\n",
         inference_rows.join(", "),
         fleet_rows.join(", "),
         pa.fleet_p99_ms,
@@ -300,48 +228,4 @@ fn main() {
     } else {
         println!("report written to {}", out.display());
     }
-}
-
-/// The per-node inference path: same lockstep drive, one single-state
-/// forward pass per node.
-/// Run `a` and `b` in `rounds` interleaved pairs, alternating which one
-/// goes first. Returns the first pair's outputs, each side's fastest
-/// wall time and the median of the per-pair `a / b` wall ratios.
-fn paired_rounds<T>(
-    rounds: usize,
-    mut a: impl FnMut() -> T,
-    mut b: impl FnMut() -> T,
-) -> ((T, T), f64, f64, f64) {
-    let timed = |f: &mut dyn FnMut() -> T| {
-        let t = Instant::now();
-        let out = f();
-        (out, t.elapsed().as_secs_f64())
-    };
-    let mut first = None;
-    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
-    let mut ratios = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        let ((out_a, wall_a), (out_b, wall_b)) = if round % 2 == 0 {
-            let ra = timed(&mut a);
-            (ra, timed(&mut b))
-        } else {
-            let rb = timed(&mut b);
-            (timed(&mut a), rb)
-        };
-        best_a = best_a.min(wall_a);
-        best_b = best_b.min(wall_b);
-        ratios.push(wall_a / wall_b);
-        first.get_or_insert((out_a, out_b));
-    }
-    ratios.sort_by(f64::total_cmp);
-    let first = first.expect("at least one round");
-    (first, best_a, best_b, ratios[rounds / 2])
-}
-
-fn run_fleet_reference(spec: &FleetSpec, policy: &TrainedPolicy) -> FleetResult {
-    let per_node = FleetRun {
-        per_node_act: true,
-        ..FleetRun::default()
-    };
-    run_fleet_with(spec, &[policy], &per_node).result
 }

@@ -196,7 +196,9 @@ ui.perfetto.dev or chrome://tracing) plus a per-phase aggregate table.
 state dimension, and per-decision Q-values + finite-difference saliency
 along an evaluation trajectory.
 `bench-diff` compares a fresh bench artifact against a committed
-BENCH_*.json baseline; exits non-zero on any gated regression.";
+BENCH_*.json baseline; exits non-zero on any gated regression. For
+BENCH_perfbench.json the candidate is perfbench's result lines joined
+under the baseline's run keys (see EXPERIMENTS.md).";
 
 type Flags = HashMap<String, String>;
 
@@ -1588,10 +1590,11 @@ fn cmd_explain(flags: &Flags, log: &Logger) -> Result<(), String> {
     Ok(())
 }
 
-/// Perf-regression gate: diff a fresh bench artifact against a
-/// committed `BENCH_*.json` baseline. Exits non-zero when any gated
-/// metric regresses beyond the tolerance (see `deeppower_bench::diff`
-/// for the metric classification and smoke-scale rules).
+/// Perf-regression gate: diff a fresh bench artifact, or perfbench's
+/// result lines joined by run, against a committed `BENCH_*.json`
+/// baseline. Exits non-zero when any gated metric regresses beyond the
+/// tolerance (see `deeppower_bench::diff` for the metric classification
+/// and smoke-scale rules).
 fn cmd_bench_diff(flags: &Flags, log: &Logger) -> Result<(), String> {
     let baseline = flags
         .get("baseline")

@@ -72,19 +72,6 @@ impl Coordinator {
             }
         }
     }
-
-    /// Reference path: one single-state forward pass per node through
-    /// its group's agent. Bit-identical to [`Coordinator::act`]; exists
-    /// so the bench can time grouped against per-node inference and the
-    /// tests can assert the identity.
-    pub(crate) fn act_per_node(&self, states: &Matrix, actions: &mut [ControllerParams]) {
-        for g in &self.groups {
-            for &node in &g.members {
-                let action = g.agent.act(states.row(node));
-                actions[node] = ControllerParams::from_action(&action);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -142,11 +129,8 @@ mod tests {
         let mut coord = Coordinator::new(members.clone(), &[&big, &little]);
         let mut grouped = vec![ControllerParams::default(); 6];
         coord.act(&states, &mut grouped);
-        let mut reference = vec![ControllerParams::default(); 6];
-        coord.act_per_node(&states, &mut reference);
-        assert_eq!(grouped, reference);
 
-        // And the per-group rows really come from the right agent.
+        // Every node's action is its own group agent's single-state act.
         let big_agent = big.build_agent();
         let little_agent = little.build_agent();
         for &node in &members[0] {

@@ -355,18 +355,15 @@ pub enum FleetObserve {
     Monitor(MonitorConfig),
 }
 
-/// How [`run_fleet_with`] drives a fleet. The default is the serial,
-/// batched, unobserved run of [`run_fleet`].
+/// How [`run_fleet_with`] drives a fleet: its worker count, what it
+/// records and its profiler. Every run acts through the
+/// [`Coordinator`](crate::Coordinator)'s one batched pass per profile
+/// group. The default is the serial, unobserved run of [`run_fleet`].
 #[derive(Clone, Debug)]
 pub struct FleetRun {
     /// Worker threads: `0` means every available core, and any value is
     /// clamped into `[1, nodes]`. The output does not depend on it.
     pub threads: usize,
-    /// Act through one single-state forward pass per node instead of
-    /// the grouped batched pass. This reference path is result-identical;
-    /// it exists so benches can time the two and tests can pin them
-    /// equal.
-    pub per_node_act: bool,
     /// What the run records besides the result.
     pub observe: FleetObserve,
     /// Span profiler. `fleet.balance` (the arrival producer, with one
@@ -389,7 +386,6 @@ impl Default for FleetRun {
     fn default() -> Self {
         Self {
             threads: 1,
-            per_node_act: false,
             observe: FleetObserve::None,
             profiler: Profiler::disabled(),
         }
@@ -449,9 +445,8 @@ pub fn run_fleet_monitored(
 ///    of one shared `N × STATE_DIM` matrix (the first epoch sees the
 ///    pre-run empty state, as the single-node governor does on its
 ///    first tick) — barrier A;
-/// 2. worker 0 runs the coordinator's grouped batched pass, or the
-///    per-node reference pass, and publishes one `ControllerParams` per
-///    node — barrier B;
+/// 2. worker 0 runs the coordinator's grouped batched pass and
+///    publishes one `ControllerParams` per node — barrier B;
 /// 3. every worker hands its nodes their params, advances them to the
 ///    epoch's end and adds the nodes that finished to a monotone
 ///    counter — barrier C. All workers leave together once it reads N.
@@ -691,11 +686,7 @@ impl Lockstep<'_> {
                 // buffers, so the steady-state loop never allocates.
                 let states = self.states.lock().expect("fleet states lock");
                 let mut actions = self.actions.lock().expect("fleet actions lock");
-                if self.run.per_node_act {
-                    coordinator.act_per_node(&states, &mut actions);
-                } else {
-                    coordinator.act(&states, &mut actions);
-                }
+                coordinator.act(&states, &mut actions);
             }
             drop(act_span);
             self.barrier.wait(); // B: this epoch's actions published
@@ -979,22 +970,6 @@ mod tests {
         let a = run_fleet(&spec, &policy).to_json();
         let b = run_fleet(&spec, &policy).to_json();
         assert_eq!(a, b, "same spec + policy must reproduce byte-identically");
-    }
-
-    #[test]
-    fn batched_and_unbatched_fleets_agree() {
-        // The whole point of the batched path: same floats, fewer
-        // forward passes. Any drift here means act_batch_rows is no longer
-        // bit-faithful to act.
-        let spec = small_spec(4, BalancerPolicy::RoundRobin);
-        let policy = untrained_policy(spec.app, 3);
-        let batched = run_fleet(&spec, &policy).to_json();
-        let per_node = FleetRun {
-            per_node_act: true,
-            ..FleetRun::default()
-        };
-        let reference = run_with(&spec, &policy, per_node).result.to_json();
-        assert_eq!(batched, reference);
     }
 
     #[test]
